@@ -31,7 +31,7 @@ from .model import (
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
-from .rational import Number, is_exact, parse_number, to_float
+from .rational import Number, is_exact, parse_number
 from .report import write_json
 
 
@@ -45,7 +45,7 @@ class RunConfig:
 
 
 def _num_entry(name: str, value: Number) -> dict:
-    out = {name: to_float(value)}
+    out = {name: float(value)}
     if is_exact(value):
         out[name + "_exact"] = str(value)
     return out
@@ -74,10 +74,6 @@ def _write_report(cfg: RunConfig, payload: dict) -> Path:
     path = cfg.out_dir / "report.json"
     write_json(path, {"command": cfg.command, **payload})
     return path
-
-
-def _report_dict(report) -> dict:
-    return report.to_json_dict()
 
 
 def _cmd_classify(cfg: RunConfig) -> int:
@@ -142,7 +138,7 @@ def _cmd_exact_wave(cfg: RunConfig) -> int:
     res_grid = uniform_grid(-10.0, 10.0, 2001)
     r1, r2, r3 = exactwaves.residual(spec, res_grid)
     payload = {
-        "c": [[to_float(v) for v in row] for row in matrix],
+        "c": [[float(v) for v in row] for row in matrix],
         **_num_entry("u_star", spec.u_star),
         **_num_entry("v_star", spec.v_star),
         "residuals": {"eq1": r1, "eq2": r2, "eq3": r3},
@@ -164,7 +160,7 @@ def _cmd_two_wave(cfg: RunConfig) -> int:
     profile.to_csv(cfg.out_dir / "wave.csv")
     r1, r2 = wave.residual(uniform_grid(-10.0, 10.0, 2001))
     payload = {
-        "params": {k: to_float(v) for k, v in wave.params.to_dict().items()},
+        "params": {k: float(v) for k, v in wave.params.to_dict().items()},
         **_num_entry("theta", wave.theta),
         **_num_entry("u_star", wave.u_star),
         **_num_entry("v_star", wave.v_star),
@@ -254,13 +250,13 @@ def _cmd_fisher(cfg: RunConfig) -> int:
         c33=parse_number(data["c33"]),
         background=background,
     )
-    w_sub = numerics.tanh_pulse_candidate(to_float(parse_number(data["K_sub"])))
-    w_super = numerics.constant_candidate(to_float(parse_number(data["K_super"])))
+    w_sub = numerics.tanh_pulse_candidate(float(parse_number(data["K_sub"])))
+    w_super = numerics.constant_candidate(float(parse_number(data["K_super"])))
     sub_rep = numerics.check_sub_super(ctx, w_sub, numerics.Side.SUB, tol=1e-12)
     super_rep = numerics.check_sub_super(ctx, w_super, numerics.Side.SUPER, tol=1e-12)
     payload = {
-        "sub_check": _report_dict(sub_rep),
-        "super_check": _report_dict(super_rep),
+        "sub_check": sub_rep.to_json_dict(),
+        "super_check": super_rep.to_json_dict(),
     }
     if not (sub_rep.passed and super_rep.passed):
         payload["solved"] = False
@@ -295,14 +291,14 @@ def _cmd_fisher(cfg: RunConfig) -> int:
 def _cmd_check_existence(cfg: RunConfig) -> int:
     inputs = ExistenceInputs.from_dict(_load_params(cfg))
     report = existence_report(inputs)
-    _write_report(cfg, _report_dict(report))
+    _write_report(cfg, report.to_json_dict())
     return 0 if report.passed else 1
 
 
 def _cmd_check_nonexistence(cfg: RunConfig) -> int:
     p = ThreeSpeciesParams.from_dict(_load_params(cfg))
     report = nonexistence_report(p)
-    _write_report(cfg, _report_dict(report))
+    _write_report(cfg, report.to_json_dict())
     return 0 if report.passed else 1
 
 
@@ -312,7 +308,7 @@ def _cmd_verify_profile(cfg: RunConfig) -> int:
     profile = WaveProfile.from_csv(cfg.options["profile"])
     pair = bounds(p, alpha, beta)
     report = verify_bounds_on_profile(profile, alpha, beta, pair)
-    payload = _report_dict(report)
+    payload = report.to_json_dict()
     payload.update(_num_entry("q_lower", pair.q_lower))
     payload.update(_num_entry("q_upper", pair.q_upper))
     _write_report(cfg, payload)

@@ -149,33 +149,28 @@ def induce_coefficients(free: FreeParams) -> ExactWaveSpec:
     return ExactWaveSpec(free=free, params=params, u_star=eq.u, v_star=eq.v)
 
 
-def evaluate_wave(spec: ExactWaveSpec, x):
-    """Evaluate (u, v, w) of the exact wave at x (scalar or array)."""
-    us = float(spec.u_star)
-    k1 = float(spec.free.k1)
-    k2 = float(spec.free.k2)
+def _ansatz(u_star: Number, k1: Number, k2: Number | None, x):
+    """(u, v[, w]) of the tanh ansatz at x; ``k2=None`` drops w (two species)."""
+    us = float(u_star)
     t = np.tanh(x)
-    u = 0.5 * (us + 1.0) + 0.5 * (us - 1.0) * t
-    v = k1 * (1.0 + t) ** 2
-    w = k2 * (1.0 - t * t)
+    fields = [0.5 * (us + 1.0) + 0.5 * (us - 1.0) * t, float(k1) * (1.0 + t) ** 2]
+    if k2 is not None:
+        fields.append(float(k2) * (1.0 - t * t))
     if np.isscalar(x):
-        return float(u), float(v), float(w)
-    return u, v, w
+        return tuple(float(f) for f in fields)
+    return tuple(fields)
 
 
-def wave_profile(spec: ExactWaveSpec, x: np.ndarray) -> WaveProfile:
-    u, v, w = evaluate_wave(spec, np.asarray(x, dtype=float))
-    return WaveProfile(x=x, u=u, v=v, w=w, theta=float(spec.free.theta))
-
-
-def _tanh_derivatives(x: np.ndarray):
-    t = np.tanh(x)
-    s = 1.0 - t * t  # d tanh / dx
-    return t, s
-
-
-def residual(spec: ExactWaveSpec, grid: np.ndarray) -> tuple[float, float, float]:
-    """Max absolute residual of each traveling-wave equation on the grid.
+def _ansatz_residual(
+    p: TwoSpeciesParams | ThreeSpeciesParams,
+    u_star: Number,
+    k1: Number,
+    k2: Number | None,
+    theta: Number,
+    grid,
+) -> tuple[float, ...]:
+    """Max absolute residual of each traveling-wave equation of ``p`` for the
+    tanh ansatz on the grid; ``k2=None`` is the two-species wave (w = 0).
 
     Derivatives of the ansatz are analytic (via d tanh/dx = 1 - tanh^2), so
     the result measures only algebraic correctness plus roundoff.
@@ -183,40 +178,43 @@ def residual(spec: ExactWaveSpec, grid: np.ndarray) -> tuple[float, float, float
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("residual grid must be nonempty")
-    p = spec.params
-    us = float(spec.u_star)
-    k1 = float(spec.free.k1)
-    k2 = float(spec.free.k2)
-    d1, d2, d3 = float(p.d1), float(p.d2), float(p.d3)
-    th = float(spec.free.theta)
+    fields = _ansatz(u_star, k1, k2, grid)
+    t = np.tanh(grid)
+    s = 1.0 - t * t  # d tanh / dx
+    b = 0.5 * (float(u_star) - 1.0)
+    k1 = float(k1)
+    derivs = [
+        (b * s, -2.0 * b * t * s),
+        (2.0 * k1 * (1.0 + t) * s, 2.0 * k1 * s * (1.0 - 2.0 * t - 3.0 * t * t)),
+    ]
+    if k2 is not None:
+        k2 = float(k2)
+        derivs.append((-2.0 * k2 * t * s, -2.0 * k2 * s * (1.0 - 3.0 * t * t)))
+    th = float(theta)
+    out = []
+    for i, (f, (df, d2f)) in enumerate(zip(fields, derivs), start=1):
+        growth = float(getattr(p, f"sigma{i}"))
+        for j, g in enumerate(fields, start=1):
+            growth = growth - float(getattr(p, f"c{i}{j}")) * g
+        r = float(getattr(p, f"d{i}")) * d2f + th * df + f * growth
+        out.append(float(np.max(np.abs(r))))
+    return tuple(out)
 
-    t, s = _tanh_derivatives(grid)
-    b = 0.5 * (us - 1.0)
-    u = 0.5 * (us + 1.0) + b * t
-    v = k1 * (1.0 + t) ** 2
-    w = k2 * s
 
-    du = b * s
-    d2u = -2.0 * b * t * s
-    dv = 2.0 * k1 * (1.0 + t) * s
-    d2v = 2.0 * k1 * s * (1.0 - 2.0 * t - 3.0 * t * t)
-    dw = -2.0 * k2 * t * s
-    d2w = -2.0 * k2 * s * (1.0 - 3.0 * t * t)
+def evaluate_wave(spec: ExactWaveSpec, x):
+    """Evaluate (u, v, w) of the exact wave at x (scalar or array)."""
+    return _ansatz(spec.u_star, spec.free.k1, spec.free.k2, x)
 
-    r1 = d1 * d2u + th * du + u * (
-        float(p.sigma1) - float(p.c11) * u - float(p.c12) * v - float(p.c13) * w
-    )
-    r2 = d2 * d2v + th * dv + v * (
-        float(p.sigma2) - float(p.c21) * u - float(p.c22) * v - float(p.c23) * w
-    )
-    r3 = d3 * d2w + th * dw + w * (
-        float(p.sigma3) - float(p.c31) * u - float(p.c32) * v - float(p.c33) * w
-    )
-    return (
-        float(np.max(np.abs(r1))),
-        float(np.max(np.abs(r2))),
-        float(np.max(np.abs(r3))),
-    )
+
+def wave_profile(spec: ExactWaveSpec, x: np.ndarray) -> WaveProfile:
+    u, v, w = evaluate_wave(spec, np.asarray(x, dtype=float))
+    return WaveProfile(x=x, u=u, v=v, w=w)
+
+
+def residual(spec: ExactWaveSpec, grid: np.ndarray) -> tuple[float, float, float]:
+    """Max absolute residual of each traveling-wave equation on the grid."""
+    free = spec.free
+    return _ansatz_residual(spec.params, spec.u_star, free.k1, free.k2, free.theta, grid)
 
 
 @dataclass(frozen=True)
@@ -230,42 +228,14 @@ class TwoSpeciesWave:
     v_star: Number
 
     def evaluate(self, x):
-        us = float(self.u_star)
-        k1 = float(self.k1)
-        t = np.tanh(x)
-        u = 0.5 * (us + 1.0) + 0.5 * (us - 1.0) * t
-        v = k1 * (1.0 + t) ** 2
-        if np.isscalar(x):
-            return float(u), float(v)
-        return u, v
+        return _ansatz(self.u_star, self.k1, None, x)
 
     def profile(self, x: np.ndarray) -> WaveProfile:
         u, v = self.evaluate(np.asarray(x, dtype=float))
-        return WaveProfile(x=x, u=u, v=v, theta=float(self.theta))
+        return WaveProfile(x=x, u=u, v=v)
 
     def residual(self, grid: np.ndarray) -> tuple[float, float]:
-        grid = np.asarray(grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("residual grid must be nonempty")
-        p = self.params
-        us = float(self.u_star)
-        k1 = float(self.k1)
-        th = float(self.theta)
-        t, s = _tanh_derivatives(grid)
-        b = 0.5 * (us - 1.0)
-        u = 0.5 * (us + 1.0) + b * t
-        v = k1 * (1.0 + t) ** 2
-        du = b * s
-        d2u = -2.0 * b * t * s
-        dv = 2.0 * k1 * (1.0 + t) * s
-        d2v = 2.0 * k1 * s * (1.0 - 2.0 * t - 3.0 * t * t)
-        r1 = float(p.d1) * d2u + th * du + u * (
-            float(p.sigma1) - float(p.c11) * u - float(p.c12) * v
-        )
-        r2 = float(p.d2) * d2v + th * dv + v * (
-            float(p.sigma2) - float(p.c21) * u - float(p.c22) * v
-        )
-        return float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
+        return _ansatz_residual(self.params, self.u_star, self.k1, None, self.theta, grid)
 
 
 def two_species_wave_family(

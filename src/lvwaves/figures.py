@@ -15,11 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .model import TwoSpeciesParams
-from .nbarrier import BoundSide, F_value, conic_classify, construct_barrier
+from .nbarrier import BoundSide, conic_classify, construct_barrier
 from .rational import format_number
 from .report import format_float, write_json
-
-CONIC_POINT_TOL = 1e-6
 
 _ONE = Fraction(1)
 _FIG1_BASE = dict(
@@ -68,46 +66,50 @@ def _line_points(a, b, c, u_max: float, n: int = 201) -> list[tuple[float, float
     return pts
 
 
-def _bisect_edge(f, p0, p1, tol: float) -> tuple[float, float] | None:
-    f0, f1 = f(*p0), f(*p1)
-    if f0 == 0:
-        return p0
-    if f1 == 0:
-        return p1
-    if f0 * f1 > 0:
-        return None
-    for _ in range(200):
-        mid = ((p0[0] + p1[0]) / 2.0, (p0[1] + p1[1]) / 2.0)
-        fm = f(*mid)
-        if abs(fm) < tol:
-            return mid
-        if f0 * fm < 0:
-            p1 = mid
-        else:
-            p0, f0 = mid, fm
-    return mid
+def _grid_line_roots(a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Both roots of a x^2 + b x + c = 0 for each entry of b, c, ascending
+    per row; NaN where the roots are complex.
+
+    Uses q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2 with roots q/a and c/q, which
+    avoids cancellation between b and the square root (Numerical Recipes,
+    section 5.6).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        return np.sort(np.stack([q / a, c / q], axis=1), axis=1)
 
 
 def implicit_curve_points(
-    f, u_max: float, v_max: float, n: int = 161, tol: float = CONIC_POINT_TOL
+    p: TwoSpeciesParams, alpha, beta, u_max: float, v_max: float, n: int = 161
 ) -> list[tuple[float, float]]:
-    """Sign-change scan on a grid with bisection refinement along each edge."""
+    """Points of F(u, v) = 0 on the lines of an n x n grid over the window.
+
+    On each line u = const, F is a quadratic in v with leading coefficient
+    -beta c22; on each line v = const, a quadratic in u with leading
+    coefficient -alpha c11.  Both are strictly negative, so each line meets
+    the curve at the real roots of a true quadratic.  Returns the roots strictly inside (0, v_max) on the
+    u-lines, then those strictly inside (0, u_max) on the v-lines, ascending
+    along each line.
+    """
+    alpha, beta = float(alpha), float(beta)
+    s1, s2, c11, c12, c21, c22 = (
+        float(x) for x in (p.sigma1, p.sigma2, p.c11, p.c12, p.c21, p.c22)
+    )
     us = np.linspace(0.0, u_max, n)
     vs = np.linspace(0.0, v_max, n)
-    vals = np.array([[f(u, v) for v in vs] for u in us])
-    pts: list[tuple[float, float]] = []
-    for i in range(n):
-        for j in range(n - 1):
-            if vals[i, j] * vals[i, j + 1] < 0:
-                hit = _bisect_edge(f, (us[i], vs[j]), (us[i], vs[j + 1]), tol)
-                if hit:
-                    pts.append(hit)
-    for j in range(n):
-        for i in range(n - 1):
-            if vals[i, j] * vals[i + 1, j] < 0:
-                hit = _bisect_edge(f, (us[i], vs[j]), (us[i + 1], vs[j]), tol)
-                if hit:
-                    pts.append(hit)
+    cross = beta * c21 + alpha * c12
+    v_roots = _grid_line_roots(
+        -beta * c22, beta * s2 - cross * us, alpha * us * (s1 - c11 * us)
+    )
+    u_roots = _grid_line_roots(
+        -alpha * c11, alpha * s1 - cross * vs, beta * vs * (s2 - c22 * vs)
+    )
+    pts = [
+        (float(u), float(v)) for u, row in zip(us, v_roots) for v in row if 0.0 < v < v_max
+    ]
+    pts += [
+        (float(u), float(v)) for v, row in zip(vs, u_roots) for u in row if 0.0 < u < u_max
+    ]
     return pts
 
 
@@ -143,10 +145,9 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
         out / "line2.csv", _line_points(p.c21, p.c22, p.sigma2, float(window))
     )
 
-    def f(u, v):
-        return float(F_value(p, float(alpha), float(beta), u, v))
-
-    _write_points(out / "conic.csv", implicit_curve_points(f, float(window), float(window)))
+    _write_points(
+        out / "conic.csv", implicit_curve_points(p, alpha, beta, float(window), float(window))
+    )
     conic = conic_classify(p, alpha, beta)
 
     manifest = {

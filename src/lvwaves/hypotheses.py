@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import RegimeError
 from .model import (
     Regime,
     ThreeSpeciesParams,
@@ -41,8 +40,8 @@ from .model import (
     classify_regime,
     coexistence_equilibrium,
 )
-from .nbarrier import lower_bound, upper_bound
-from .rational import Number, parse_number, to_float
+from .nbarrier import bounds
+from .rational import Number, parse_number
 from .report import CheckItem, CheckReport
 
 
@@ -100,28 +99,23 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
     raised).
     """
     block = inputs.two_species
-    regime = classify_regime(block)
-    if regime not in (Regime.STRONG, Regime.WEAK):
-        raise RegimeError(
-            f"existence audit needs strong or weak competition, got {regime.value}"
-        )
-    q_lo = lower_bound(block, inputs.c31, inputs.c32)
-    q_hi = upper_bound(block, inputs.c31, inputs.c32)
+    pair = bounds(block, inputs.c31, inputs.c32)
+    q_lo, q_hi = pair.q_lower, pair.q_upper
     eq = coexistence_equilibrium(block)
 
-    m_h1 = to_float(
+    m_h1 = float(
         min(inputs.c31 - inputs.sigma3, inputs.c31 * eq.u + inputs.c32 * eq.v - inputs.sigma3)
     )
-    m_h2 = to_float(inputs.c33 * inputs.K_super + q_lo - inputs.sigma3)
+    m_h2 = float(inputs.c33 * inputs.K_super + q_lo - inputs.sigma3)
     a_coef = inputs.c33 * inputs.K_sub + 6 * inputs.d3
     c_coef = inputs.sigma3 - inputs.c33 * inputs.K_sub - 2 * inputs.d3 - q_hi
-    m_h3 = to_float(4 * a_coef * c_coef - 4 * inputs.theta * inputs.theta)
-    m_h4 = to_float(min(inputs.K_super - inputs.K_sub, inputs.K_sub))
+    m_h3 = float(4 * a_coef * c_coef - 4 * inputs.theta * inputs.theta)
+    m_h4 = float(min(inputs.K_super - inputs.K_sub, inputs.K_sub))
     # the amplitude ordering is non-strict; only K_sub > 0 is strict
     h4_ok = inputs.K_super >= inputs.K_sub and inputs.K_sub > 0
 
     items = (
-        CheckItem("H1", m_h1 > 0, m_h1, {"q_lower": to_float(q_lo), "q_upper": to_float(q_hi)}),
+        CheckItem("H1", m_h1 > 0, m_h1, {"q_lower": float(q_lo), "q_upper": float(q_hi)}),
         CheckItem("H2", m_h2 >= 0, m_h2, {}),
         CheckItem("H3", m_h3 >= 0, m_h3, {}),
         CheckItem("H4", h4_ok, m_h4, {}),
@@ -141,7 +135,7 @@ def _a3_margin(p: ThreeSpeciesParams, s: SigmaPair, with_d: bool) -> float:
         p.c31 * f1 * min(s.Sigma1 / p.c11, s.Sigma2 / p.c21),
         p.c32 * f2 * min(s.Sigma2 / p.c22, s.Sigma1 / p.c12),
     ) * min(p.d1 / p.d2, p.d2 / p.d1)
-    return to_float(lhs - p.sigma3 * p.c33)
+    return float(lhs - p.sigma3 * p.c33)
 
 
 def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
@@ -153,11 +147,11 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
     if p.c12 == 0 or p.c21 == 0 or p.c31 == 0 or p.c32 == 0:
         raise ValueError("nonexistence audit needs positive c12, c21, c31, c32")
     s = sigma_pair(p)
-    m_a1 = to_float(min(s.Sigma1, s.Sigma2))
+    m_a1 = float(min(s.Sigma1, s.Sigma2))
 
     strong_branch = min(p.c21 * s.Sigma1 - p.c11 * s.Sigma2, p.c12 * s.Sigma2 - p.c22 * s.Sigma1)
     weak_branch = min(p.c11 * s.Sigma2 - p.c21 * s.Sigma1, p.c22 * s.Sigma1 - p.c12 * s.Sigma2)
-    m_a2 = to_float(max(strong_branch, weak_branch))
+    m_a2 = float(max(strong_branch, weak_branch))
 
     a2_ok = m_a2 > 0
     m_a3_lit = _a3_margin(p, s, with_d=True)
@@ -166,14 +160,14 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
     items = (
         CheckItem(
             "A1", m_a1 > 0, m_a1,
-            {"Sigma1": to_float(s.Sigma1), "Sigma2": to_float(s.Sigma2)},
+            {"Sigma1": float(s.Sigma1), "Sigma2": float(s.Sigma2)},
         ),
         CheckItem(
             "A2", a2_ok, m_a2,
             {
                 "branch": "strong" if strong_branch >= weak_branch else "weak",
-                "strong_margin": to_float(strong_branch),
-                "weak_margin": to_float(weak_branch),
+                "strong_margin": float(strong_branch),
+                "weak_margin": float(weak_branch),
             },
         ),
         CheckItem("A3_literal", m_a3_lit >= 0, m_a3_lit, {"d_factors": True}),

@@ -129,30 +129,29 @@ def F_value(p: TwoSpeciesParams, alpha: Number, beta: Number, u: Number, v: Numb
 
 def lower_bound(p: TwoSpeciesParams, alpha: Number, beta: Number) -> Number:
     """Closed-form lower bound q_lower on alpha*u + beta*v."""
-    _check_weights(alpha, beta)
-    _require_strong_or_weak(p)
-    inner = min(
-        alpha * min(p.sigma1 / p.c11, p.sigma2 / p.c21),
-        beta * min(p.sigma2 / p.c22, p.sigma1 / p.c12),
-    )
-    return inner * min(p.d1 / p.d2, p.d2 / p.d1)
+    return bounds(p, alpha, beta).q_lower
 
 
 def upper_bound(p: TwoSpeciesParams, alpha: Number, beta: Number) -> Number:
     """Closed-form upper bound q_upper on alpha*u + beta*v."""
-    _check_weights(alpha, beta)
-    _require_strong_or_weak(p)
-    inner = max(
-        alpha * max(p.sigma1 / p.c11, p.sigma2 / p.c21),
-        beta * max(p.sigma2 / p.c22, p.sigma1 / p.c12),
-    )
-    return inner * max(p.d1 / p.d2, p.d2 / p.d1)
+    return bounds(p, alpha, beta).q_upper
 
 
 def bounds(p: TwoSpeciesParams, alpha: Number, beta: Number) -> BoundPair:
+    """Both closed-form bounds on alpha*u + beta*v, classifying the regime once."""
+    _check_weights(alpha, beta)
+    _require_strong_or_weak(p)
+    inner_lower = min(
+        alpha * min(p.sigma1 / p.c11, p.sigma2 / p.c21),
+        beta * min(p.sigma2 / p.c22, p.sigma1 / p.c12),
+    )
+    inner_upper = max(
+        alpha * max(p.sigma1 / p.c11, p.sigma2 / p.c21),
+        beta * max(p.sigma2 / p.c22, p.sigma1 / p.c12),
+    )
     return BoundPair(
-        q_lower=lower_bound(p, alpha, beta),
-        q_upper=upper_bound(p, alpha, beta),
+        q_lower=inner_lower * min(p.d1 / p.d2, p.d2 / p.d1),
+        q_upper=inner_upper * max(p.d1 / p.d2, p.d2 / p.d1),
         alpha=alpha,
         beta=beta,
     )

@@ -370,13 +370,10 @@ def estimate_front_speed(
     """
     if len(snapshots.profiles) < 2:
         raise ValueError("need at least two snapshots")
-    x = snapshots.x
-    positions = np.array(
-        [
-            _crossing_position(x, getattr(prof, component), level)
-            for prof in snapshots.profiles
-        ]
-    )
+    fields = [getattr(prof, component, None) for prof in snapshots.profiles]
+    if any(f is None for f in fields):
+        raise ValueError(f"snapshots carry no component {component!r}")
+    positions = np.array([_crossing_position(snapshots.x, f, level) for f in fields])
     slope, intercept = np.polyfit(snapshots.times, positions, 1)
     fit = slope * snapshots.times + intercept
     rms = float(np.sqrt(np.mean((fit - positions) ** 2)))
@@ -546,6 +543,8 @@ def solve_fisher_bvp(
     decayed at the grid boundary).  Returns once the discrete residual drops
     below ``tol``; raises :class:`MaxIterExceededError` otherwise.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = ctx.background.x
     n = x.size
     h = float(x[1] - x[0])

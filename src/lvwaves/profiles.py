@@ -37,13 +37,12 @@ def _check_nonneg(name: str, a: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """Densities (u, v[, w]) sampled on a uniform grid, plus the frame speed."""
+    """Densities (u, v[, w]) sampled on a uniform grid."""
 
     x: np.ndarray
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray | None = None
-    theta: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -66,24 +65,18 @@ class WaveProfile:
     def h(self) -> float:
         return float((self.x[-1] - self.x[0]) / (self.x.size - 1))
 
-    def components(self) -> dict[str, np.ndarray]:
-        out = {"u": self.u, "v": self.v}
-        if self.w is not None:
-            out["w"] = self.w
-        return out
-
     def to_csv(self, path) -> None:
         names = ["x", "u", "v"] + (["w"] if self.w is not None else [])
         cols = [self.x, self.u, self.v] + ([self.w] if self.w is not None else [])
         _write_csv(path, names, cols)
 
     @classmethod
-    def from_csv(cls, path, theta: float | None = None) -> "WaveProfile":
+    def from_csv(cls, path) -> "WaveProfile":
         names, cols = _read_csv(path)
         if names[:3] != ["x", "u", "v"]:
             raise ValueError(f"expected header x,u,v[,w], got {','.join(names)}")
         w = cols[3] if len(cols) > 3 else None
-        return cls(x=cols[0], u=cols[1], v=cols[2], w=w, theta=theta)
+        return cls(x=cols[0], u=cols[1], v=cols[2], w=w)
 
 
 @dataclass(frozen=True)

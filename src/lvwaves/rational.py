@@ -51,10 +51,6 @@ def all_exact(*values: Number) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def to_float(value: Number) -> float:
-    return float(value)
-
-
 def format_number(value: Number) -> str:
     """Render a number for reports: exact values verbatim, floats at 17 sig digits."""
     if isinstance(value, (int, Fraction)):

@@ -8,6 +8,7 @@ import pytest
 import lvwaves as lv
 from lvwaves.cli import main
 from lvwaves.profiles import WaveProfile
+from lvwaves.rational import parse_number
 
 F = Fraction
 
@@ -16,6 +17,15 @@ PAPER_FREE = {
     "theta": 3, "sigma1": 41, "sigma2": 41, "sigma3": 41,
 }
 STRONG = {"d1": 1, "d2": 1, "sigma1": 1, "sigma2": 1, "c11": 1, "c12": 2, "c21": 3, "c22": 1}
+# every bundled illustration case: (which, case, conic kind, plot window)
+FIGURE_CASES = [
+    ("fig1", "a", "Hyperbola", 2.5),
+    ("fig1", "b", "Hyperbola", 2.5),
+    ("fig1", "c", "Parabola", 2.5),
+    ("fig1", "d", "Parabola", 2.5),
+    ("fig1", "e", "Ellipse", 2.5),
+    ("fig1", "f", "Hyperbola", 8.0),
+] + [(which, case, "Hyperbola", 2.5) for which in ("fig2", "fig3") for case in "abcd"]
 NONEXIST = {
     "d1": 1, "d2": 1, "d3": 1, "sigma1": 1, "sigma2": 1, "sigma3": 0.1,
     "c11": 1, "c12": 2, "c13": 0, "c21": 3, "c22": 1, "c23": 0,
@@ -236,6 +246,35 @@ class TestSimulationCommands:
         assert abs(data["w_left"]) < 1e-6 and abs(data["w_right"]) < 1e-6
         assert (out / "w.csv").exists()
 
+    def test_fisher_zero_max_iter_is_usage_error(self, tmp_path, demo_two_wave, capsys):
+        demo_two_wave.profile(np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+        cfgd = {
+            "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+            "K_sub": 1, "K_super": 12,
+        }
+        params = write_json(tmp_path / "p.json", cfgd)
+        code = main(
+            ["fisher", "--params", params, "--background", str(tmp_path / "bg.csv"),
+             "--relaxation", "15", "--max-iter", "0", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
+
+    def test_speed_of_missing_component_is_usage_error(self, tmp_path, demo_two_wave):
+        x = np.linspace(-40, 40, 801)
+        snaps = lv.Snapshots(
+            times=np.array([0.0, 1.0]),
+            profiles=(demo_two_wave.profile(x), demo_two_wave.profile(x - 6.0)),
+        )
+        with pytest.raises(ValueError, match="'w'"):
+            lv.estimate_front_speed(snaps, "w", 0.4)
+        snaps.to_dir(tmp_path / "snapshots")
+        code = main(
+            ["speed", "--snapshots", str(tmp_path / "snapshots"), "--component", "w",
+             "--level", "0.4", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+
 
 class TestFigureData:
     def test_fig2_case_a_levels(self, tmp_path):
@@ -246,20 +285,29 @@ class TestFigureData:
         assert manifest["barrier"]["lambda2"] == "17/3"
         assert manifest["barrier"]["eta"] == "17/6"
 
-    def test_fig1_case_e_conic_points(self, tmp_path):
+    @pytest.mark.parametrize(
+        "which,case,kind,window",
+        FIGURE_CASES,
+        ids=[f"{which}-{case}" for which, case, _, _ in FIGURE_CASES],
+    )
+    def test_conic_points(self, tmp_path, which, case, kind, window):
         out = tmp_path / "out"
-        assert main(["figure-data", "--which", "fig1", "--case", "e", "--out", str(out)]) == 0
+        assert main(["figure-data", "--which", which, "--case", case, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["conic"]["kind"] == "Ellipse"
+        assert manifest["conic"]["kind"] == kind
         rows = (out / "conic.csv").read_text().strip().splitlines()[1:]
         assert rows
-        p = lv.TwoSpeciesParams(
-            d1=F(1), d2=F(1), sigma1=F(1), sigma2=F(1),
-            c11=F(1), c12=F(1, 2), c21=F(2, 3), c22=F(1),
-        )
+        p = lv.TwoSpeciesParams.from_dict(manifest["params"])
+        alpha = float(parse_number(manifest["alpha"]))
+        beta = float(parse_number(manifest["beta"]))
+        tol = 1e-12 * max(1.0, abs(alpha) + abs(beta))
         for row in rows:
             u, v = (float(part) for part in row.split(","))
-            assert abs(float(lv.F_value(p, 2.0, 3.0, u, v))) < 1e-6
+            # each point solves F = 0 along a grid line, so the solved
+            # coordinate is interior; the other may sit on the window edge
+            assert 0.0 <= u <= window and 0.0 <= v <= window
+            assert 0.0 < u < window or 0.0 < v < window
+            assert abs(float(lv.F_value(p, alpha, beta, u, v))) <= tol
 
     def test_bad_case_is_usage_error(self, tmp_path):
         assert main(

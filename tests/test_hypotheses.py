@@ -230,8 +230,10 @@ def test_small_invader_growth_gives_a3(block, d3, sigma3, c31, c32, c33):
         c31=c31, c32=c32, c33=c33,
     )
     assert lv.nonexistence_report(p).item("A2").passed
-    # shrink the invader growth rate below the closed-form threshold
-    shrunk = lv.ThreeSpeciesParams(**{**p.to_dict(), "sigma3": F(1, 10**9)})
+    # shrink the invader growth rate below the closed-form threshold; with
+    # c13 = c23 = 0 that threshold is the A3 left-hand side over c33, which
+    # is at least about 2.7e-14 over these strategies (1e-9 is not)
+    shrunk = lv.ThreeSpeciesParams(**{**p.to_dict(), "sigma3": F(1, 10**20)})
     report = lv.nonexistence_report(shrunk)
     assert report.item("A1").passed
     assert report.item("A3_literal").passed
