@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,33 +31,27 @@ from .model import (
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
-from .rational import Number, is_exact, parse_number
+from .rational import Number, all_exact, is_exact, parse_number
 from .report import write_json
 
 
-@dataclass
-class RunConfig:
-    command: str
-    params_file: str | None
-    out_dir: Path
-    overrides: list[str] = field(default_factory=list)
-    options: dict = field(default_factory=dict)
-
-
-def _num_entry(name: str, value: Number) -> dict:
-    out = {name: float(value)}
-    if is_exact(value):
-        out[name + "_exact"] = str(value)
+def _exact(**values: Number) -> dict:
+    """Each value as a float under its name, plus ``<name>_exact`` when it is exact."""
+    out = {}
+    for name, value in values.items():
+        out[name] = float(value)
+        if is_exact(value):
+            out[name + "_exact"] = str(value)
     return out
 
 
-def _load_params(cfg: RunConfig) -> dict:
-    if not cfg.params_file:
+def _load_params(args: argparse.Namespace) -> dict:
+    if not args.params:
         raise ValueError("this command requires --params FILE")
-    data = json.loads(Path(cfg.params_file).read_text())
+    data = json.loads(Path(args.params).read_text())
     if not isinstance(data, dict):
         raise ValueError("parameter file must hold a JSON object")
-    for entry in cfg.overrides:
+    for entry in args.set:
         if "=" not in entry:
             raise ValueError(f"override {entry!r} is not of the form key=value")
         key, value = entry.split("=", 1)
@@ -69,139 +63,118 @@ def _load_params(cfg: RunConfig) -> dict:
     return data
 
 
-def _write_report(cfg: RunConfig, payload: dict) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / "report.json"
-    write_json(path, {"command": cfg.command, **payload})
-    return path
-
-
-def _cmd_classify(cfg: RunConfig) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(cfg))
-    regime = classify_regime(p)
-    _write_report(cfg, {"regime": regime.value})
+def _write_report(args: argparse.Namespace, payload: dict) -> int:
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_json(args.out / "report.json", {"command": args.command, **payload})
     return 0
 
 
-def _weights(cfg: RunConfig) -> tuple[Number, Number]:
-    alpha = parse_number(cfg.options["alpha"])
-    beta = parse_number(cfg.options["beta"])
-    return alpha, beta
+def _weights(args: argparse.Namespace) -> tuple[Number, Number]:
+    return parse_number(args.alpha), parse_number(args.beta)
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(cfg))
-    alpha, beta = _weights(cfg)
+def _write_wave(args: argparse.Namespace, profile, residual) -> dict:
+    """Write ``profile`` sampled on the --x-min/--x-max/--n grid to wave.csv;
+    return the report entries for it and the max residual of each equation
+    on [-10, 10]."""
+    sampled = profile(uniform_grid(args.x_min, args.x_max, args.n))
+    args.out.mkdir(parents=True, exist_ok=True)
+    sampled.to_csv(args.out / "wave.csv")
+    values = residual(uniform_grid(-10.0, 10.0, 2001))
+    return {
+        "residuals": {f"eq{i}": r for i, r in enumerate(values, start=1)},
+        "wave_csv": "wave.csv",
+    }
+
+
+def _cmd_classify(args: argparse.Namespace) -> int:
+    p = TwoSpeciesParams.from_dict(_load_params(args))
+    return _write_report(args, {"regime": classify_regime(p).value})
+
+
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    p = TwoSpeciesParams.from_dict(_load_params(args))
+    alpha, beta = _weights(args)
     pair = bounds(p, alpha, beta)
-    payload = {**_num_entry("q_lower", pair.q_lower), **_num_entry("q_upper", pair.q_upper)}
-    payload.update(_num_entry("alpha", alpha))
-    payload.update(_num_entry("beta", beta))
-    _write_report(cfg, payload)
-    return 0
+    return _write_report(
+        args, _exact(q_lower=pair.q_lower, q_upper=pair.q_upper, alpha=alpha, beta=beta)
+    )
 
 
-def _cmd_barrier(cfg: RunConfig) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(cfg))
-    alpha, beta = _weights(cfg)
-    side = BoundSide.LOWER if cfg.options["side"] == "lower" else BoundSide.UPPER
+def _cmd_barrier(args: argparse.Namespace) -> int:
+    p = TwoSpeciesParams.from_dict(_load_params(args))
+    alpha, beta = _weights(args)
+    side = BoundSide.LOWER if args.side == "lower" else BoundSide.UPPER
     lines = construct_barrier(p, alpha, beta, side)
     payload = {
         "side": lines.side.value,
         "case_id": lines.case_id,
-        **_num_entry("lambda1", lines.lambda1),
-        **_num_entry("lambda2", lines.lambda2),
-        **_num_entry("eta", lines.eta),
+        **_exact(lambda1=lines.lambda1, lambda2=lines.lambda2, eta=lines.eta),
     }
-    _write_report(cfg, payload)
-    return 0
+    return _write_report(args, payload)
 
 
-def _cmd_conic(cfg: RunConfig) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(cfg))
-    alpha, beta = _weights(cfg)
+def _cmd_conic(args: argparse.Namespace) -> int:
+    p = TwoSpeciesParams.from_dict(_load_params(args))
+    alpha, beta = _weights(args)
     conic = conic_classify(p, alpha, beta)
-    _write_report(
-        cfg, {"kind": conic.kind.value, **_num_entry("discriminant", conic.discriminant)}
+    return _write_report(
+        args, {"kind": conic.kind.value, **_exact(discriminant=conic.discriminant)}
     )
-    return 0
 
 
-def _cmd_exact_wave(cfg: RunConfig) -> int:
-    free = exactwaves.FreeParams.from_dict(_load_params(cfg))
+def _cmd_exact_wave(args: argparse.Namespace) -> int:
+    free = exactwaves.FreeParams.from_dict(_load_params(args))
     spec = exactwaves.induce_coefficients(free)
-    p = spec.params
-    matrix = p.competition_matrix()
-    x = uniform_grid(cfg.options["x_min"], cfg.options["x_max"], cfg.options["n"])
-    profile = exactwaves.wave_profile(spec, x)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    profile.to_csv(cfg.out_dir / "wave.csv")
-    res_grid = uniform_grid(-10.0, 10.0, 2001)
-    r1, r2, r3 = exactwaves.residual(spec, res_grid)
+    matrix = spec.params.competition_matrix()
     payload = {
         "c": [[float(v) for v in row] for row in matrix],
-        **_num_entry("u_star", spec.u_star),
-        **_num_entry("v_star", spec.v_star),
-        "residuals": {"eq1": r1, "eq2": r2, "eq3": r3},
-        "wave_csv": "wave.csv",
+        **_exact(u_star=spec.u_star, v_star=spec.v_star),
+        **_write_wave(
+            args, partial(exactwaves.wave_profile, spec), partial(exactwaves.residual, spec)
+        ),
     }
     if free.is_exact():
         payload["c_exact"] = [[str(v) for v in row] for row in matrix]
-    _write_report(cfg, payload)
-    return 0
+    return _write_report(args, payload)
 
 
-def _cmd_two_wave(cfg: RunConfig) -> int:
-    data = _load_params(cfg)
-    args = {k: parse_number(data[k]) for k in ("d1", "d2", "theta", "sigma1", "sigma2", "k1")}
-    wave = exactwaves.two_species_exact_wave(**args)
-    x = uniform_grid(cfg.options["x_min"], cfg.options["x_max"], cfg.options["n"])
-    profile = wave.profile(x)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    profile.to_csv(cfg.out_dir / "wave.csv")
-    r1, r2 = wave.residual(uniform_grid(-10.0, 10.0, 2001))
+def _cmd_two_wave(args: argparse.Namespace) -> int:
+    data = _load_params(args)
+    free = {k: parse_number(data[k]) for k in ("d1", "d2", "theta", "sigma1", "sigma2", "k1")}
+    wave = exactwaves.two_species_exact_wave(**free)
     payload = {
         "params": {k: float(v) for k, v in wave.params.to_dict().items()},
-        **_num_entry("theta", wave.theta),
-        **_num_entry("u_star", wave.u_star),
-        **_num_entry("v_star", wave.v_star),
-        "residuals": {"eq1": r1, "eq2": r2},
-        "wave_csv": "wave.csv",
+        **_exact(theta=wave.theta, u_star=wave.u_star, v_star=wave.v_star),
+        **_write_wave(args, wave.profile, wave.residual),
     }
-    if all(is_exact(v) for v in args.values()):
+    if all_exact(*free.values()):
         payload["params_exact"] = {k: str(v) for k, v in wave.params.to_dict().items()}
-    _write_report(cfg, payload)
-    return 0
+    return _write_report(args, payload)
 
 
-def _sim_params(data: dict):
-    if "c33" in data or "d3" in data:
-        return ThreeSpeciesParams.from_dict(data)
-    return TwoSpeciesParams.from_dict(data)
-
-
-def _cmd_simulate(cfg: RunConfig) -> int:
-    p = _sim_params(_load_params(cfg))
-    init = WaveProfile.from_csv(cfg.options["init"])
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    data = _load_params(args)
+    three = "c33" in data or "d3" in data
+    p = (ThreeSpeciesParams if three else TwoSpeciesParams).from_dict(data)
+    init = WaveProfile.from_csv(args.init)
     boundary = (
         numerics.BoundaryKind.DIRICHLET_FROM_PROFILE
-        if cfg.options["boundary"] == "dirichlet"
+        if args.boundary == "dirichlet"
         else numerics.BoundaryKind.NEUMANN_ZERO
     )
     grid = numerics.GridSpec(
         x_min=float(init.x[0]), x_max=float(init.x[-1]), n=init.x.size, boundary=boundary
     )
-    dt = cfg.options["dt"]
     sim = numerics.SimConfig(
         grid=grid,
-        t_end=cfg.options["t_end"],
-        dt="auto" if dt == "auto" else float(dt),
+        t_end=args.t_end,
+        dt="auto" if args.dt == "auto" else float(args.dt),
         scheme=(
-            numerics.Scheme.EXPLICIT_EULER
-            if cfg.options["scheme"] == "euler"
-            else numerics.Scheme.RK4MOL
+            numerics.Scheme.EXPLICIT_EULER if args.scheme == "euler" else numerics.Scheme.RK4MOL
         ),
-        n_snapshots=cfg.options["n_snapshots"],
-        space_order=cfg.options["space_order"],
+        n_snapshots=args.n_snapshots,
+        space_order=args.space_order,
     )
     snaps = numerics.simulate_pde(p, init, sim)
     run_config = {
@@ -211,36 +184,28 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         "boundary": boundary.value,
         "space_order": sim.space_order,
     }
-    snap_dir = cfg.out_dir / "snapshots"
-    snaps.to_dir(snap_dir, config=run_config)
-    _write_report(
-        cfg,
-        {"snapshots_dir": "snapshots", "n_snapshots": len(snaps.profiles), **run_config},
+    snaps.to_dir(args.out / "snapshots", config=run_config)
+    return _write_report(
+        args, {"snapshots_dir": "snapshots", "n_snapshots": len(snaps.profiles), **run_config}
     )
-    return 0
 
 
-def _cmd_speed(cfg: RunConfig) -> int:
-    snaps = numerics.Snapshots.from_dir(cfg.options["snapshots"])
-    est = numerics.estimate_front_speed(
-        snaps, cfg.options["component"], cfg.options["level"]
-    )
-    _write_report(
-        cfg,
-        {
-            "speed": est.speed,
-            "intercept": est.intercept,
-            "fit_residual": est.fit_residual,
-            "positions": [float(v) for v in est.positions],
-            "times": [float(t) for t in est.times],
-        },
-    )
-    return 0
+def _cmd_speed(args: argparse.Namespace) -> int:
+    snaps = numerics.Snapshots.from_dir(args.snapshots)
+    est = numerics.estimate_front_speed(snaps, args.component, args.level)
+    payload = {
+        "speed": est.speed,
+        "intercept": est.intercept,
+        "fit_residual": est.fit_residual,
+        "positions": [float(v) for v in est.positions],
+        "times": [float(t) for t in est.times],
+    }
+    return _write_report(args, payload)
 
 
-def _cmd_fisher(cfg: RunConfig) -> int:
-    data = _load_params(cfg)
-    background = WaveProfile.from_csv(cfg.options["background"])
+def _cmd_fisher(args: argparse.Namespace) -> int:
+    data = _load_params(args)
+    background = WaveProfile.from_csv(args.background)
     ctx = numerics.FisherContext(
         d3=parse_number(data["d3"]),
         theta=parse_number(data["theta"]),
@@ -260,19 +225,13 @@ def _cmd_fisher(cfg: RunConfig) -> int:
     }
     if not (sub_rep.passed and super_rep.passed):
         payload["solved"] = False
-        _write_report(cfg, payload)
+        _write_report(args, payload)
         return 1
-    relaxation = cfg.options.get("relaxation")
     solution = numerics.solve_fisher_bvp(
-        ctx,
-        w_sub,
-        w_super,
-        tol=cfg.options["tol"],
-        max_iter=cfg.options["max_iter"],
-        relaxation=None if relaxation is None else float(relaxation),
+        ctx, w_sub, w_super, tol=args.tol, max_iter=args.max_iter, relaxation=args.relaxation
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    solution.profile.to_csv(cfg.out_dir / "w.csv")
+    args.out.mkdir(parents=True, exist_ok=True)
+    solution.profile.to_csv(args.out / "w.csv")
     payload.update(
         {
             "solved": True,
@@ -284,87 +243,41 @@ def _cmd_fisher(cfg: RunConfig) -> int:
             "w_csv": "w.csv",
         }
     )
-    _write_report(cfg, payload)
-    return 0
+    return _write_report(args, payload)
 
 
-def _cmd_check_existence(cfg: RunConfig) -> int:
-    inputs = ExistenceInputs.from_dict(_load_params(cfg))
-    report = existence_report(inputs)
-    _write_report(cfg, report.to_json_dict())
+def _cmd_check_existence(args: argparse.Namespace) -> int:
+    report = existence_report(ExistenceInputs.from_dict(_load_params(args)))
+    _write_report(args, report.to_json_dict())
     return 0 if report.passed else 1
 
 
-def _cmd_check_nonexistence(cfg: RunConfig) -> int:
-    p = ThreeSpeciesParams.from_dict(_load_params(cfg))
-    report = nonexistence_report(p)
-    _write_report(cfg, report.to_json_dict())
+def _cmd_check_nonexistence(args: argparse.Namespace) -> int:
+    report = nonexistence_report(ThreeSpeciesParams.from_dict(_load_params(args)))
+    _write_report(args, report.to_json_dict())
     return 0 if report.passed else 1
 
 
-def _cmd_verify_profile(cfg: RunConfig) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(cfg))
-    alpha, beta = _weights(cfg)
-    profile = WaveProfile.from_csv(cfg.options["profile"])
+def _cmd_verify_profile(args: argparse.Namespace) -> int:
+    p = TwoSpeciesParams.from_dict(_load_params(args))
+    alpha, beta = _weights(args)
+    profile = WaveProfile.from_csv(args.profile)
     pair = bounds(p, alpha, beta)
     report = verify_bounds_on_profile(profile, alpha, beta, pair)
-    payload = report.to_json_dict()
-    payload.update(_num_entry("q_lower", pair.q_lower))
-    payload.update(_num_entry("q_upper", pair.q_upper))
-    _write_report(cfg, payload)
+    _write_report(
+        args, {**report.to_json_dict(), **_exact(q_lower=pair.q_lower, q_upper=pair.q_upper)}
+    )
     return 0 if report.passed else 1
 
 
-def _cmd_evenness(cfg: RunConfig) -> int:
-    u = parse_number(cfg.options["u"])
-    v = parse_number(cfg.options["v"])
-    value = evenness_index(u, v)
-    _write_report(cfg, {"J": value, **_num_entry("u", u), **_num_entry("v", v)})
-    return 0
+def _cmd_evenness(args: argparse.Namespace) -> int:
+    u, v = parse_number(args.u), parse_number(args.v)
+    return _write_report(args, {"J": evenness_index(u, v), **_exact(u=u, v=v)})
 
 
-def _cmd_figure_data(cfg: RunConfig) -> int:
-    manifest = figures.emit_figure_data(
-        cfg.options["which"], cfg.options["case"], cfg.out_dir
-    )
-    _write_report(cfg, {"manifest": manifest})
-    return 0
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "bounds": _cmd_bounds,
-    "barrier": _cmd_barrier,
-    "conic": _cmd_conic,
-    "exact-wave": _cmd_exact_wave,
-    "two-wave": _cmd_two_wave,
-    "simulate": _cmd_simulate,
-    "speed": _cmd_speed,
-    "fisher": _cmd_fisher,
-    "check-existence": _cmd_check_existence,
-    "check-nonexistence": _cmd_check_nonexistence,
-    "verify-profile": _cmd_verify_profile,
-    "evenness": _cmd_evenness,
-    "figure-data": _cmd_figure_data,
-}
-
-
-def _add_common(sub: argparse.ArgumentParser, params: bool = True) -> None:
-    if params:
-        sub.add_argument("--params", help="JSON parameter file")
-        sub.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a parameter (dotted c.1.2 addresses the matrix)",
-        )
-    sub.add_argument("--out", help="output directory (default $LVWAVES_OUT or ./lvwaves-out)")
-
-
-def _add_weights(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", default="1", help="weight on u (rational or float)")
-    sub.add_argument("--beta", default="1", help="weight on v (rational or float)")
+def _cmd_figure_data(args: argparse.Namespace) -> int:
+    manifest = figures.emit_figure_data(args.which, args.case, args.out)
+    return _write_report(args, {"manifest": manifest})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,37 +288,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("classify",):
-        sub = subs.add_parser(name, help="classify the competition regime")
-        _add_common(sub)
+    def command(name, handler, help, params=True, weights=False, grid=False):
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(handler=handler)
+        if params:
+            sub.add_argument("--params", help="JSON parameter file")
+            sub.add_argument(
+                "--set",
+                action="append",
+                default=[],
+                metavar="KEY=VALUE",
+                help="override a parameter (dotted c.1.2 addresses the matrix)",
+            )
+        sub.add_argument("--out", help="output directory (default $LVWAVES_OUT or ./lvwaves-out)")
+        if weights:
+            sub.add_argument("--alpha", default="1", help="weight on u (rational or float)")
+            sub.add_argument("--beta", default="1", help="weight on v (rational or float)")
+        if grid:
+            sub.add_argument("--x-min", dest="x_min", type=float, default=-20.0)
+            sub.add_argument("--x-max", dest="x_max", type=float, default=20.0)
+            sub.add_argument("--n", type=int, default=1601)
+        return sub
 
-    sub = subs.add_parser("bounds", help="two-sided bound on alpha*u + beta*v")
-    _add_common(sub)
-    _add_weights(sub)
-
-    sub = subs.add_parser("barrier", help="explicit barrier-line levels (strong competition)")
-    _add_common(sub)
-    _add_weights(sub)
+    command("classify", _cmd_classify, "classify the competition regime")
+    command("bounds", _cmd_bounds, "two-sided bound on alpha*u + beta*v", weights=True)
+    sub = command("barrier", _cmd_barrier, "explicit barrier-line levels (strong competition)",
+                  weights=True)
     sub.add_argument("--side", choices=("lower", "upper"), required=True)
+    command("conic", _cmd_conic, "classify the weighted kinetics curve F=0", weights=True)
+    command("exact-wave", _cmd_exact_wave, "three-species tanh wave from free parameters",
+            grid=True)
+    command("two-wave", _cmd_two_wave, "two-species tanh wave", grid=True)
 
-    sub = subs.add_parser("conic", help="classify the weighted kinetics curve F=0")
-    _add_common(sub)
-    _add_weights(sub)
-
-    sub = subs.add_parser("exact-wave", help="three-species tanh wave from free parameters")
-    _add_common(sub)
-    sub.add_argument("--x-min", dest="x_min", type=float, default=-20.0)
-    sub.add_argument("--x-max", dest="x_max", type=float, default=20.0)
-    sub.add_argument("--n", type=int, default=1601)
-
-    sub = subs.add_parser("two-wave", help="two-species tanh wave")
-    _add_common(sub)
-    sub.add_argument("--x-min", dest="x_min", type=float, default=-20.0)
-    sub.add_argument("--x-max", dest="x_max", type=float, default=20.0)
-    sub.add_argument("--n", type=int, default=1601)
-
-    sub = subs.add_parser("simulate", help="method-of-lines reaction-diffusion run")
-    _add_common(sub)
+    sub = command("simulate", _cmd_simulate, "method-of-lines reaction-diffusion run")
     sub.add_argument("--init", required=True, help="initial profile CSV")
     sub.add_argument("--t-end", dest="t_end", type=float, required=True)
     sub.add_argument("--dt", default="auto")
@@ -414,37 +329,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-snapshots", dest="n_snapshots", type=int, default=11)
     sub.add_argument("--space-order", dest="space_order", type=int, choices=(2, 4), default=4)
 
-    sub = subs.add_parser("speed", help="front speed from simulation snapshots")
-    _add_common(sub, params=False)
+    sub = command("speed", _cmd_speed, "front speed from simulation snapshots", params=False)
     sub.add_argument("--snapshots", required=True, help="snapshot directory")
     sub.add_argument("--component", choices=("u", "v", "w"), default="u")
     sub.add_argument("--level", type=float, required=True)
 
-    sub = subs.add_parser("fisher", help="monotone iteration for the invader equation")
-    _add_common(sub)
+    sub = command("fisher", _cmd_fisher, "monotone iteration for the invader equation")
     sub.add_argument("--background", required=True, help="background (u, v) profile CSV")
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=200)
     sub.add_argument("--relaxation", type=float, default=None)
 
-    sub = subs.add_parser("check-existence", help="audit the existence hypotheses H1-H4")
-    _add_common(sub)
-
-    sub = subs.add_parser("check-nonexistence", help="audit the nonexistence hypotheses A1-A3")
-    _add_common(sub)
-
-    sub = subs.add_parser("verify-profile", help="audit bounds on a sampled profile")
-    _add_common(sub)
-    _add_weights(sub)
+    command("check-existence", _cmd_check_existence, "audit the existence hypotheses H1-H4")
+    command("check-nonexistence", _cmd_check_nonexistence,
+            "audit the nonexistence hypotheses A1-A3")
+    sub = command("verify-profile", _cmd_verify_profile, "audit bounds on a sampled profile",
+                  weights=True)
     sub.add_argument("--profile", required=True, help="profile CSV to audit")
 
-    sub = subs.add_parser("evenness", help="species evenness index of two densities")
-    _add_common(sub, params=False)
+    sub = command("evenness", _cmd_evenness, "species evenness index of two densities",
+                  params=False)
     sub.add_argument("--u", required=True)
     sub.add_argument("--v", required=True)
 
-    sub = subs.add_parser("figure-data", help="emit point sets for the illustration cases")
-    _add_common(sub, params=False)
+    sub = command("figure-data", _cmd_figure_data, "emit point sets for the illustration cases",
+                  params=False)
     sub.add_argument("--which", choices=("fig1", "fig2", "fig3"), required=True)
     sub.add_argument("--case", required=True)
 
@@ -453,23 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    options = vars(args)
-    out_dir = Path(
-        options.get("out") or os.environ.get("LVWAVES_OUT") or "lvwaves-out"
-    )
-    cfg = RunConfig(
-        command=args.command,
-        params_file=options.get("params"),
-        out_dir=out_dir,
-        overrides=options.get("set") or [],
-        options=options,
-    )
+    args.out = Path(args.out or os.environ.get("LVWAVES_OUT") or "lvwaves-out")
     try:
-        return _HANDLERS[args.command](cfg)
+        return args.handler(args)
     except LVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ sequential and deterministic; independent runs may execute in parallel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -42,8 +43,8 @@ from .rational import Number
 from .report import CheckItem, CheckReport, format_float
 
 BLOWUP_LIMIT = 1e12
-#: Safety factor applied to the diffusive CFL bound when dt="auto".
-AUTO_DT_SAFETY = 0.4
+#: Share of the diffusive stability bound 2/lambda_max used when dt="auto".
+AUTO_DT_FRACTION = 0.8
 #: Slack allowed when asserting monotone-iteration ordering (roundoff only).
 ORDERING_SLACK = 1e-10
 #: Negative samples beyond -NEGATIVITY_FLOOR * scale abort a simulation;
@@ -95,20 +96,22 @@ class SimConfig:
     def __post_init__(self):
         if self.space_order not in (2, 4):
             raise ValueError("space_order must be 2 or 4")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if isinstance(self.dt, str) and self.dt != "auto":
+            raise ValueError(f"dt must be a number or 'auto', got {self.dt!r}")
+        for name in ("t_end", "dt"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.n_snapshots < 1:
+            raise ValueError(f"n_snapshots must be at least 1, got {self.n_snapshots}")
 
     def resolve_dt(self, max_diffusion: float) -> float:
         stencil_bound = 4.0 if self.space_order == 2 else 16.0 / 3.0
         lambda_max = stencil_bound * max_diffusion / self.grid.h**2
         cfl = 2.0 / lambda_max
-        if isinstance(self.dt, str):
-            if self.dt != "auto":
-                raise ValueError(f"dt must be a number or 'auto', got {self.dt!r}")
-            return 2.0 * AUTO_DT_SAFETY * cfl
+        if self.dt == "auto":
+            return AUTO_DT_FRACTION * cfl
         dt = float(self.dt)
-        if dt <= 0:
-            raise ValueError("dt must be positive")
         if dt > cfl:
             raise CFLViolationError(
                 f"dt={dt} exceeds the diffusive CFL bound {cfl} for h={self.grid.h}"
@@ -172,9 +175,6 @@ class Snapshots:
 
     times: np.ndarray
     profiles: tuple[WaveProfile, ...]
-
-    def component(self, name: str) -> np.ndarray:
-        return np.stack([getattr(prof, name) for prof in self.profiles])
 
     @property
     def x(self) -> np.ndarray:

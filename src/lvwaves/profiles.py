@@ -61,10 +61,6 @@ class WaveProfile:
                 raise ValueError("w must match the grid shape")
             _check_nonneg("w", self.w)
 
-    @property
-    def h(self) -> float:
-        return float((self.x[-1] - self.x[0]) / (self.x.size - 1))
-
     def to_csv(self, path) -> None:
         names = ["x", "u", "v"] + (["w"] if self.w is not None else [])
         cols = [self.x, self.u, self.v] + ([self.w] if self.w is not None else [])
@@ -122,6 +118,8 @@ def _write_csv(path, names: list[str], cols: list[np.ndarray]) -> None:
 def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:
     text = Path(path).read_text()
     rows = [line.split(",") for line in text.strip().splitlines()]
+    if not rows:
+        raise ValueError(f"empty CSV {path}")
     names = [name.strip() for name in rows[0]]
     data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
     if data.ndim != 2 or data.shape[1] != len(names):

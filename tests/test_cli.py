@@ -26,6 +26,11 @@ FIGURE_CASES = [
     ("fig1", "e", "Ellipse", 2.5),
     ("fig1", "f", "Hyperbola", 8.0),
 ] + [(which, case, "Hyperbola", 2.5) for which in ("fig2", "fig3") for case in "abcd"]
+COMMANDS = [
+    "classify", "bounds", "barrier", "conic", "exact-wave", "two-wave", "simulate", "speed",
+    "fisher", "check-existence", "check-nonexistence", "verify-profile", "evenness",
+    "figure-data",
+]
 NONEXIST = {
     "d1": 1, "d2": 1, "d3": 1, "sigma1": 1, "sigma2": 1, "sigma3": 0.1,
     "c11": 1, "c12": 2, "c13": 0, "c21": 3, "c22": 1, "c23": 0,
@@ -193,6 +198,22 @@ class TestProfileCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("verify-profile", "--profile"), ("simulate", "--init"), ("fisher", "--background")],
+    )
+    def test_empty_profile_csv_is_usage_error(self, tmp_path, paper_spec, capsys, command, flag):
+        cfgd = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        cfgd.update({"theta": 3, "K_sub": 1, "K_super": 12})
+        params = write_json(tmp_path / "p.json", cfgd)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        argv = [command, "--params", params, flag, str(empty), "--out", str(tmp_path / "o")]
+        if command == "simulate":
+            argv += ["--t-end", "0.1"]
+        assert main(argv) == 2
+        assert "empty.csv" in capsys.readouterr().err
+
     def test_csv_roundtrip_lossless(self, tmp_path, paper_spec):
         x = np.linspace(-15, 15, 301)
         prof = lv.wave_profile(paper_spec, x)
@@ -225,6 +246,30 @@ class TestSimulationCommands:
         )
         assert code == 0
         assert report(speed_out)["speed"] == pytest.approx(3.0, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--t-end", "inf"], "t_end"),
+            (["--t-end", "nan"], "t_end"),
+            (["--t-end", "0.5", "--dt", "nan"], "dt"),
+            (["--t-end", "0.5", "--n-snapshots", "0"], "n_snapshots"),
+            (["--t-end", "0.5", "--n-snapshots", "-3"], "n_snapshots"),
+        ],
+        ids=["t_end-inf", "t_end-nan", "dt-nan", "n_snapshots-0", "n_snapshots-negative"],
+    )
+    def test_bad_time_or_snapshot_count_is_usage_error(
+        self, tmp_path, paper_spec, capsys, flags, field
+    ):
+        cfgd = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        params = write_json(tmp_path / "p.json", cfgd)
+        lv.wave_profile(paper_spec, np.linspace(-20, 20, 401)).to_csv(tmp_path / "init.csv")
+        code = main(
+            ["simulate", "--params", params, "--init", str(tmp_path / "init.csv"), *flags,
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert field in capsys.readouterr().err
 
     def test_fisher_command(self, tmp_path, demo_two_wave):
         x = np.linspace(-40, 40, 801)
@@ -342,6 +387,13 @@ class TestContract:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert f"usage: lvwaves {command}" in capsys.readouterr().out
 
     def test_nonpositive_weight_is_usage_error(self, tmp_path):
         params = write_json(tmp_path / "p.json", STRONG)
