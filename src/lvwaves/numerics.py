@@ -15,6 +15,9 @@ bound of the discrete diffusion (4 d / h^2 at second order, giving the
 classical dt <= h^2 / (2 max d); 16 d / (3 h^2) at fourth order), and
 dt="auto" takes 80 percent of that bound.  Each simulation run is
 sequential and deterministic; independent runs may execute in parallel.
+Each step runs in buffers allocated once per run, with the interior stencil
+on the flat (species * n) state buffer, and its results are bit-identical to
+the straightforward allocating form of the same arithmetic.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     NotOrderedError,
 )
 from .model import ThreeSpeciesParams, TwoSpeciesParams
-from .profiles import ScalarProfile, WaveProfile, uniform_grid
+from .profiles import ScalarProfile, WaveProfile, check_grid_bounds, uniform_grid
 from .rational import Number
 from .report import CheckItem, CheckReport, format_float
 
@@ -73,8 +76,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("grid needs at least three nodes")
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
+        check_grid_bounds(self.x_min, self.x_max)
 
     @property
     def h(self) -> float:
@@ -253,30 +255,48 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     dirichlet = cfg.grid.boundary is BoundaryKind.DIRICHLET_FROM_PROFILE
     inv_h2 = 1.0 / (h * h)
     d_col = diff[:, None]
+    sigma_col = sigma[:, None]
     fourth = cfg.space_order == 4
+    lap = np.empty_like(state)
+    react = np.empty_like(state)
+    # The interior stencil runs on the flat (species * n) buffers; the values
+    # it leaves where two rows meet are the boundary columns the closures
+    # below overwrite.
+    lap_flat = lap.reshape(-1)
+    tmp_flat = react.reshape(-1)
 
-    def rhs(s: np.ndarray) -> np.ndarray:
-        lap = np.empty_like(s)
+    def rhs(s: np.ndarray, out: np.ndarray) -> None:
+        flat = s.reshape(-1)
         if fourth:
-            lap[:, 2:-2] = (
-                -s[:, :-4]
-                + 16.0 * s[:, 1:-3]
-                - 30.0 * s[:, 2:-2]
-                + 16.0 * s[:, 3:-1]
-                - s[:, 4:]
-            ) * (inv_h2 / 12.0)
+            mid, tmp = lap_flat[2:-2], tmp_flat[2:-2]
+            np.negative(flat[:-4], out=mid)
+            np.multiply(flat[1:-3], 16.0, out=tmp)
+            np.add(mid, tmp, out=mid)
+            np.multiply(flat[2:-2], 30.0, out=tmp)
+            np.subtract(mid, tmp, out=mid)
+            np.multiply(flat[3:-1], 16.0, out=tmp)
+            np.add(mid, tmp, out=mid)
+            np.subtract(mid, flat[4:], out=mid)
+            np.multiply(mid, inv_h2 / 12.0, out=mid)
             # second-order closure beside each boundary
             lap[:, 1] = (s[:, 0] - 2.0 * s[:, 1] + s[:, 2]) * inv_h2
             lap[:, -2] = (s[:, -3] - 2.0 * s[:, -2] + s[:, -1]) * inv_h2
         else:
-            lap[:, 1:-1] = (s[:, :-2] - 2.0 * s[:, 1:-1] + s[:, 2:]) * inv_h2
+            mid, tmp = lap_flat[1:-1], tmp_flat[1:-1]
+            np.multiply(flat[1:-1], 2.0, out=tmp)
+            np.subtract(flat[:-2], tmp, out=mid)
+            np.add(mid, flat[2:], out=mid)
+            np.multiply(mid, inv_h2, out=mid)
         lap[:, 0] = 2.0 * (s[:, 1] - s[:, 0]) * inv_h2
         lap[:, -1] = 2.0 * (s[:, -2] - s[:, -1]) * inv_h2
-        out = d_col * lap + s * (sigma[:, None] - comp @ s)
+        np.multiply(d_col, lap, out=lap)
+        np.matmul(comp, s, out=react)
+        np.subtract(sigma_col, react, out=react)
+        np.multiply(s, react, out=react)
+        np.add(lap, react, out=out)
         if dirichlet:
             out[:, 0] = 0.0
             out[:, -1] = 0.0
-        return out
 
     if cfg.n_snapshots > 1:
         snap_steps = {
@@ -301,25 +321,49 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     if 0 in snap_steps:
         record(0)
     euler = cfg.scheme is Scheme.EXPLICIT_EULER
+    half_dt = 0.5 * dt
+    k, stage, acc = (np.empty_like(state) for _ in range(3))
     for step in range(1, n_steps + 1):
+        # state + dt * k for Euler; for RK4 the stages are state + (dt/2) k1,
+        # state + (dt/2) k2, state + dt k3 and the update is
+        # state + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); doubling k2 and k3 in
+        # place is exact, so the sum rounds as the allocating form does
         if euler:
-            state = state + dt * rhs(state)
+            rhs(state, k)
+            np.multiply(k, dt, out=k)
         else:
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * dt * k1)
-            k3 = rhs(state + 0.5 * dt * k2)
-            k4 = rhs(state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        low = float(np.min(state))
-        if low < 0.0:
-            scale = max(1.0, float(np.max(np.abs(state))))
-            if low < -NEGATIVITY_FLOOR * scale:
-                raise NegativeDensityError(
-                    f"negative density {low} at t={step * dt}; reduce dt or refine the grid"
+            rhs(state, acc)
+            np.multiply(acc, half_dt, out=stage)
+            np.add(state, stage, out=stage)
+            rhs(stage, k)
+            np.multiply(k, half_dt, out=stage)
+            np.add(state, stage, out=stage)
+            np.multiply(k, 2.0, out=k)
+            np.add(acc, k, out=acc)
+            rhs(stage, k)
+            np.multiply(k, dt, out=stage)
+            np.add(state, stage, out=stage)
+            np.multiply(k, 2.0, out=k)
+            np.add(acc, k, out=acc)
+            rhs(stage, k)
+            np.add(acc, k, out=acc)
+            np.multiply(acc, dt / 6.0, out=k)
+        np.add(state, k, out=state)
+        low, high = float(np.min(state)), float(np.max(state))
+        # NaN fails both comparisons and +-inf one, so only a state that
+        # needs clipping or has left the admissible range takes the slow path
+        if not (low >= 0.0 and high <= BLOWUP_LIMIT):
+            if low < 0.0:
+                scale = max(1.0, float(np.max(np.abs(state))))
+                if low < -NEGATIVITY_FLOOR * scale:
+                    raise NegativeDensityError(
+                        f"negative density {low} at t={step * dt}; reduce dt or refine the grid"
+                    )
+                np.maximum(state, 0.0, out=state)
+            if not np.isfinite(state).all() or float(np.max(state)) > BLOWUP_LIMIT:
+                raise BlowupDetectedError(
+                    f"simulation left the admissible range at t={step * dt}"
                 )
-            np.maximum(state, 0.0, out=state)
-        if not np.isfinite(state).all() or float(np.max(state)) > BLOWUP_LIMIT:
-            raise BlowupDetectedError(f"simulation left the admissible range at t={step * dt}")
         if step in snap_steps:
             record(step)
     return Snapshots(times=np.array(times), profiles=tuple(profiles))
@@ -543,6 +587,8 @@ def solve_fisher_bvp(
     decayed at the grid boundary).  Returns once the discrete residual drops
     below ``tol``; raises :class:`MaxIterExceededError` otherwise.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = ctx.background.x

@@ -7,6 +7,7 @@ written profile reloads bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,11 +101,19 @@ class ScalarProfile:
         return cls(x=cols[0], w=cols[1])
 
 
+def check_grid_bounds(x_min: float, x_max: float) -> None:
+    """Raise ``ValueError`` unless both bounds are finite and ``x_min < x_max``."""
+    for name, value in (("x_min", x_min), ("x_max", x_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not x_min < x_max:
+        raise ValueError("x_min must be below x_max")
+
+
 def uniform_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least two nodes")
-    if not x_min < x_max:
-        raise ValueError("x_min must be below x_max")
+    check_grid_bounds(x_min, x_max)
     return np.linspace(x_min, x_max, n)
 
 

@@ -20,7 +20,7 @@ def parse_number(value: object) -> Number:
     Accepts ints, floats, Fractions, and strings of the forms ``"41/5"``,
     ``"-3"``, ``"0.25"``.  Integers and slash/integer strings become exact
     Fractions (so closed-form results stay exact end to end); decimal
-    strings and floats stay floats.
+    strings and floats stay floats, and must be finite.
     """
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
@@ -28,8 +28,6 @@ def parse_number(value: object) -> Number:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return value
     if isinstance(value, str):
         text = value.strip()
         try:
@@ -37,10 +35,16 @@ def parse_number(value: object) -> Number:
                 return Fraction(text)
             if text.lstrip("+-").isdigit():
                 return Fraction(int(text))
-            return float(text)
+            number = float(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse number {value!r}") from exc
-    raise ValueError(f"expected a number, got {value!r}")
+    elif isinstance(value, float):
+        number = value
+    else:
+        raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"cannot parse number {value!r}: not finite")
+    return number
 
 
 def is_exact(value: Number) -> bool:

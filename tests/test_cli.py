@@ -430,3 +430,31 @@ class TestContract:
             {"d1": 1, "d2": 1, "theta": 3, "sigma1": 41, "sigma2": 41, "k1": 1},
         )
         assert main(["two-wave", "--params", bad, "--out", str(tmp_path / "o2")]) == 1
+
+    @pytest.mark.parametrize(
+        "command,flags,field",
+        [
+            ("two-wave", ["--x-max", "inf"], "x_max"),
+            ("evenness", ["--u", "nan", "--v", "1"], "'nan': not finite"),
+            ("fisher", ["--tol", "nan"], "tol"),
+        ],
+        ids=["two-wave-x_max-inf", "evenness-u-nan", "fisher-tol-nan"],
+    )
+    def test_non_finite_input_is_usage_error(
+        self, tmp_path, demo_two_wave, capsys, command, flags, field
+    ):
+        if command == "two-wave":
+            params = {"d1": 1, "d2": 1, "theta": "37/2", "sigma1": 41, "sigma2": "1977/4",
+                      "k1": 1}
+            flags = ["--params", write_json(tmp_path / "p.json", params), *flags]
+        elif command == "fisher":
+            demo_two_wave.profile(np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+            params = {
+                "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+                "K_sub": 1, "K_super": 12,
+            }
+            flags = ["--params", write_json(tmp_path / "p.json", params),
+                     "--background", str(tmp_path / "bg.csv"), *flags]
+        assert main([command, *flags, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()

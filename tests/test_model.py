@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import lvwaves as lv
 from lvwaves.errors import DomainError, SingularLinesError
 from lvwaves.model import Regime
+from lvwaves.rational import parse_number
 
 from conftest import positive_rationals, two_species_params
 
@@ -189,3 +190,9 @@ def test_evenness_float_inputs(u, v):
         -(u * math.log(u / (u + v)) + v * math.log(v / (u + v))) / (math.log(2) * (u + v)),
         rel=1e-12,
     )
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e400", float("nan"), float("inf")])
+def test_parse_number_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="not finite"):
+        parse_number(value)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,17 @@ from hypothesis import strategies as st
 
 import lvwaves as lv
 from lvwaves.errors import (
+    BlowupDetectedError,
     CFLViolationError,
     DomainError,
     LevelNotCrossedError,
     MaxIterExceededError,
+    NegativeDensityError,
     NotOrderedError,
 )
 from lvwaves.numerics import (
+    BLOWUP_LIMIT,
+    NEGATIVITY_FLOOR,
     BoundaryKind,
     FisherContext,
     GridSpec,
@@ -22,8 +27,70 @@ from lvwaves.numerics import (
     SimConfig,
     Snapshots,
 )
+from lvwaves.profiles import uniform_grid
 
 F = Fraction
+
+
+def reference_simulate(p, init, cfg):
+    """Straightforward allocating form of ``simulate_pde``: each rhs call and
+    each RK4 stage builds new arrays.  Returns the snapshot states."""
+    diff, sigma, comp = lv.numerics._kinetics(p)
+    has_w = init.w is not None
+    state = np.stack([init.u, init.v] + ([init.w] if has_w else [])).astype(float)
+    h = cfg.grid.h
+    dt = cfg.resolve_dt(float(np.max(diff)))
+    n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
+    dt = cfg.t_end / n_steps
+    inv_h2 = 1.0 / (h * h)
+
+    def rhs(s):
+        lap = np.empty_like(s)
+        if cfg.space_order == 4:
+            lap[:, 2:-2] = (
+                -s[:, :-4]
+                + 16.0 * s[:, 1:-3]
+                - 30.0 * s[:, 2:-2]
+                + 16.0 * s[:, 3:-1]
+                - s[:, 4:]
+            ) * (inv_h2 / 12.0)
+            lap[:, 1] = (s[:, 0] - 2.0 * s[:, 1] + s[:, 2]) * inv_h2
+            lap[:, -2] = (s[:, -3] - 2.0 * s[:, -2] + s[:, -1]) * inv_h2
+        else:
+            lap[:, 1:-1] = (s[:, :-2] - 2.0 * s[:, 1:-1] + s[:, 2:]) * inv_h2
+        lap[:, 0] = 2.0 * (s[:, 1] - s[:, 0]) * inv_h2
+        lap[:, -1] = 2.0 * (s[:, -2] - s[:, -1]) * inv_h2
+        out = diff[:, None] * lap + s * (sigma[:, None] - comp @ s)
+        if cfg.grid.boundary is BoundaryKind.DIRICHLET_FROM_PROFILE:
+            out[:, 0] = 0.0
+            out[:, -1] = 0.0
+        return out
+
+    if cfg.n_snapshots > 1:
+        snap_steps = {round(j * n_steps / (cfg.n_snapshots - 1)) for j in range(cfg.n_snapshots)}
+    else:
+        snap_steps = {n_steps}
+    states = [state.copy()] if 0 in snap_steps else []
+    for step in range(1, n_steps + 1):
+        if cfg.scheme is Scheme.EXPLICIT_EULER:
+            state = state + dt * rhs(state)
+        else:
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * dt * k1)
+            k3 = rhs(state + 0.5 * dt * k2)
+            k4 = rhs(state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        low = float(np.min(state))
+        if low < 0.0:
+            scale = max(1.0, float(np.max(np.abs(state))))
+            if low < -NEGATIVITY_FLOOR * scale:
+                raise NegativeDensityError(f"negative density {low}")
+            np.maximum(state, 0.0, out=state)
+        if not np.isfinite(state).all() or float(np.max(state)) > BLOWUP_LIMIT:
+            raise BlowupDetectedError("simulation left the admissible range")
+        if step in snap_steps:
+            states.append(state.copy())
+    return states
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +247,60 @@ class TestSimulatePde:
         assert second.resolve_dt(1.0) == pytest.approx(0.4 * h2)
         assert fourth.resolve_dt(1.0) == pytest.approx(0.3 * h2)
 
+    @pytest.mark.parametrize(
+        "boundary,scheme,space_order,three",
+        list(itertools.product(BoundaryKind, Scheme, (2, 4), (False, True))),
+    )
+    def test_in_place_step_matches_reference(
+        self, paper_spec, demo_two_wave, boundary, scheme, space_order, three
+    ):
+        grid = GridSpec(-20.0, 20.0, 401, boundary)
+        x = grid.x()
+        if three:
+            p, init = paper_spec.params, lv.wave_profile(paper_spec, x)
+        else:
+            p, init = demo_two_wave.params, demo_two_wave.profile(x)
+        before = [c.copy() for c in (init.u, init.v, init.w) if c is not None]
+        cfg = SimConfig(
+            grid=grid, t_end=0.3, scheme=scheme, space_order=space_order, n_snapshots=4
+        )
+        snaps = lv.simulate_pde(p, init, cfg)
+        expected = reference_simulate(p, init, cfg)
+        assert len(snaps.profiles) == len(expected) == 4
+        for prof, ref in zip(snaps.profiles, expected):
+            got = np.stack([prof.u, prof.v] + ([prof.w] if three else []))
+            assert np.array_equal(got, ref)
+        after = [c for c in (init.u, init.v, init.w) if c is not None]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        fields = [f for prof in snaps.profiles for f in (prof.u, prof.v, prof.w) if f is not None]
+        for a, b in itertools.combinations(fields, 2):
+            assert not np.shares_memory(a, b)
+        assert not any(np.shares_memory(f, c) for f in fields for c in after)
+
+    def test_leaving_the_admissible_range_aborts(self, strong_params):
+        grid = GridSpec(-10.0, 10.0, 41)
+        x = grid.x()
+        cfg = SimConfig(grid=grid, t_end=0.1)
+        t = np.tanh(x)
+        init = lv.WaveProfile(x=x, u=0.5 - 0.5 * t, v=0.5 + 0.5 * t)
+        stiff = lv.TwoSpeciesParams(
+            d1=F(1), d2=F(1), sigma1=F(4000), sigma2=F(4000),
+            c11=F(4000), c12=F(8000), c21=F(12000), c22=F(4000),
+        )
+        with pytest.raises(NegativeDensityError, match="at t=0.05; reduce dt"):
+            lv.simulate_pde(stiff, init, cfg)
+        nan = lv.WaveProfile(x=x, u=np.full_like(x, np.nan), v=init.v)
+        with pytest.raises(BlowupDetectedError, match="admissible range at t=0.05"):
+            lv.simulate_pde(strong_params, nan, cfg)
+
+    def test_non_finite_grid_bounds_rejected(self):
+        with pytest.raises(ValueError, match="x_max must be finite, got inf"):
+            GridSpec(-1.0, float("inf"), 11)
+        with pytest.raises(ValueError, match="x_min must be finite, got nan"):
+            GridSpec(float("nan"), 1.0, 11)
+        with pytest.raises(ValueError, match="x_max must be finite"):
+            uniform_grid(0.0, float("inf"), 11)
+
     def test_snapshots_roundtrip(self, tmp_path, strong_params):
         grid = GridSpec(-5.0, 5.0, 51)
         x = grid.x()
@@ -310,6 +431,13 @@ class TestSolveFisher:
             tol=1e-10, max_iter=200,
         )
         assert np.max(np.abs(sol.profile.w)) < 1e-6
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_bad_tol_rejected(self, fisher_ctx, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            lv.solve_fisher_bvp(
+                fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0), tol=tol
+            )
 
     def test_not_ordered_rejected(self, fisher_ctx):
         with pytest.raises(NotOrderedError):
