@@ -21,9 +21,11 @@ S2 = sigma2 c33 - sigma3 c23:
   A3  min[c31 d1 min(S1/c11, S2/c21), c32 d2 min(S2/c22, S1/c12)]
         * min(d1/d2, d2/d1) >= sigma3 c33
 
-A3 is also evaluated without the d1, d2 factors inside the outer min (the
-form matching the two-sided bound formula); the verdict always states which
-variant passed, and neither is declared authoritative.
+A3's left side is the N-barrier lower bound q_lower on the Sigma-shifted block
+(sigma1, sigma2 replaced by S1, S2) with weights (c31 d1, c32 d2).  A3 is also
+evaluated with weights (c31, c32), the form matching the two-sided bound
+formula; the verdict always states which variant passed, and neither is
+declared authoritative.
 
 Margins are signed reals (negative = violated), never bare booleans.
 """
@@ -40,7 +42,7 @@ from .model import (
     classify_regime,
     coexistence_equilibrium,
 )
-from .nbarrier import bounds
+from .nbarrier import bounds, lower_bound_at
 from .rational import Number, parse_number
 from .report import CheckItem, CheckReport
 
@@ -128,16 +130,6 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
     return CheckReport(title="existence-audit", passed=passed, items=items, verdict=verdict)
 
 
-def _a3_margin(p: ThreeSpeciesParams, s: SigmaPair, with_d: bool) -> float:
-    f1 = p.d1 if with_d else 1
-    f2 = p.d2 if with_d else 1
-    lhs = min(
-        p.c31 * f1 * min(s.Sigma1 / p.c11, s.Sigma2 / p.c21),
-        p.c32 * f2 * min(s.Sigma2 / p.c22, s.Sigma1 / p.c12),
-    ) * min(p.d1 / p.d2, p.d2 / p.d1)
-    return float(lhs - p.sigma3 * p.c33)
-
-
 def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
     """Audit A1-A3 (both A3 variants) with signed margins.
 
@@ -154,8 +146,9 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
     m_a2 = float(max(strong_branch, weak_branch))
 
     a2_ok = m_a2 > 0
-    m_a3_lit = _a3_margin(p, s, with_d=True)
-    m_a3_var = _a3_margin(p, s, with_d=False)
+    a3_rhs = p.sigma3 * p.c33
+    m_a3_lit = float(lower_bound_at(p, p.c31 * p.d1, p.c32 * p.d2, s.Sigma1, s.Sigma2) - a3_rhs)
+    m_a3_var = float(lower_bound_at(p, p.c31, p.c32, s.Sigma1, s.Sigma2) - a3_rhs)
 
     items = (
         CheckItem(

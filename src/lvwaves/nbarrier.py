@@ -13,10 +13,12 @@ with
     q_upper = max[alpha max(s1/c11, s2/c21), beta max(s2/c22, s1/c12)]
               * max(d1/d2, d2/d1).
 
-The proof traps the orbit in the (u, v) plane between three lines (two
-levels of alpha d1 u + beta d2 v and one of alpha u + beta v).  Under strong
-competition those lines have explicit levels, tabulated here in four cases
-per side; the combined weighted kinetics
+The proof traps the orbit in the (u, v) plane between three lines (levels
+lambda1, lambda2 of alpha d1 u + beta d2 v and eta of alpha u + beta v).
+Under strong competition one rule per side gives them: eta is a weighted
+axis intercept, times a diffusion ratio in cases i and iv, and lambda1,
+lambda2 are eta times the two diffusions (:func:`construct_barrier`).  The
+combined weighted kinetics
 
     F(u, v) = alpha u (s1 - c11 u - c12 v) + beta v (s2 - c21 u - c22 v)
 
@@ -34,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import RegimeError
-from .model import Regime, TwoSpeciesParams, classify_regime
+from .model import Regime, ThreeSpeciesParams, TwoSpeciesParams, classify_regime
 from .profiles import WaveProfile
 from .rational import Number
 from .report import CheckItem, CheckReport
@@ -48,6 +50,7 @@ __all__ = [
     "WaveProfile",
     "F_value",
     "lower_bound",
+    "lower_bound_at",
     "upper_bound",
     "bounds",
     "conic_classify",
@@ -137,20 +140,25 @@ def upper_bound(p: TwoSpeciesParams, alpha: Number, beta: Number) -> Number:
     return bounds(p, alpha, beta).q_upper
 
 
+def lower_bound_at(
+    p: TwoSpeciesParams | ThreeSpeciesParams, alpha: Number, beta: Number, s1: Number, s2: Number
+) -> Number:
+    """q_lower's closed form with growth rates (s1, s2) in place of p's, with
+    no regime or sign check: A3 applies it to the Sigma-shifted block."""
+    inner = min(alpha * min(s1 / p.c11, s2 / p.c21), beta * min(s2 / p.c22, s1 / p.c12))
+    return inner * min(p.d1 / p.d2, p.d2 / p.d1)
+
+
 def bounds(p: TwoSpeciesParams, alpha: Number, beta: Number) -> BoundPair:
     """Both closed-form bounds on alpha*u + beta*v, classifying the regime once."""
     _check_weights(alpha, beta)
     _require_strong_or_weak(p)
-    inner_lower = min(
-        alpha * min(p.sigma1 / p.c11, p.sigma2 / p.c21),
-        beta * min(p.sigma2 / p.c22, p.sigma1 / p.c12),
-    )
     inner_upper = max(
         alpha * max(p.sigma1 / p.c11, p.sigma2 / p.c21),
         beta * max(p.sigma2 / p.c22, p.sigma1 / p.c12),
     )
     return BoundPair(
-        q_lower=inner_lower * min(p.d1 / p.d2, p.d2 / p.d1),
+        q_lower=lower_bound_at(p, alpha, beta, p.sigma1, p.sigma2),
         q_upper=inner_upper * max(p.d1 / p.d2, p.d2 / p.d1),
         alpha=alpha,
         beta=beta,
@@ -181,14 +189,18 @@ def conic_classify(
 def construct_barrier(
     p: TwoSpeciesParams, alpha: Number, beta: Number, side: BoundSide
 ) -> BarrierLines:
-    """Explicit barrier-line levels under strong competition.
+    """Explicit barrier-line levels under strong competition, one rule per side.
 
-    The case tables branch on the diffusion ordering d2 >= d1 and on one
-    weighted cross product per side.  The upper-side case (i) level eta
-    carries the beta factor (the dimensionally consistent choice matching
-    the companion lower-side tables); see the package notes on this point.
-    Outside strong competition no explicit table is available and
-    :class:`RegimeError` is raised.
+    The lower side takes w/den = alpha s2/c21 if beta s1 c21 d2 >= alpha s2 c12 d1,
+    else beta s1/c12, and (near, far) = (min d, max d).  The upper side takes
+    w/den = beta s2/c22 if beta s2 c11 d2 >= alpha s1 c22 d1, else alpha s1/c11,
+    and (near, far) = (max d, min d).  Cases i and ii have d2 >= d1, iii and iv
+    not, the first of each pair when the test holds.  eta = w near/(den far) in
+    cases i and iv and w/den in ii and iii; lambda1 = eta near and lambda2 =
+    eta far, so the side's ordering of lambda1, lambda2 holds by construction,
+    in floats too.  The upper-side case (i) eta carries the beta factor (the
+    dimensionally consistent choice); see the package notes on this point.
+    Outside strong competition :class:`RegimeError` is raised.
     """
     _check_weights(alpha, beta)
     regime = classify_regime(p)
@@ -197,54 +209,18 @@ def construct_barrier(
             f"explicit barrier tables require strong competition, classification is {regime.value}"
         )
     d1, d2 = p.d1, p.d2
-    s1, s2 = p.sigma1, p.sigma2
     if side is BoundSide.LOWER:
-        if d2 >= d1:
-            if beta * s1 * p.c21 * d2 >= alpha * s2 * p.c12 * d1:
-                lam1 = alpha * s2 * d1 * d1 / (p.c21 * d2)
-                lam2 = alpha * s2 * d1 / p.c21
-                eta = alpha * s2 * d1 / (p.c21 * d2)
-                case = "i"
-            else:
-                lam1 = beta * s1 * d1 / p.c12
-                lam2 = beta * s1 * d2 / p.c12
-                eta = beta * s1 / p.c12
-                case = "ii"
-        else:
-            if beta * s1 * p.c21 * d2 >= alpha * s2 * p.c12 * d1:
-                lam1 = alpha * s2 * d2 / p.c21
-                lam2 = alpha * s2 * d1 / p.c21
-                eta = alpha * s2 / p.c21
-                case = "iii"
-            else:
-                lam1 = beta * s1 * d2 * d2 / (p.c12 * d1)
-                lam2 = beta * s1 * d2 / p.c12
-                eta = beta * s1 * d2 / (p.c12 * d1)
-                case = "iv"
+        first = beta * p.sigma1 * p.c21 * d2 >= alpha * p.sigma2 * p.c12 * d1
+        w, den = (alpha * p.sigma2, p.c21) if first else (beta * p.sigma1, p.c12)
+        near, far = min(d1, d2), max(d1, d2)
     else:
-        if d2 >= d1:
-            if beta * s2 * p.c11 * d2 >= alpha * s1 * p.c22 * d1:
-                lam1 = beta * s2 * d2 * d2 / (p.c22 * d1)
-                lam2 = beta * s2 * d2 / p.c22
-                eta = beta * s2 * d2 / (p.c22 * d1)
-                case = "i"
-            else:
-                lam1 = alpha * s1 * d2 / p.c11
-                lam2 = alpha * s1 * d1 / p.c11
-                eta = alpha * s1 / p.c11
-                case = "ii"
-        else:
-            if beta * s2 * p.c11 * d2 >= alpha * s1 * p.c22 * d1:
-                lam1 = beta * s2 * d1 / p.c22
-                lam2 = beta * s2 * d2 / p.c22
-                eta = beta * s2 / p.c22
-                case = "iii"
-            else:
-                lam1 = alpha * s1 * d1 * d1 / (p.c11 * d2)
-                lam2 = alpha * s1 * d1 / p.c11
-                eta = alpha * s1 * d1 / (p.c11 * d2)
-                case = "iv"
-    return BarrierLines(lambda1=lam1, lambda2=lam2, eta=eta, side=side, case_id=case)
+        first = beta * p.sigma2 * p.c11 * d2 >= alpha * p.sigma1 * p.c22 * d1
+        w, den = (beta * p.sigma2, p.c22) if first else (alpha * p.sigma1, p.c11)
+        near, far = max(d1, d2), min(d1, d2)
+    ordered = d2 >= d1
+    eta = w * near / (den * far) if first == ordered else w / den
+    case = ("i" if first else "ii") if ordered else ("iii" if first else "iv")
+    return BarrierLines(lambda1=eta * near, lambda2=eta * far, eta=eta, side=side, case_id=case)
 
 
 def verify_bounds_on_profile(

@@ -31,7 +31,7 @@ def _check_grid(x: np.ndarray) -> None:
 
 
 def _check_nonneg(name: str, a: np.ndarray) -> None:
-    if np.any(a < 0):
+    if not (a >= 0).all():
         worst = float(np.min(a))
         raise ValueError(f"{name} samples must be nonnegative (min {worst})")
 
@@ -133,4 +133,6 @@ def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:
     data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
     if data.ndim != 2 or data.shape[1] != len(names):
         raise ValueError(f"malformed CSV {path}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"non-finite value in CSV {path}")
     return names, [data[:, j] for j in range(len(names))]

@@ -54,6 +54,34 @@ def strong_two_species_params(draw):
     )
 
 
+@st.composite
+def strong_or_weak_two_species_params(draw):
+    """Strong or weak competition parameters, not normalised (no filtering)."""
+    sigma1 = draw(positive_rationals)
+    sigma2 = draw(positive_rationals)
+    c11 = draw(positive_rationals)
+    c22 = draw(positive_rationals)
+    gap1 = 1 + draw(positive_rationals)
+    gap2 = 1 + draw(positive_rationals)
+    if draw(st.booleans()):  # weak: both intercept comparisons reversed
+        gap1, gap2 = 1 / gap1, 1 / gap2
+    return lv.TwoSpeciesParams(
+        d1=draw(positive_rationals),
+        d2=draw(positive_rationals),
+        sigma1=sigma1,
+        sigma2=sigma2,
+        c11=c11,
+        c22=c22,
+        c21=(sigma2 * c11 / sigma1) * gap1,
+        c12=(sigma1 * c22 / sigma2) * gap2,
+    )
+
+
+def as_float(p):
+    """A float copy of a parameter set."""
+    return type(p)(**{k: float(v) for k, v in p.to_dict().items()})
+
+
 @pytest.fixture(scope="session")
 def paper_free():
     one = Fraction(1)

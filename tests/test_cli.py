@@ -105,6 +105,18 @@ class TestClosedFormCommands:
         assert data["eta_exact"] == "17/6"
         assert data["case_id"] == "i"
 
+    def test_float_equal_diffusion_barrier(self, tmp_path):
+        # the eight-case form rounded lambda1 above lambda2 here and exited 2
+        params = write_json(tmp_path / "p.json", {**STRONG, "d1": "0.3", "d2": "0.3"})
+        out = tmp_path / "out"
+        code = main(
+            ["barrier", "--params", params, "--alpha", "1", "--beta", "1",
+             "--side", "lower", "--out", str(out)]
+        )
+        assert code == 0
+        data = report(out)
+        assert data["lambda1"] == data["lambda2"]
+
     def test_conic_classification(self, tmp_path):
         weak = {**STRONG, "c12": "1/2", "c21": "2/3"}
         params = write_json(tmp_path / "p.json", weak)
@@ -213,6 +225,28 @@ class TestProfileCommands:
             argv += ["--t-end", "0.1"]
         assert main(argv) == 2
         assert "empty.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("verify-profile", "--profile"), ("simulate", "--init"), ("fisher", "--background")],
+    )
+    def test_non_finite_profile_csv_is_usage_error(
+        self, tmp_path, paper_spec, capsys, command, flag
+    ):
+        cfgd = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        cfgd.update({"theta": 3, "K_sub": 1, "K_super": 12})
+        params = write_json(tmp_path / "p.json", cfgd)
+        wave = tmp_path / "wave.csv"
+        lv.wave_profile(paper_spec, np.linspace(-20, 20, 401)).to_csv(wave)
+        lines = wave.read_text().splitlines()
+        x, _, rest = lines[200].split(",", 2)
+        lines[200] = f"{x},nan,{rest}"
+        wave.write_text("\n".join(lines) + "\n")
+        argv = [command, "--params", params, flag, str(wave), "--out", str(tmp_path / "o")]
+        if command == "simulate":
+            argv += ["--t-end", "0.1"]
+        assert main(argv) == 2
+        assert str(wave) in capsys.readouterr().err
 
     def test_csv_roundtrip_lossless(self, tmp_path, paper_spec):
         x = np.linspace(-15, 15, 301)

@@ -6,11 +6,28 @@ from hypothesis import strategies as st
 
 import lvwaves as lv
 from lvwaves.errors import RegimeError
-from lvwaves.hypotheses import SW, ExistenceInputs, sigma_pair
+from lvwaves.hypotheses import SW, ExistenceInputs, SigmaPair, sigma_pair
 
-from conftest import positive_rationals, strong_two_species_params
+from conftest import (
+    as_float,
+    positive_rationals,
+    strong_or_weak_two_species_params,
+    strong_two_species_params,
+)
 
 F = Fraction
+
+
+def reference_a3_margin(p: lv.ThreeSpeciesParams, s: SigmaPair, with_d: bool) -> float:
+    """A3 margin written out directly: the reference for the shared N-barrier
+    lower bound that ``nonexistence_report`` evaluates on the Sigma-shifted block."""
+    f1 = p.d1 if with_d else 1
+    f2 = p.d2 if with_d else 1
+    lhs = min(
+        p.c31 * f1 * min(s.Sigma1 / p.c11, s.Sigma2 / p.c21),
+        p.c32 * f2 * min(s.Sigma2 / p.c22, s.Sigma1 / p.c12),
+    ) * min(p.d1 / p.d2, p.d2 / p.d1)
+    return float(lhs - p.sigma3 * p.c33)
 
 
 def derived_nonexistence_params(sigma3=F(1, 10)):
@@ -107,15 +124,16 @@ def normalized_background_block(draw):
 
 @settings(max_examples=300)
 @given(
-    normalized_background_block(),
+    st.one_of(normalized_background_block(), strong_or_weak_two_species_params()),
     positive_rationals, positive_rationals, positive_rationals,
     positive_rationals, positive_rationals, positive_rationals,
     st.fractions(min_value=F(-8), max_value=F(8), max_denominator=16),
 )
 def test_h1_h3_mutually_exclusive(block, d3, sigma3, c31, c32, c33, k_sub, theta):
-    """With a normalized background (sigma1 = c11, the wave's left state),
-    the decay condition H1 and the subsolution condition H3 can never hold
-    together: H3 forces sigma3 above the upper coupling bound, H1 below c31."""
+    """On any strong or weak background the decay condition H1 and the
+    subsolution condition H3 can never hold together: H3 forces sigma3 above
+    the upper coupling bound, H1 below c31 u* + c32 v*, which the bounds
+    contain."""
     assert lv.classify_regime(block) in (lv.Regime.STRONG, lv.Regime.WEAK)
     inputs = ExistenceInputs(
         two_species=block, d3=d3, sigma3=sigma3,
@@ -196,6 +214,18 @@ def _swap_species(p):
         c21=p.c12, c22=p.c11, c23=p.c13,
         c31=p.c32, c32=p.c31, c33=p.c33,
     )
+
+
+@settings(max_examples=200)
+@given(three_species_params(), st.booleans())
+def test_a3_margins_match_reference(p, floats):
+    # c13, c23 > 0 here, so Sigma1 or Sigma2 is often nonpositive
+    if floats:
+        p = as_float(p)
+    s = sigma_pair(p)
+    report = lv.nonexistence_report(p)
+    assert report.item("A3_literal").margin == reference_a3_margin(p, s, with_d=True)
+    assert report.item("A3_variant").margin == reference_a3_margin(p, s, with_d=False)
 
 
 @settings(max_examples=200)

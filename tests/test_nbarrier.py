@@ -1,17 +1,92 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import lvwaves as lv
 from lvwaves.errors import RegimeError
-from lvwaves.model import Regime
-from lvwaves.nbarrier import BoundSide, ConicKind
+from lvwaves.model import Regime, classify_regime
+from lvwaves.nbarrier import BarrierLines, BoundSide, ConicKind, _check_weights
+from lvwaves.rational import ulp_distance
 
-from conftest import positive_rationals, strong_two_species_params, two_species_params
+from conftest import (
+    as_float,
+    positive_rationals,
+    strong_or_weak_two_species_params,
+    strong_two_species_params,
+    two_species_params,
+)
 
 F = Fraction
+
+
+def reference_construct_barrier(p, alpha, beta, side):
+    """Barrier levels written out as eight cases (side x d2 >= d1 x
+    cross-product test): the reference for the one-rule ``construct_barrier``."""
+    _check_weights(alpha, beta)
+    regime = classify_regime(p)
+    if regime is not Regime.STRONG:
+        raise RegimeError(
+            f"explicit barrier tables require strong competition, classification is {regime.value}"
+        )
+    d1, d2 = p.d1, p.d2
+    s1, s2 = p.sigma1, p.sigma2
+    if side is BoundSide.LOWER:
+        if d2 >= d1:
+            if beta * s1 * p.c21 * d2 >= alpha * s2 * p.c12 * d1:
+                lam1 = alpha * s2 * d1 * d1 / (p.c21 * d2)
+                lam2 = alpha * s2 * d1 / p.c21
+                eta = alpha * s2 * d1 / (p.c21 * d2)
+                case = "i"
+            else:
+                lam1 = beta * s1 * d1 / p.c12
+                lam2 = beta * s1 * d2 / p.c12
+                eta = beta * s1 / p.c12
+                case = "ii"
+        else:
+            if beta * s1 * p.c21 * d2 >= alpha * s2 * p.c12 * d1:
+                lam1 = alpha * s2 * d2 / p.c21
+                lam2 = alpha * s2 * d1 / p.c21
+                eta = alpha * s2 / p.c21
+                case = "iii"
+            else:
+                lam1 = beta * s1 * d2 * d2 / (p.c12 * d1)
+                lam2 = beta * s1 * d2 / p.c12
+                eta = beta * s1 * d2 / (p.c12 * d1)
+                case = "iv"
+    else:
+        if d2 >= d1:
+            if beta * s2 * p.c11 * d2 >= alpha * s1 * p.c22 * d1:
+                lam1 = beta * s2 * d2 * d2 / (p.c22 * d1)
+                lam2 = beta * s2 * d2 / p.c22
+                eta = beta * s2 * d2 / (p.c22 * d1)
+                case = "i"
+            else:
+                lam1 = alpha * s1 * d2 / p.c11
+                lam2 = alpha * s1 * d1 / p.c11
+                eta = alpha * s1 / p.c11
+                case = "ii"
+        else:
+            if beta * s2 * p.c11 * d2 >= alpha * s1 * p.c22 * d1:
+                lam1 = beta * s2 * d1 / p.c22
+                lam2 = beta * s2 * d2 / p.c22
+                eta = beta * s2 / p.c22
+                case = "iii"
+            else:
+                lam1 = alpha * s1 * d1 * d1 / (p.c11 * d2)
+                lam2 = alpha * s1 * d1 / p.c11
+                eta = alpha * s1 * d1 / (p.c11 * d2)
+                case = "iv"
+    return BarrierLines(lambda1=lam1, lambda2=lam2, eta=eta, side=side, case_id=case)
+
+
+@st.composite
+def strong_params_some_equal_diffusions(draw):
+    p = draw(strong_two_species_params())
+    return replace(p, d2=p.d1) if draw(st.booleans()) else p
 
 
 def fraction_bound_oracle(p, alpha, beta, which):
@@ -252,6 +327,54 @@ def test_lower_barrier_levels_tied_to_eta(p, alpha, beta):
     assert b.lambda1 == b.eta * min(p.d1, p.d2)
     assert b.lambda2 == b.eta * max(p.d1, p.d2)
     assert b.lambda1 <= b.lambda2
+
+
+@settings(max_examples=200)
+@given(
+    strong_params_some_equal_diffusions(), positive_rationals, positive_rationals,
+    st.sampled_from(BoundSide),
+)
+def test_barrier_rule_matches_reference_exactly(p, alpha, beta, side):
+    rule = lv.construct_barrier(p, alpha, beta, side)
+    ref = reference_construct_barrier(p, alpha, beta, side)
+    assert rule == ref
+    levels = ("lambda1", "lambda2", "eta")
+    assert [type(getattr(rule, k)) for k in levels] == [type(getattr(ref, k)) for k in levels]
+
+
+@settings(max_examples=200)
+@given(
+    strong_params_some_equal_diffusions(), positive_rationals, positive_rationals,
+    st.sampled_from(BoundSide),
+)
+def test_float_barrier_ordered_and_within_2_ulp_of_reference(p, alpha, beta, side):
+    # in floats the eight cases could order lambda1, lambda2 wrongly by an
+    # ulp (d1 == d2 most of all) and raise; the rule never does
+    p, alpha, beta = as_float(p), float(alpha), float(beta)
+    rule = lv.construct_barrier(p, alpha, beta, side)
+    if side is BoundSide.LOWER:
+        assert rule.lambda1 <= rule.lambda2
+    else:
+        assert rule.lambda1 >= rule.lambda2
+    if p.d1 == p.d2:
+        assert rule.lambda1 == rule.lambda2
+    try:
+        ref = reference_construct_barrier(p, alpha, beta, side)
+    except ValueError:
+        return
+    assert (rule.case_id, rule.eta) == (ref.case_id, ref.eta)
+    assert ulp_distance(rule.lambda1, ref.lambda1) <= 2
+    assert ulp_distance(rule.lambda2, ref.lambda2) <= 2
+
+
+@settings(max_examples=200)
+@given(strong_or_weak_two_species_params(), positive_rationals, positive_rationals)
+def test_coexistence_state_within_bounds(p, alpha, beta):
+    # the coexistence state is a constant positive wave, so the bounds hold there
+    pair = lv.bounds(p, alpha, beta)
+    eq = lv.coexistence_equilibrium(p)
+    assert eq.u > 0 and eq.v > 0
+    assert pair.q_lower <= alpha * eq.u + beta * eq.v <= pair.q_upper
 
 
 @settings(max_examples=150)
