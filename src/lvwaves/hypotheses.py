@@ -42,7 +42,7 @@ from .model import (
     classify_regime,
     coexistence_equilibrium,
 )
-from .nbarrier import bounds, lower_bound_at
+from .nbarrier import _lower_bound_at, bounds
 from .rational import Number, parse_number
 from .report import CheckItem, CheckReport
 
@@ -147,8 +147,8 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
 
     a2_ok = m_a2 > 0
     a3_rhs = p.sigma3 * p.c33
-    m_a3_lit = float(lower_bound_at(p, p.c31 * p.d1, p.c32 * p.d2, s.Sigma1, s.Sigma2) - a3_rhs)
-    m_a3_var = float(lower_bound_at(p, p.c31, p.c32, s.Sigma1, s.Sigma2) - a3_rhs)
+    m_a3_lit = float(_lower_bound_at(p, p.c31 * p.d1, p.c32 * p.d2, s.Sigma1, s.Sigma2) - a3_rhs)
+    m_a3_var = float(_lower_bound_at(p, p.c31, p.c32, s.Sigma1, s.Sigma2) - a3_rhs)
 
     items = (
         CheckItem(

@@ -50,7 +50,6 @@ __all__ = [
     "WaveProfile",
     "F_value",
     "lower_bound",
-    "lower_bound_at",
     "upper_bound",
     "bounds",
     "conic_classify",
@@ -140,7 +139,7 @@ def upper_bound(p: TwoSpeciesParams, alpha: Number, beta: Number) -> Number:
     return bounds(p, alpha, beta).q_upper
 
 
-def lower_bound_at(
+def _lower_bound_at(
     p: TwoSpeciesParams | ThreeSpeciesParams, alpha: Number, beta: Number, s1: Number, s2: Number
 ) -> Number:
     """q_lower's closed form with growth rates (s1, s2) in place of p's, with
@@ -158,7 +157,7 @@ def bounds(p: TwoSpeciesParams, alpha: Number, beta: Number) -> BoundPair:
         beta * max(p.sigma2 / p.c22, p.sigma1 / p.c12),
     )
     return BoundPair(
-        q_lower=lower_bound_at(p, alpha, beta, p.sigma1, p.sigma2),
+        q_lower=_lower_bound_at(p, alpha, beta, p.sigma1, p.sigma2),
         q_upper=inner_upper * max(p.d1 / p.d2, p.d2 / p.d1),
         alpha=alpha,
         beta=beta,

@@ -22,6 +22,8 @@ GRID_UNIFORMITY_TOL = 1e-12
 def _check_grid(x: np.ndarray) -> None:
     if x.ndim != 1 or x.size < 2:
         raise ValueError("grid must be one-dimensional with at least two nodes")
+    if not np.isfinite(x).all():
+        raise ValueError("grid nodes must be finite")
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("grid must be strictly increasing")
@@ -30,8 +32,11 @@ def _check_grid(x: np.ndarray) -> None:
         raise ValueError("grid spacing is not uniform")
 
 
-def _check_nonneg(name: str, a: np.ndarray) -> None:
-    if not (a >= 0).all():
+def _check_samples(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        bad = float(a[~np.isfinite(a)][0])
+        raise ValueError(f"{name} samples must be finite, got {bad}")
+    if np.any(a < 0):
         worst = float(np.min(a))
         raise ValueError(f"{name} samples must be nonnegative (min {worst})")
 
@@ -56,11 +61,11 @@ class WaveProfile:
             arr = getattr(self, name)
             if arr.shape != self.x.shape:
                 raise ValueError(f"{name} must match the grid shape")
-            _check_nonneg(name, arr)
+            _check_samples(name, arr)
         if self.w is not None:
             if self.w.shape != self.x.shape:
                 raise ValueError("w must match the grid shape")
-            _check_nonneg("w", self.w)
+            _check_samples("w", self.w)
 
     def to_csv(self, path) -> None:
         names = ["x", "u", "v"] + (["w"] if self.w is not None else [])

@@ -34,36 +34,16 @@ def two_species_params(draw):
 
 
 @st.composite
-def strong_two_species_params(draw):
-    """Constructively strong-competition parameters (no filtering)."""
-    sigma1 = draw(positive_rationals)
-    sigma2 = draw(positive_rationals)
-    c11 = draw(positive_rationals)
-    c22 = draw(positive_rationals)
-    gap1 = draw(positive_rationals)
-    gap2 = draw(positive_rationals)
-    return lv.TwoSpeciesParams(
-        d1=draw(positive_rationals),
-        d2=draw(positive_rationals),
-        sigma1=sigma1,
-        sigma2=sigma2,
-        c11=c11,
-        c22=c22,
-        c21=(sigma2 * c11 / sigma1) * (1 + gap1),
-        c12=(sigma1 * c22 / sigma2) * (1 + gap2),
-    )
-
-
-@st.composite
-def strong_or_weak_two_species_params(draw):
-    """Strong or weak competition parameters, not normalised (no filtering)."""
+def strong_two_species_params(draw, allow_weak=False):
+    """Constructively strong-competition parameters (no filtering); with
+    ``allow_weak``, half the draws invert both gaps and so are weak."""
     sigma1 = draw(positive_rationals)
     sigma2 = draw(positive_rationals)
     c11 = draw(positive_rationals)
     c22 = draw(positive_rationals)
     gap1 = 1 + draw(positive_rationals)
     gap2 = 1 + draw(positive_rationals)
-    if draw(st.booleans()):  # weak: both intercept comparisons reversed
+    if allow_weak and draw(st.booleans()):
         gap1, gap2 = 1 / gap1, 1 / gap2
     return lv.TwoSpeciesParams(
         d1=draw(positive_rationals),

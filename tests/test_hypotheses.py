@@ -11,7 +11,6 @@ from lvwaves.hypotheses import SW, ExistenceInputs, SigmaPair, sigma_pair
 from conftest import (
     as_float,
     positive_rationals,
-    strong_or_weak_two_species_params,
     strong_two_species_params,
 )
 
@@ -124,7 +123,7 @@ def normalized_background_block(draw):
 
 @settings(max_examples=300)
 @given(
-    st.one_of(normalized_background_block(), strong_or_weak_two_species_params()),
+    st.one_of(normalized_background_block(), strong_two_species_params(allow_weak=True)),
     positive_rationals, positive_rationals, positive_rationals,
     positive_rationals, positive_rationals, positive_rationals,
     st.fractions(min_value=F(-8), max_value=F(8), max_denominator=16),

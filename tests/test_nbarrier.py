@@ -15,7 +15,6 @@ from lvwaves.rational import ulp_distance
 from conftest import (
     as_float,
     positive_rationals,
-    strong_or_weak_two_species_params,
     strong_two_species_params,
     two_species_params,
 )
@@ -368,7 +367,7 @@ def test_float_barrier_ordered_and_within_2_ulp_of_reference(p, alpha, beta, sid
 
 
 @settings(max_examples=200)
-@given(strong_or_weak_two_species_params(), positive_rationals, positive_rationals)
+@given(strong_two_species_params(allow_weak=True), positive_rationals, positive_rationals)
 def test_coexistence_state_within_bounds(p, alpha, beta):
     # the coexistence state is a constant positive wave, so the bounds hold there
     pair = lv.bounds(p, alpha, beta)

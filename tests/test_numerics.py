@@ -277,7 +277,7 @@ class TestSimulatePde:
             assert not np.shares_memory(a, b)
         assert not any(np.shares_memory(f, c) for f in fields for c in after)
 
-    def test_leaving_the_admissible_range_aborts(self):
+    def test_leaving_the_admissible_range_aborts(self, strong_params):
         grid = GridSpec(-10.0, 10.0, 41)
         x = grid.x()
         cfg = SimConfig(grid=grid, t_end=0.1)
@@ -289,9 +289,13 @@ class TestSimulatePde:
         )
         with pytest.raises(NegativeDensityError, match="at t=0.05; reduce dt"):
             lv.simulate_pde(stiff, init, cfg)
-        # a NaN start is refused by the profile itself; runaway growth trips the guard
-        with pytest.raises(ValueError, match="u samples must be nonnegative"):
-            lv.WaveProfile(x=x, u=np.full_like(x, np.nan), v=init.v)
+        # a profile refuses NaN samples, so the NaN is written in after
+        # construction and the start is not recorded as a snapshot
+        nan = lv.WaveProfile(x=x, u=init.u.copy(), v=init.v)
+        nan.u[:] = np.nan
+        final_only = SimConfig(grid=grid, t_end=0.1, n_snapshots=1)
+        with pytest.raises(BlowupDetectedError, match="admissible range at t=0.05"):
+            lv.simulate_pde(strong_params, nan, final_only)
         tiny = F(1, 10**15)
         runaway = lv.TwoSpeciesParams(
             d1=F(1), d2=F(1), sigma1=F(4000), sigma2=F(4000),
@@ -307,6 +311,19 @@ class TestSimulatePde:
             GridSpec(float("nan"), 1.0, 11)
         with pytest.raises(ValueError, match="x_max must be finite"):
             uniform_grid(0.0, float("inf"), 11)
+
+    @pytest.mark.parametrize(
+        "x, u, match",
+        [
+            ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "u samples must be finite, got nan"),
+            ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0], "u samples must be finite, got inf"),
+            ([0.0, 1.0, 2.0], [1.0, -0.5, 1.0], r"u samples must be nonnegative \(min -0.5\)"),
+            ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "grid nodes must be finite"),
+        ],
+    )
+    def test_profile_refuses_bad_samples(self, x, u, match):
+        with pytest.raises(ValueError, match=match):
+            lv.WaveProfile(x=x, u=u, v=np.ones(3))
 
     def test_snapshots_roundtrip(self, tmp_path, strong_params):
         grid = GridSpec(-5.0, 5.0, 51)
