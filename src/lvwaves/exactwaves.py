@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InfeasibleError, NonPositiveCoefficientError
-from .model import ThreeSpeciesParams, TwoSpeciesParams, coexistence_equilibrium
+from .model import ThreeSpeciesParams, TwoSpeciesParams, _require_positive, coexistence_equilibrium
 from .profiles import WaveProfile
 from .rational import Number, all_exact, parse_number, rel_close
 
@@ -84,9 +84,7 @@ class FreeParams:
     sigma3: Number
 
     def __post_init__(self):
-        for name in ("k1", "k2", "d1", "d2", "d3", "sigma1", "sigma2", "sigma3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        _require_positive(self, ("k1", "k2", "d1", "d2", "d3", "sigma1", "sigma2", "sigma3"))
         if 2 * self.d1 + self.theta == 0:
             raise ValueError("2*d1 + theta must be nonzero")
 

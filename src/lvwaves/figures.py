@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import TwoSpeciesParams
-from .nbarrier import BoundSide, conic_classify, construct_barrier
+from .nbarrier import BoundSide, _check_weights, conic_classify, construct_barrier
 from .rational import format_number
 from .report import format_float, write_json
 
@@ -135,8 +135,7 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
     else:
         raise ValueError("which must be fig1, fig2, or fig3")
 
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("weights must be positive")
+    _check_weights(alpha, beta)
 
     _write_points(
         out / "line1.csv", _line_points(p.c11, p.c12, p.sigma1, float(window))

@@ -35,15 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import (
-    Regime,
-    ThreeSpeciesParams,
-    TwoSpeciesParams,
-    classify_regime,
-    coexistence_equilibrium,
-)
+from .model import Regime, ThreeSpeciesParams, TwoSpeciesParams, _ratios, _require_positive
 from .nbarrier import _lower_bound_at, bounds
-from .rational import Number, parse_number
+from .rational import Number, _is_finite, parse_number
 from .report import CheckItem, CheckReport
 
 
@@ -64,9 +58,10 @@ class ExistenceInputs:
     K_super: Number
 
     def __post_init__(self):
-        for name in ("d3", "sigma3", "c31", "c32", "c33"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        _require_positive(self, ("d3", "sigma3", "c31", "c32", "c33"))
+        for name in ("theta", "K_sub", "K_super"):  # their signs are H4's to audit
+            if not _is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExistenceInputs":
@@ -98,12 +93,12 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
 
     Requires the background block to be strongly or weakly competitive
     (otherwise the closed-form bounds do not apply and RegimeError is
-    raised).
+    raised).  The block's regime and (u*, v*) come from its kernel.
     """
     block = inputs.two_species
     pair = bounds(block, inputs.c31, inputs.c32)
     q_lo, q_hi = pair.q_lower, pair.q_upper
-    eq = coexistence_equilibrium(block)
+    eq = block.kernel.coexistence
 
     m_h1 = float(
         min(inputs.c31 - inputs.sigma3, inputs.c31 * eq.u + inputs.c32 * eq.v - inputs.sigma3)
@@ -145,16 +140,16 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
     weak_branch = min(p.c11 * s.Sigma2 - p.c21 * s.Sigma1, p.c22 * s.Sigma1 - p.c12 * s.Sigma2)
     m_a2 = float(max(strong_branch, weak_branch))
 
-    a2_ok = m_a2 > 0
     a3_rhs = p.sigma3 * p.c33
-    m_a3_lit = float(_lower_bound_at(p, p.c31 * p.d1, p.c32 * p.d2, s.Sigma1, s.Sigma2) - a3_rhs)
-    m_a3_var = float(_lower_bound_at(p, p.c31, p.c32, s.Sigma1, s.Sigma2) - a3_rhs)
+    u_side, v_side, d_side = _ratios(p, s.Sigma1, s.Sigma2)
+    shifted = (min(u_side), min(v_side), min(d_side))
+    m_a3_lit = float(_lower_bound_at(p.c31 * p.d1, p.c32 * p.d2, *shifted) - a3_rhs)
+    m_a3_var = float(_lower_bound_at(p.c31, p.c32, *shifted) - a3_rhs)
+    a1_ok, a2_ok = m_a1 > 0, m_a2 > 0
+    lit_ok, var_ok = m_a3_lit >= 0, m_a3_var >= 0
 
     items = (
-        CheckItem(
-            "A1", m_a1 > 0, m_a1,
-            {"Sigma1": float(s.Sigma1), "Sigma2": float(s.Sigma2)},
-        ),
+        CheckItem("A1", a1_ok, m_a1, {"Sigma1": float(s.Sigma1), "Sigma2": float(s.Sigma2)}),
         CheckItem(
             "A2", a2_ok, m_a2,
             {
@@ -163,12 +158,9 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
                 "weak_margin": float(weak_branch),
             },
         ),
-        CheckItem("A3_literal", m_a3_lit >= 0, m_a3_lit, {"d_factors": True}),
-        CheckItem("A3_variant", m_a3_var >= 0, m_a3_var, {"d_factors": False}),
+        CheckItem("A3_literal", lit_ok, m_a3_lit, {"d_factors": True}),
+        CheckItem("A3_variant", var_ok, m_a3_var, {"d_factors": False}),
     )
-    a1_ok = m_a1 > 0
-    lit_ok = m_a3_lit >= 0
-    var_ok = m_a3_var >= 0
     passed = a1_ok and a2_ok and (lit_ok or var_ok)
     if passed:
         if lit_ok and var_ok:
@@ -194,9 +186,4 @@ class SW(Enum):
 
 def check_SW(p: TwoSpeciesParams) -> SW:
     """Collapse the regime classification to strong / weak / neither."""
-    regime = classify_regime(p)
-    if regime is Regime.STRONG:
-        return SW.S
-    if regime is Regime.WEAK:
-        return SW.W
-    return SW.NEITHER
+    return {Regime.STRONG: SW.S, Regime.WEAK: SW.W}.get(p.kernel.regime, SW.NEITHER)

@@ -14,7 +14,8 @@ classified by comparing the axis intercepts of the two zero-growth lines
 * competitive exclusion: mixed signs (one species always wins)
 
 All closed-form operations preserve exact fractions when the inputs are
-exact; see :mod:`lvwaves.rational`.
+exact; see :mod:`lvwaves.rational`.  A block's regime, intercepts, d-ratios
+and (u*, v*) are derived once per instance (:attr:`TwoSpeciesParams.kernel`).
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, SingularLinesError
-from .rational import Number, parse_number
+from .rational import Number, _is_finite, parse_number
 
 #: Default relative tolerance on the cross products sigma1*c21 vs sigma2*c11
 #: and sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a
@@ -41,8 +43,9 @@ _THREE_FIELDS = (
 
 def _require_positive(obj, names) -> None:
     for name in names:
-        if getattr(obj, name) <= 0:
-            raise ValueError(f"{name} must be strictly positive, got {getattr(obj, name)}")
+        value = getattr(obj, name)
+        if not (value > 0 and _is_finite(value)):
+            raise ValueError(f"{name} must be strictly positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,20 @@ class TwoSpeciesParams:
 
     def __post_init__(self):
         _require_positive(self, _TWO_FIELDS)
+
+    def __getstate__(self):  # pickle the fields, not the cached kernel
+        return self.to_dict()
+
+    @cached_property
+    def kernel(self) -> "BlockKernel":
+        """Derived once, from this instance's own fields and number type."""
+        u_side, v_side, d_side = _ratios(self, self.sigma1, self.sigma2)
+        try:
+            state = coexistence_equilibrium(self)
+        except SingularLinesError as exc:
+            state = exc
+        return BlockKernel(classify_regime(self), min(u_side), max(u_side), min(v_side),
+                           max(v_side), min(d_side), max(d_side), state)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoSpeciesParams":
@@ -109,8 +126,9 @@ class ThreeSpeciesParams:
             self, ("d1", "d2", "d3", "sigma1", "sigma2", "sigma3", "c11", "c22", "c33")
         )
         for name in ("c12", "c13", "c21", "c23", "c31", "c32"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0 and _is_finite(value)):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ThreeSpeciesParams":
@@ -161,10 +179,11 @@ class Regime(Enum):
 
 def equilibria(p: TwoSpeciesParams) -> list[Equilibrium2]:
     """All four kinetic equilibria (the coexistence one only when it exists)."""
+    (u_axis, _), (v_axis, _), _ = _ratios(p, p.sigma1, p.sigma2)
     out = [
         Equilibrium2(EquilibriumKind.E1_ORIGIN, 0, 0),
-        Equilibrium2(EquilibriumKind.E2_U_ONLY, p.sigma1 / p.c11, 0),
-        Equilibrium2(EquilibriumKind.E3_V_ONLY, 0, p.sigma2 / p.c22),
+        Equilibrium2(EquilibriumKind.E2_U_ONLY, u_axis, 0),
+        Equilibrium2(EquilibriumKind.E3_V_ONLY, 0, v_axis),
     ]
     try:
         out.append(coexistence_equilibrium(p))
@@ -221,6 +240,33 @@ def classify_regime(p: TwoSpeciesParams, tol: float = DEGENERACY_TOL) -> Regime:
     if s_u > 0:
         return Regime.EXCLUSION_U_WINS
     return Regime.EXCLUSION_V_WINS
+
+
+def _ratios(p: TwoSpeciesParams | ThreeSpeciesParams, s1: Number, s2: Number) -> tuple:
+    """With growth rates (s1, s2): the u-side axis intercepts (s1/c11, s2/c21),
+    the v-side ones (s2/c22, s1/c12), and the d-ratios (d1/d2, d2/d1)."""
+    return (s1 / p.c11, s2 / p.c21), (s2 / p.c22, s1 / p.c12), (p.d1 / p.d2, p.d2 / p.d1)
+
+
+@dataclass(frozen=True)
+class BlockKernel:
+    """A block's regime at :data:`DEGENERACY_TOL`, intercept and d-ratio extrema,
+    and (u*, v*); reading that raises again any SingularLinesError solving raised."""
+
+    regime: Regime
+    u_min: Number
+    u_max: Number
+    v_min: Number
+    v_max: Number
+    d_min: Number
+    d_max: Number
+    _coexistence: Equilibrium2 | SingularLinesError
+
+    @property
+    def coexistence(self) -> Equilibrium2:
+        if isinstance(self._coexistence, SingularLinesError):
+            raise self._coexistence.with_traceback(None)
+        return self._coexistence
 
 
 def evenness_index(u: Number, v: Number) -> float:

@@ -24,8 +24,8 @@ combined weighted kinetics
 
 enters through the sign of its quadratic discriminant.
 
-All bound computations stay in exact rational arithmetic when the inputs are
-exact.
+The regime, intercepts and d-ratios are read off the block's kernel, derived
+once per instance; all bound computations stay exact when the inputs are.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import RegimeError
-from .model import Regime, ThreeSpeciesParams, TwoSpeciesParams, classify_regime
+from .model import Regime, TwoSpeciesParams
 from .profiles import WaveProfile
-from .rational import Number
+from .rational import Number, _is_finite
 from .report import CheckItem, CheckReport
 
 __all__ = [
@@ -108,17 +108,8 @@ class BarrierLines:
 
 
 def _check_weights(alpha: Number, beta: Number) -> None:
-    if alpha <= 0 or beta <= 0:
-        raise ValueError(f"weights must be positive, got alpha={alpha}, beta={beta}")
-
-
-def _require_strong_or_weak(p: TwoSpeciesParams) -> Regime:
-    regime = classify_regime(p)
-    if regime not in (Regime.STRONG, Regime.WEAK):
-        raise RegimeError(
-            f"bounds require strong or weak competition, classification is {regime.value}"
-        )
-    return regime
+    if not (alpha > 0 and beta > 0 and _is_finite(alpha) and _is_finite(beta)):
+        raise ValueError(f"weights must be strictly positive and finite: {alpha=!s}, {beta=!s}")
 
 
 def F_value(p: TwoSpeciesParams, alpha: Number, beta: Number, u: Number, v: Number) -> Number:
@@ -139,26 +130,23 @@ def upper_bound(p: TwoSpeciesParams, alpha: Number, beta: Number) -> Number:
     return bounds(p, alpha, beta).q_upper
 
 
-def _lower_bound_at(
-    p: TwoSpeciesParams | ThreeSpeciesParams, alpha: Number, beta: Number, s1: Number, s2: Number
-) -> Number:
-    """q_lower's closed form with growth rates (s1, s2) in place of p's, with
-    no regime or sign check: A3 applies it to the Sigma-shifted block."""
-    inner = min(alpha * min(s1 / p.c11, s2 / p.c21), beta * min(s2 / p.c22, s1 / p.c12))
-    return inner * min(p.d1 / p.d2, p.d2 / p.d1)
+def _lower_bound_at(alpha, beta, u_min, v_min, d_min) -> Number:
+    """q_lower from the least intercepts and d-ratio, unchecked: A3 feeds it
+    those of the Sigma-shifted block."""
+    return min(alpha * u_min, beta * v_min) * d_min
 
 
 def bounds(p: TwoSpeciesParams, alpha: Number, beta: Number) -> BoundPair:
-    """Both closed-form bounds on alpha*u + beta*v, classifying the regime once."""
+    """Both closed-form bounds on alpha*u + beta*v, read off the block's kernel."""
     _check_weights(alpha, beta)
-    _require_strong_or_weak(p)
-    inner_upper = max(
-        alpha * max(p.sigma1 / p.c11, p.sigma2 / p.c21),
-        beta * max(p.sigma2 / p.c22, p.sigma1 / p.c12),
-    )
+    k = p.kernel
+    if k.regime not in (Regime.STRONG, Regime.WEAK):
+        raise RegimeError(
+            f"bounds require strong or weak competition, classification is {k.regime.value}"
+        )
     return BoundPair(
-        q_lower=_lower_bound_at(p, alpha, beta, p.sigma1, p.sigma2),
-        q_upper=inner_upper * max(p.d1 / p.d2, p.d2 / p.d1),
+        q_lower=_lower_bound_at(alpha, beta, k.u_min, k.v_min, k.d_min),
+        q_upper=max(alpha * k.u_max, beta * k.v_max) * k.d_max,
         alpha=alpha,
         beta=beta,
     )
@@ -202,7 +190,7 @@ def construct_barrier(
     Outside strong competition :class:`RegimeError` is raised.
     """
     _check_weights(alpha, beta)
-    regime = classify_regime(p)
+    regime = p.kernel.regime
     if regime is not Regime.STRONG:
         raise RegimeError(
             f"explicit barrier tables require strong competition, classification is {regime.value}"

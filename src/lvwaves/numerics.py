@@ -40,7 +40,7 @@ from .errors import (
     NegativeDensityError,
     NotOrderedError,
 )
-from .model import ThreeSpeciesParams, TwoSpeciesParams
+from .model import ThreeSpeciesParams, TwoSpeciesParams, _require_positive
 from .profiles import ScalarProfile, WaveProfile, check_grid_bounds, uniform_grid
 from .rational import Number
 from .report import CheckItem, CheckReport, format_float
@@ -443,10 +443,7 @@ class FisherContext:
     background: WaveProfile
 
     def __post_init__(self):
-        if self.c33 <= 0:
-            raise ValueError("c33 must be strictly positive")
-        if self.d3 <= 0:
-            raise ValueError("d3 must be strictly positive")
+        _require_positive(self, ("c33", "d3"))
 
     def linear_coefficient(self) -> np.ndarray:
         """sigma3 - c31 u - c32 v on the background grid."""

@@ -55,6 +55,11 @@ def all_exact(*values: Number) -> bool:
     return all(is_exact(v) for v in values)
 
 
+def _is_finite(value: Number) -> bool:
+    # exact values always are; testing for float, not for the Fraction ABC, is cheap
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def format_number(value: Number) -> str:
     """Render a number for reports: exact values verbatim, floats at 17 sig digits."""
     if isinstance(value, (int, Fraction)):

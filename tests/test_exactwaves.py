@@ -154,6 +154,14 @@ class TestResidual:
             lv.residual(paper_spec, np.array([]))
 
 
+@pytest.mark.parametrize("name", ["k1", "sigma3"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0])
+def test_free_params_refuse_bad_values(paper_free, name, value):
+    fields = {k: getattr(paper_free, k) for k in lv.FreeParams.__dataclass_fields__}
+    with pytest.raises(ValueError, match=f"{name} must be strictly positive and finite"):
+        lv.FreeParams(**{**fields, name: value})
+
+
 class TestTwoSpeciesWave:
     def test_family_closed_forms(self):
         wave = lv.two_species_wave_family(F(1), F(1), F(41), F(1))

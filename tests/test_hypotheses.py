@@ -297,3 +297,23 @@ class TestCheckSW:
             c11=F(1), c12=F(1, 2), c21=F(3), c22=F(1),
         )
         assert lv.check_SW(exclusion) is SW.NEITHER
+
+
+@pytest.mark.parametrize("name, message", [
+    ("c31", "c31 must be strictly positive and finite, got"),
+    ("d3", "d3 must be strictly positive and finite, got"),
+    ("theta", "theta must be finite, got"),
+    ("K_sub", "K_sub must be finite, got"),
+    ("K_super", "K_super must be finite, got"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_existence_inputs_refuse_non_finite(demo_inputs, name, value, message):
+    fields = {k: getattr(demo_inputs, k) for k in ExistenceInputs.__dataclass_fields__}
+    with pytest.raises(ValueError, match=message):
+        ExistenceInputs(**{**fields, name: value})
+
+
+def test_existence_inputs_leave_amplitude_signs_to_h4(demo_inputs):
+    fields = {k: getattr(demo_inputs, k) for k in ExistenceInputs.__dataclass_fields__}
+    report = lv.existence_report(ExistenceInputs(**{**fields, "K_sub": F(-1)}))
+    assert not report.item("H4").passed

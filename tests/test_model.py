@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -7,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lvwaves as lv
-from lvwaves.errors import DomainError, SingularLinesError
+from lvwaves.errors import DomainError, RegimeError, SingularLinesError
 from lvwaves.model import Regime
 from lvwaves.rational import parse_number
 
-from conftest import positive_rationals, two_species_params
+from conftest import as_float, positive_rationals, two_species_params
 
 F = Fraction
 
@@ -196,3 +198,74 @@ def test_evenness_float_inputs(u, v):
 def test_parse_number_rejects_non_finite(value):
     with pytest.raises(ValueError, match="not finite"):
         parse_number(value)
+
+
+class TestBlockKernel:
+    def test_fraction_block_and_float_twin_get_own_kernels(self, strong_params):
+        twin = as_float(strong_params)
+        assert twin == strong_params and hash(twin) == hash(strong_params)
+        assert type(strong_params.kernel.u_min) is Fraction
+        assert type(twin.kernel.u_min) is float
+        assert type(lv.bounds(strong_params, 1, 1).q_lower) is Fraction
+        assert type(lv.bounds(twin, 1, 1).q_lower) is float
+        assert type(strong_params.kernel.coexistence.u) is Fraction
+        assert type(twin.kernel.coexistence.u) is float
+
+    def test_reading_kernel_changes_no_observable(self):
+        p = lv.TwoSpeciesParams(
+            d1=F(1), d2=F(3), sigma1=F(2), sigma2=F(1),
+            c11=F(1), c12=F(5, 2), c21=F(3), c22=F(1),
+        )
+        before = (hash(p), repr(p), p.to_dict(), pickle.dumps(p))
+        assert p.kernel.regime is Regime.STRONG
+        assert (hash(p), repr(p), p.to_dict(), pickle.dumps(p)) == before
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and copy.kernel == p.kernel
+
+    def test_replaced_block_gets_fresh_kernel(self, strong_params):
+        assert lv.bounds(strong_params, 1, 1).q_lower == F(1, 3)
+        exclusion = replace(strong_params, c21=F(1, 2))
+        with pytest.raises(RegimeError, match="classification is ExclusionVWins"):
+            lv.bounds(exclusion, 1, 1)
+        assert lv.check_SW(exclusion) is lv.SW.NEITHER
+
+    def test_classify_regime_honours_tol(self):
+        # sigma1 c21 exceeds sigma2 c11 by a relative 1e-6
+        p = lv.TwoSpeciesParams(
+            d1=F(1), d2=F(1), sigma1=F(1), sigma2=F(1),
+            c11=F(1), c12=F(2), c21=F(1000001, 1000000), c22=F(1),
+        )
+        assert p.kernel.regime is Regime.STRONG
+        assert lv.classify_regime(p, tol=1e-3) is Regime.DEGENERATE
+        assert lv.classify_regime(p) is Regime.STRONG
+
+    def test_parallel_lines_raise_on_every_read(self):
+        p = lv.TwoSpeciesParams(
+            d1=F(1), d2=F(1), sigma1=F(1), sigma2=F(1),
+            c11=F(1), c12=F(2), c21=F(2), c22=F(4),
+        )
+        assert p.kernel.regime is Regime.EXCLUSION_U_WINS
+        for _ in range(2):
+            with pytest.raises(SingularLinesError, match="parallel"):
+                p.kernel.coexistence
+
+
+_BLOCK = dict(d1=1, d2=1, sigma1=1, sigma2=1, c11=1, c12=2, c21=3, c22=1)
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("name", ["sigma1", "d2", "c12"])
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_two_species_params_refuse_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be strictly positive and finite, got"):
+        lv.TwoSpeciesParams(**{**_BLOCK, name: value})
+
+
+@pytest.mark.parametrize("name, wording", [
+    ("sigma3", "strictly positive and finite"), ("c13", "nonnegative and finite"),
+])
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_three_species_params_refuse_non_finite(name, wording, value):
+    three = dict(_BLOCK, d3=1, sigma3=1, c13=0, c23=0, c31=1, c32=1, c33=1)
+    with pytest.raises(ValueError, match=f"{name} must be {wording}, got"):
+        lv.ThreeSpeciesParams(**{**three, name: value})

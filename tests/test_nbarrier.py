@@ -1,3 +1,5 @@
+import pickle
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 import lvwaves as lv
 from lvwaves.errors import RegimeError
 from lvwaves.model import Regime, classify_regime
-from lvwaves.nbarrier import BarrierLines, BoundSide, ConicKind, _check_weights
+from lvwaves.hypotheses import ExistenceInputs
+from lvwaves.nbarrier import BarrierLines, BoundPair, BoundSide, ConicKind, _check_weights
 from lvwaves.rational import ulp_distance
+from lvwaves.report import CheckItem
 
 from conftest import (
     as_float,
@@ -80,6 +84,70 @@ def reference_construct_barrier(p, alpha, beta, side):
                 eta = alpha * s1 * d1 / (p.c11 * d2)
                 case = "iv"
     return BarrierLines(lambda1=lam1, lambda2=lam2, eta=eta, side=side, case_id=case)
+
+
+def reference_bounds(p, alpha, beta):
+    """The bounds with the regime, intercepts and d-ratios derived again on
+    every call: the reference for ``bounds``, which reads the block's kernel."""
+    _check_weights(alpha, beta)
+    regime = classify_regime(p)
+    if regime not in (Regime.STRONG, Regime.WEAK):
+        raise RegimeError(
+            f"bounds require strong or weak competition, classification is {regime.value}"
+        )
+    inner_lower = min(
+        alpha * min(p.sigma1 / p.c11, p.sigma2 / p.c21),
+        beta * min(p.sigma2 / p.c22, p.sigma1 / p.c12),
+    )
+    inner_upper = max(
+        alpha * max(p.sigma1 / p.c11, p.sigma2 / p.c21),
+        beta * max(p.sigma2 / p.c22, p.sigma1 / p.c12),
+    )
+    return BoundPair(
+        q_lower=inner_lower * min(p.d1 / p.d2, p.d2 / p.d1),
+        q_upper=inner_upper * max(p.d1 / p.d2, p.d2 / p.d1),
+        alpha=alpha,
+        beta=beta,
+    )
+
+
+def reference_existence_items(inputs):
+    """H1-H4 items from ``reference_bounds`` and a fresh coexistence solve."""
+    i = inputs
+    pair = reference_bounds(i.two_species, i.c31, i.c32)
+    eq = lv.coexistence_equilibrium(i.two_species)
+    m_h1 = float(min(i.c31 - i.sigma3, i.c31 * eq.u + i.c32 * eq.v - i.sigma3))
+    m_h2 = float(i.c33 * i.K_super + pair.q_lower - i.sigma3)
+    a_coef = i.c33 * i.K_sub + 6 * i.d3
+    c_coef = i.sigma3 - i.c33 * i.K_sub - 2 * i.d3 - pair.q_upper
+    m_h3 = float(4 * a_coef * c_coef - 4 * i.theta * i.theta)
+    m_h4 = float(min(i.K_super - i.K_sub, i.K_sub))
+    details = {"q_lower": float(pair.q_lower), "q_upper": float(pair.q_upper)}
+    return (
+        CheckItem("H1", m_h1 > 0, m_h1, details),
+        CheckItem("H2", m_h2 >= 0, m_h2, {}),
+        CheckItem("H3", m_h3 >= 0, m_h3, {}),
+        CheckItem("H4", i.K_super >= i.K_sub and i.K_sub > 0, m_h4, {}),
+    )
+
+
+@st.composite
+def kernel_bound_cases(draw):
+    """A strong or weak block, swapped half the time, and k-scaled weights."""
+    p = draw(strong_two_species_params(allow_weak=True))
+    if draw(st.booleans()):
+        p = p.swapped()
+    k = draw(positive_rationals)
+    return p, k * draw(positive_rationals), k * draw(positive_rationals)
+
+
+@st.composite
+def exclusion_or_degenerate_params(draw):
+    p = draw(two_species_params())
+    if draw(st.booleans()):  # a tie on the u-side comparison
+        p = replace(p, c21=p.sigma2 * p.c11 / p.sigma1)
+    assume(classify_regime(p) not in (Regime.STRONG, Regime.WEAK))
+    return p
 
 
 @st.composite
@@ -274,6 +342,67 @@ class TestVerifyProfile:
         assert "argmin_x" in data["checks"]["lower"]
         assert "argmax_x" in data["checks"]["upper"]
         assert "margin" in data["checks"]["upper"]
+
+
+@settings(max_examples=150)
+@given(kernel_bound_cases())
+def test_kernel_bounds_match_reference_exactly(case):
+    p, alpha, beta = case
+    ref = reference_bounds(p, alpha, beta)
+    for _ in range(2):  # the first call derives the kernel, the second reuses it
+        got = lv.bounds(p, alpha, beta)
+        assert got == ref
+        assert [type(v) for v in (got.q_lower, got.q_upper)] == [Fraction, Fraction]
+        assert [type(v) for v in (ref.q_lower, ref.q_upper)] == [Fraction, Fraction]
+
+
+@settings(max_examples=150)
+@given(kernel_bound_cases())
+def test_kernel_bounds_bit_equal_to_reference_in_floats(case):
+    p, alpha, beta = as_float(case[0]), float(case[1]), float(case[2])
+    got, ref = lv.bounds(p, alpha, beta), reference_bounds(p, alpha, beta)
+    assert (got.q_lower.hex(), got.q_upper.hex()) == (ref.q_lower.hex(), ref.q_upper.hex())
+
+
+@settings(max_examples=100)
+@given(
+    strong_two_species_params(allow_weak=True),
+    st.lists(st.tuples(*[positive_rationals] * 8), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_existence_items_match_reference(p, invaders, in_floats):
+    num = float if in_floats else Fraction
+    block = as_float(p) if in_floats else p
+    for d3, sigma3, c31, c32, c33, theta, k_sub, k_super in invaders:
+        inputs = ExistenceInputs(
+            two_species=block, d3=num(d3), sigma3=num(sigma3), c31=num(c31), c32=num(c32),
+            c33=num(c33), theta=num(theta), K_sub=num(k_sub), K_super=num(k_super),
+        )
+        # pickled, so the margins compare bit for bit
+        items = lv.existence_report(inputs).items
+        assert pickle.dumps(items) == pickle.dumps(reference_existence_items(inputs))
+
+
+@settings(max_examples=100)
+@given(exclusion_or_degenerate_params(), positive_rationals, positive_rationals)
+def test_kernel_bounds_refuse_same_regimes_with_same_message(p, alpha, beta):
+    with pytest.raises(RegimeError) as ref:
+        reference_bounds(p, alpha, beta)
+    with pytest.raises(RegimeError) as got:
+        lv.bounds(p, alpha, beta)
+    assert str(got.value) == str(ref.value)
+    inputs = ExistenceInputs(
+        two_species=p, d3=F(1), sigma3=F(1), c31=alpha, c32=beta, c33=F(1),
+        theta=F(1), K_sub=F(1), K_super=F(2),
+    )
+    with pytest.raises(RegimeError, match=re.escape(str(ref.value))):
+        lv.existence_report(inputs)
+
+
+@pytest.mark.parametrize("alpha, beta", [(float("nan"), 1), (1, float("inf")), (-float("inf"), 1)])
+def test_non_finite_weights_refused(strong_params, alpha, beta):
+    with pytest.raises(ValueError, match="weights must be strictly positive and finite"):
+        lv.bounds(strong_params, alpha, beta)
 
 
 @settings(max_examples=150)

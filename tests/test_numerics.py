@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -455,6 +456,12 @@ class TestSolveFisher:
             tol=1e-10, max_iter=200,
         )
         assert np.max(np.abs(sol.profile.w)) < 1e-6
+
+    @pytest.mark.parametrize("name", ["c33", "d3"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_context_refuses_bad_rates(self, fisher_ctx, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be strictly positive and finite"):
+            replace(fisher_ctx, **{name: value})
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_bad_tol_rejected(self, fisher_ctx, tol):
