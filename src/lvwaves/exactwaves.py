@@ -59,7 +59,7 @@ import numpy as np
 from .errors import ConsistencyError, InfeasibleError, NonPositiveCoefficientError
 from .model import ThreeSpeciesParams, TwoSpeciesParams, _require_positive, coexistence_equilibrium
 from .profiles import WaveProfile
-from .rational import Number, all_exact, parse_number, rel_close
+from .rational import Number, _require_finite, all_exact, parse_number, rel_close
 
 _FREE_FIELDS = ("k1", "k2", "d1", "d2", "d3", "theta", "sigma1", "sigma2", "sigma3")
 
@@ -245,6 +245,7 @@ def two_species_wave_family(
     second growth rate come out of the algebra; use this entry point when
     you want the family member rather than checking given values.
     """
+    _require_finite(d1=d1, d2=d2, sigma1=sigma1, k1=k1)
     if d1 <= 0 or d2 <= 0 or sigma1 <= 0 or k1 <= 0:
         raise ValueError("d1, d2, sigma1, k1 must be strictly positive")
     if not sigma1 > 8 * d1:

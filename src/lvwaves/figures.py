@@ -16,8 +16,9 @@ import numpy as np
 
 from .model import TwoSpeciesParams
 from .nbarrier import BoundSide, _check_weights, conic_classify, construct_barrier
+from .profiles import _write_csv
 from .rational import format_number
-from .report import format_float, write_json
+from .report import write_json
 
 _ONE = Fraction(1)
 _FIG1_BASE = dict(
@@ -49,11 +50,6 @@ _FIG3_CASES = {
     "c": (Fraction(17), Fraction(33), Fraction(2, 3)),
     "d": (Fraction(17), Fraction(18), Fraction(1, 2)),
 }
-
-
-def _write_points(path: Path, pts: list[tuple[float, float]]) -> None:
-    lines = ["u,v"] + [f"{format_float(a)},{format_float(b)}" for a, b in pts]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _line_points(a, b, c, u_max: float, n: int = 201) -> list[tuple[float, float]]:
@@ -137,15 +133,11 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
 
     _check_weights(alpha, beta)
 
-    _write_points(
-        out / "line1.csv", _line_points(p.c11, p.c12, p.sigma1, float(window))
-    )
-    _write_points(
-        out / "line2.csv", _line_points(p.c21, p.c22, p.sigma2, float(window))
-    )
-
-    _write_points(
-        out / "conic.csv", implicit_curve_points(p, alpha, beta, float(window), float(window))
+    uv = ["u", "v"]
+    _write_csv(out / "line1.csv", uv, _line_points(p.c11, p.c12, p.sigma1, float(window)))
+    _write_csv(out / "line2.csv", uv, _line_points(p.c21, p.c22, p.sigma2, float(window)))
+    _write_csv(
+        out / "conic.csv", uv, implicit_curve_points(p, alpha, beta, float(window), float(window))
     )
     conic = conic_classify(p, alpha, beta)
 
@@ -168,8 +160,8 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
             ("barrier_eta.csv", barrier.eta, (alpha, beta)),
         ):
             u_reach = float(level) / float(weight[0])
-            _write_points(
-                out / name, _line_points(weight[0], weight[1], level, min(u_reach, 5.0))
+            _write_csv(
+                out / name, uv, _line_points(weight[0], weight[1], level, min(u_reach, 5.0))
             )
             manifest["files"].append(name)
         manifest["barrier"] = {

@@ -37,7 +37,7 @@ from enum import Enum
 
 from .model import Regime, ThreeSpeciesParams, TwoSpeciesParams, _ratios, _require_positive
 from .nbarrier import _lower_bound_at, bounds
-from .rational import Number, _is_finite, parse_number
+from .rational import Number, _require_finite, parse_number
 from .report import CheckItem, CheckReport
 
 
@@ -59,9 +59,8 @@ class ExistenceInputs:
 
     def __post_init__(self):
         _require_positive(self, ("d3", "sigma3", "c31", "c32", "c33"))
-        for name in ("theta", "K_sub", "K_super"):  # their signs are H4's to audit
-            if not _is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # their signs are H4's to audit
+        _require_finite(theta=self.theta, K_sub=self.K_sub, K_super=self.K_super)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExistenceInputs":

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .model import ThreeSpeciesParams, TwoSpeciesParams, _require_positive
 from .profiles import ScalarProfile, WaveProfile, check_grid_bounds, uniform_grid
-from .rational import Number
+from .rational import Number, _require_finite
 from .report import CheckItem, CheckReport, format_float
 
 BLOWUP_LIMIT = 1e12
@@ -444,6 +444,7 @@ class FisherContext:
 
     def __post_init__(self):
         _require_positive(self, ("c33", "d3"))
+        _require_finite(theta=self.theta, sigma3=self.sigma3, c31=self.c31, c32=self.c32)
 
     def linear_coefficient(self) -> np.ndarray:
         """sigma3 - c31 u - c32 v on the background grid."""

@@ -2,7 +2,9 @@
 
 CSV files carry a header row (``x,u,v`` or ``x,u,v,w`` or ``x,w``), comma
 delimiters, LF line endings, and floats at 17 significant digits, so a
-written profile reloads bit-identically.
+written profile reloads bit-identically.  I/O is per array, not per cell: a
+write checks finiteness once and formats the whole body in one call, and a
+read converts every cell in one call with the number syntax of ``float()``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .report import format_float
 
 #: Relative tolerance on grid-spacing uniformity.
 GRID_UNIFORMITY_TOL = 1e-12
@@ -32,11 +32,11 @@ def _check_grid(x: np.ndarray) -> None:
         raise ValueError("grid spacing is not uniform")
 
 
-def _check_samples(name: str, a: np.ndarray) -> None:
+def _check_samples(name: str, a: np.ndarray, nonneg: bool = True) -> None:
     if not np.isfinite(a).all():
         bad = float(a[~np.isfinite(a)][0])
         raise ValueError(f"{name} samples must be finite, got {bad}")
-    if np.any(a < 0):
+    if nonneg and np.any(a < 0):
         worst = float(np.min(a))
         raise ValueError(f"{name} samples must be nonnegative (min {worst})")
 
@@ -70,7 +70,7 @@ class WaveProfile:
     def to_csv(self, path) -> None:
         names = ["x", "u", "v"] + (["w"] if self.w is not None else [])
         cols = [self.x, self.u, self.v] + ([self.w] if self.w is not None else [])
-        _write_csv(path, names, cols)
+        _write_csv(path, names, np.column_stack(cols))
 
     @classmethod
     def from_csv(cls, path) -> "WaveProfile":
@@ -94,9 +94,10 @@ class ScalarProfile:
         _check_grid(self.x)
         if self.w.shape != self.x.shape:
             raise ValueError("w must match the grid shape")
+        _check_samples("w", self.w, nonneg=False)
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ["x", "w"], [self.x, self.w])
+        _write_csv(path, ["x", "w"], np.column_stack([self.x, self.w]))
 
     @classmethod
     def from_csv(cls, path) -> "ScalarProfile":
@@ -122,22 +123,33 @@ def uniform_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
     return np.linspace(x_min, x_max, n)
 
 
-def _write_csv(path, names: list[str], cols: list[np.ndarray]) -> None:
-    lines = [",".join(names)]
-    for row in zip(*cols):
-        lines.append(",".join(format_float(val) for val in row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+def _write_csv(path, names: list[str], rows) -> None:
+    """Write ``rows`` (one row per sample, one column per name) under a
+    header line, every value at 17 significant digits."""
+    data = np.asarray(rows, dtype=float).reshape(-1, len(names))
+    bad = ~np.isfinite(data)
+    if bad.any():
+        raise ValueError(f"non-finite value in report: {float(data[bad][0])}")
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    body = "".join([row] * len(data)) % tuple(data.ravel().tolist())
+    Path(path).write_text(",".join(names) + "\n" + body, newline="\n")
 
 
 def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:
-    text = Path(path).read_text()
-    rows = [line.split(",") for line in text.strip().splitlines()]
-    if not rows:
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines:
         raise ValueError(f"empty CSV {path}")
-    names = [name.strip() for name in rows[0]]
-    data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(names):
+    names = [name.strip() for name in lines[0].split(",")]
+    body = lines[1:]
+    # one cell per name on every row, so a blank or ragged row is refused
+    # before the cells are joined into one flat list
+    if not body or any(line.count(",") != len(names) - 1 for line in body):
         raise ValueError(f"malformed CSV {path}")
+    try:
+        data = np.array(",".join(body).split(","), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"malformed CSV {path}: {exc}") from None
+    data = data.reshape(len(body), len(names))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite value in CSV {path}")
-    return names, [data[:, j] for j in range(len(names))]
+    return names, list(data.T)

@@ -60,6 +60,13 @@ def _is_finite(value: Number) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+def _require_finite(**values: Number) -> None:
+    """Raise ``ValueError`` naming the first keyword whose value is NaN or infinite."""
+    for name, value in values.items():
+        if not _is_finite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def format_number(value: Number) -> str:
     """Render a number for reports: exact values verbatim, floats at 17 sig digits."""
     if isinstance(value, (int, Fraction)):

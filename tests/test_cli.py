@@ -248,6 +248,20 @@ class TestProfileCommands:
         assert main(argv) == 2
         assert str(wave) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["ragged row", "blank line"])
+    def test_malformed_init_csv_is_usage_error(self, tmp_path, paper_spec, capsys, defect):
+        three = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        params = write_json(tmp_path / "p.json", three)
+        wave = tmp_path / "wave.csv"
+        lv.wave_profile(paper_spec, np.linspace(-20, 20, 401)).to_csv(wave)
+        lines = wave.read_text().splitlines()
+        lines[200] = lines[200].rsplit(",", 1)[0] if defect == "ragged row" else ""
+        wave.write_text("\n".join(lines) + "\n")
+        argv = ["simulate", "--params", params, "--init", str(wave), "--t-end", "0.1",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"malformed CSV {wave}" in capsys.readouterr().err
+
     def test_csv_roundtrip_lossless(self, tmp_path, paper_spec):
         x = np.linspace(-15, 15, 301)
         prof = lv.wave_profile(paper_spec, x)

@@ -207,6 +207,14 @@ class TestTwoSpeciesWave:
         with pytest.raises(InfeasibleError, match="sigma1"):
             lv.two_species_wave_family(F(1), F(1), F(8), F(1))
 
+    @pytest.mark.parametrize("index,name", enumerate(["d1", "d2", "sigma1", "k1"]))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_family_input_is_bad_input(self, index, name, bad):
+        args = [F(1), F(1), F(41), F(1)]
+        args[index] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+            lv.two_species_wave_family(*args)
+
     def test_sympy_two_species_oracle(self):
         # residual of the ansatz under the induced two-species constraints
         import sympy as sp

@@ -326,6 +326,13 @@ class TestSimulatePde:
         with pytest.raises(ValueError, match=match):
             lv.WaveProfile(x=x, u=u, v=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scalar_profile_refuses_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match=f"w samples must be finite, got {bad}"):
+            lv.ScalarProfile(x=[0.0, 1.0, 2.0], w=[0.0, bad, 1.0])
+        # negative samples stay allowed: a scalar solution need not be a density
+        assert lv.ScalarProfile(x=[0.0, 1.0, 2.0], w=[0.0, -1.0, 1.0]).w[1] == -1.0
+
     def test_snapshots_roundtrip(self, tmp_path, strong_params):
         grid = GridSpec(-5.0, 5.0, 51)
         x = grid.x()
@@ -461,6 +468,12 @@ class TestSolveFisher:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_context_refuses_bad_rates(self, fisher_ctx, name, value):
         with pytest.raises(ValueError, match=f"{name} must be strictly positive and finite"):
+            replace(fisher_ctx, **{name: value})
+
+    @pytest.mark.parametrize("name", ["theta", "sigma3", "c31", "c32"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_context_refuses_non_finite_fields(self, fisher_ctx, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             replace(fisher_ctx, **{name: value})
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
