@@ -3,7 +3,6 @@ competitive Lotka-Volterra traveling waves."""
 
 from .model import (
     Equilibrium2,
-    EquilibriumKind,
     Regime,
     ThreeSpeciesParams,
     TwoSpeciesParams,

@@ -85,6 +85,7 @@ class FreeParams:
 
     def __post_init__(self):
         _require_positive(self, ("k1", "k2", "d1", "d2", "d3", "sigma1", "sigma2", "sigma3"))
+        _require_finite(theta=self.theta)
         if 2 * self.d1 + self.theta == 0:
             raise ValueError("2*d1 + theta must be nonzero")
 

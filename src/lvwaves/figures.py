@@ -15,10 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .model import TwoSpeciesParams
-from .nbarrier import BoundSide, _check_weights, conic_classify, construct_barrier
+from .nbarrier import BoundSide, conic_classify, construct_barrier
 from .profiles import _write_csv
 from .rational import format_number
 from .report import write_json
+
+#: Lines per axis of the grid whose lines are intersected with F(u, v) = 0.
+CURVE_GRID_LINES = 161
 
 _ONE = Fraction(1)
 _FIG1_BASE = dict(
@@ -76,9 +79,10 @@ def _grid_line_roots(a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def implicit_curve_points(
-    p: TwoSpeciesParams, alpha, beta, u_max: float, v_max: float, n: int = 161
+    p: TwoSpeciesParams, alpha, beta, u_max: float, v_max: float
 ) -> list[tuple[float, float]]:
-    """Points of F(u, v) = 0 on the lines of an n x n grid over the window.
+    """Points of F(u, v) = 0 on the lines of a square grid of
+    :data:`CURVE_GRID_LINES` lines per axis over the window.
 
     On each line u = const, F is a quadratic in v with leading coefficient
     -beta c22; on each line v = const, a quadratic in u with leading
@@ -91,8 +95,8 @@ def implicit_curve_points(
     s1, s2, c11, c12, c21, c22 = (
         float(x) for x in (p.sigma1, p.sigma2, p.c11, p.c12, p.c21, p.c22)
     )
-    us = np.linspace(0.0, u_max, n)
-    vs = np.linspace(0.0, v_max, n)
+    us = np.linspace(0.0, u_max, CURVE_GRID_LINES)
+    vs = np.linspace(0.0, v_max, CURVE_GRID_LINES)
     cross = beta * c21 + alpha * c12
     v_roots = _grid_line_roots(
         -beta * c22, beta * s2 - cross * us, alpha * us * (s1 - c11 * us)
@@ -130,8 +134,6 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
         barrier = construct_barrier(p, alpha, beta, side)
     else:
         raise ValueError("which must be fig1, fig2, or fig3")
-
-    _check_weights(alpha, beta)
 
     uv = ["u", "v"]
     _write_csv(out / "line1.csv", uv, _line_points(p.c11, p.c12, p.sigma1, float(window)))

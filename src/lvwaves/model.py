@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, SingularLinesError
-from .rational import Number, _is_finite, parse_number
+from .rational import Number, _is_finite, _require_finite, parse_number
 
 #: Default relative tolerance on the cross products sigma1*c21 vs sigma2*c11
 #: and sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a
@@ -151,16 +151,8 @@ class ThreeSpeciesParams:
         )
 
 
-class EquilibriumKind(Enum):
-    E1_ORIGIN = "E1_origin"
-    E2_U_ONLY = "E2_u_only"
-    E3_V_ONLY = "E3_v_only"
-    E4_COEXISTENCE = "E4_coexistence"
-
-
 @dataclass(frozen=True)
 class Equilibrium2:
-    kind: EquilibriumKind
     u: Number
     v: Number
 
@@ -178,13 +170,10 @@ class Regime(Enum):
 
 
 def equilibria(p: TwoSpeciesParams) -> list[Equilibrium2]:
-    """All four kinetic equilibria (the coexistence one only when it exists)."""
+    """All four kinetic equilibria, in the order origin, u-only, v-only, then
+    coexistence (the last only when the zero-growth lines intersect)."""
     (u_axis, _), (v_axis, _), _ = _ratios(p, p.sigma1, p.sigma2)
-    out = [
-        Equilibrium2(EquilibriumKind.E1_ORIGIN, 0, 0),
-        Equilibrium2(EquilibriumKind.E2_U_ONLY, u_axis, 0),
-        Equilibrium2(EquilibriumKind.E3_V_ONLY, 0, v_axis),
-    ]
+    out = [Equilibrium2(0, 0), Equilibrium2(u_axis, 0), Equilibrium2(0, v_axis)]
     try:
         out.append(coexistence_equilibrium(p))
     except SingularLinesError:
@@ -210,7 +199,7 @@ def coexistence_equilibrium(p: TwoSpeciesParams) -> Equilibrium2:
         )
     u_star = (p.c22 * p.sigma1 - p.c12 * p.sigma2) / det
     v_star = (p.c11 * p.sigma2 - p.c21 * p.sigma1) / det
-    return Equilibrium2(EquilibriumKind.E4_COEXISTENCE, u_star, v_star)
+    return Equilibrium2(u_star, v_star)
 
 
 def _compare(lhs: Number, rhs: Number, tol: float) -> int:
@@ -277,6 +266,7 @@ def evenness_index(u: Number, v: Number) -> float:
     """
     if u < 0 or v < 0:
         raise DomainError(f"densities must be nonnegative, got u={u}, v={v}")
+    _require_finite(u=u, v=v)
     total = u + v
     if total == 0:
         raise DomainError("evenness index undefined for u + v == 0")

@@ -41,22 +41,6 @@ from .profiles import WaveProfile
 from .rational import Number, _is_finite
 from .report import CheckItem, CheckReport
 
-__all__ = [
-    "BoundPair",
-    "ConicKind",
-    "ConicClass",
-    "BoundSide",
-    "BarrierLines",
-    "WaveProfile",
-    "F_value",
-    "lower_bound",
-    "upper_bound",
-    "bounds",
-    "conic_classify",
-    "construct_barrier",
-    "verify_bounds_on_profile",
-]
-
 #: Relative tolerance (against the dominant squared term) below which the
 #: conic discriminant counts as zero.
 PARABOLA_TOL = 1e-9
@@ -152,19 +136,18 @@ def bounds(p: TwoSpeciesParams, alpha: Number, beta: Number) -> BoundPair:
     )
 
 
-def conic_classify(
-    p: TwoSpeciesParams, alpha: Number, beta: Number, tol: float = PARABOLA_TOL
-) -> ConicClass:
+def conic_classify(p: TwoSpeciesParams, alpha: Number, beta: Number) -> ConicClass:
     """Classify the quadratic curve F(u, v) = 0 by its discriminant.
 
-    D = (alpha c12 + beta c21)^2 - 4 alpha beta c11 c22.  |D| within ``tol``
-    of zero relative to the squared term classifies as a parabola.  Under
-    strong competition D is provably positive (always a hyperbola).
+    D = (alpha c12 + beta c21)^2 - 4 alpha beta c11 c22.  |D| within
+    :data:`PARABOLA_TOL` of zero relative to the squared term classifies as a
+    parabola.  Under strong competition D is provably positive (always a
+    hyperbola).
     """
     _check_weights(alpha, beta)
     cross = alpha * p.c12 + beta * p.c21
     disc = cross * cross - 4 * alpha * beta * p.c11 * p.c22
-    if abs(disc) <= tol * cross * cross:
+    if abs(disc) <= PARABOLA_TOL * cross * cross:
         kind = ConicKind.PARABOLA
     elif disc > 0:
         kind = ConicKind.HYPERBOLA

@@ -144,6 +144,7 @@ def integrate_ode(
         raise ValueError("initial densities must be nonnegative")
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
+    _require_finite(u0=u0, v0=v0, t_end=t_end, dt=dt)
     s1, s2 = float(p.sigma1), float(p.sigma2)
     a11, a12 = float(p.c11), float(p.c12)
     a21, a22 = float(p.c21), float(p.c22)
@@ -178,6 +179,10 @@ class Snapshots:
     times: np.ndarray
     profiles: tuple[WaveProfile, ...]
 
+    def __post_init__(self):
+        if len(self.times) != len(self.profiles):
+            raise ValueError(f"{len(self.times)} times for {len(self.profiles)} snapshots")
+
     @property
     def x(self) -> np.ndarray:
         return self.profiles[0].x
@@ -208,7 +213,11 @@ class Snapshots:
     def from_dir(cls, out_dir) -> "Snapshots":
         out = Path(out_dir)
         manifest = json.loads((out / "manifest.json").read_text())
-        profiles = tuple(WaveProfile.from_csv(out / f) for f in manifest["files"])
+        paths = [out / f for f in manifest["files"]]
+        profiles = tuple(WaveProfile.from_csv(path) for path in paths)
+        for path, prof in zip(paths[1:], profiles[1:]):
+            if not np.array_equal(prof.x, profiles[0].x):
+                raise ValueError(f"snapshot {path} is not on the grid of {paths[0]}")
         times = np.array([float(t) for t in manifest["times"]])
         return cls(times=times, profiles=profiles)
 
@@ -409,14 +418,17 @@ def estimate_front_speed(
 ) -> FrontSpeedEstimate:
     """Linear fit of the level-set position against time.
 
-    Each snapshot must cross ``level`` exactly once in x.  Positions are
-    refined with a local cubic interpolant around the bracketing cell.
+    Each snapshot must lie on the first one's grid and cross ``level``
+    exactly once in x.  Positions are refined with a local cubic interpolant
+    around the bracketing cell.
     """
     if len(snapshots.profiles) < 2:
         raise ValueError("need at least two snapshots")
     fields = [getattr(prof, component, None) for prof in snapshots.profiles]
     if any(f is None for f in fields):
         raise ValueError(f"snapshots carry no component {component!r}")
+    if any(not np.array_equal(prof.x, snapshots.x) for prof in snapshots.profiles[1:]):
+        raise ValueError("snapshots are not all on one grid")
     positions = np.array([_crossing_position(snapshots.x, f, level) for f in fields])
     slope, intercept = np.polyfit(snapshots.times, positions, 1)
     fit = slope * snapshots.times + intercept
@@ -445,6 +457,8 @@ class FisherContext:
     def __post_init__(self):
         _require_positive(self, ("c33", "d3"))
         _require_finite(theta=self.theta, sigma3=self.sigma3, c31=self.c31, c32=self.c32)
+        if self.background.x.size < 3:
+            raise ValueError("background grid needs at least three nodes")
 
     def linear_coefficient(self) -> np.ndarray:
         """sigma3 - c31 u - c32 v on the background grid."""
@@ -589,6 +603,8 @@ def solve_fisher_bvp(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if relaxation is not None:
+        _require_finite(relaxation=relaxation)
     x = ctx.background.x
     n = x.size
     h = float(x[1] - x[0])

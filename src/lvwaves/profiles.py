@@ -75,7 +75,7 @@ class WaveProfile:
     @classmethod
     def from_csv(cls, path) -> "WaveProfile":
         names, cols = _read_csv(path)
-        if names[:3] != ["x", "u", "v"]:
+        if names not in (["x", "u", "v"], ["x", "u", "v", "w"]):
             raise ValueError(f"expected header x,u,v[,w], got {','.join(names)}")
         w = cols[3] if len(cols) > 3 else None
         return cls(x=cols[0], u=cols[1], v=cols[2], w=w)

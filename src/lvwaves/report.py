@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Mapping
 
 import numpy as np
@@ -62,21 +61,13 @@ def format_float(x: float) -> str:
 
 
 def render_json(value: Any, indent: int = 0) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting.
-
-    Fractions are emitted as strings like "41/5" so exact results survive the
-    round trip verbatim.
-    """
+    """Deterministic JSON text: sorted keys, fixed float formatting."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, Fraction):
-        return f'"{value}"'
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
     if isinstance(value, str):
@@ -84,8 +75,6 @@ def render_json(value: Any, indent: int = 0) -> str:
             value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         )
         return f'"{escaped}"'
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

@@ -368,6 +368,104 @@ class TestSimulationCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("x2", [np.linspace(-34, 46, 801), np.linspace(-40, 40, 401)],
+                             ids=["shifted", "coarser"])
+    def test_speed_refuses_snapshot_off_the_first_grid(
+        self, tmp_path, demo_two_wave, capsys, x2
+    ):
+        # a standing front whose second file is resampled on another grid
+        x = np.linspace(-40, 40, 801)
+        snaps = lv.Snapshots(
+            times=np.array([0.0, 1.0]),
+            profiles=(demo_two_wave.profile(x), demo_two_wave.profile(x)),
+        )
+        snaps.to_dir(tmp_path / "snapshots")
+        demo_two_wave.profile(x2).to_csv(tmp_path / "snapshots" / "snapshot_0001.csv")
+        code = main(
+            ["speed", "--snapshots", str(tmp_path / "snapshots"), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "snapshot_0001.csv is not on the grid of" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_speed_refuses_times_that_do_not_match_the_files(
+        self, tmp_path, demo_two_wave, capsys
+    ):
+        x = np.linspace(-40, 40, 801)
+        snaps = lv.Snapshots(
+            times=np.array([0.0, 1.0]),
+            profiles=(demo_two_wave.profile(x), demo_two_wave.profile(x)),
+        )
+        snaps.to_dir(tmp_path / "snapshots")
+        manifest = tmp_path / "snapshots" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "times": data["times"][:1]}))
+        code = main(
+            ["speed", "--snapshots", str(tmp_path / "snapshots"), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "1 times for 2 snapshots" in capsys.readouterr().err
+
+    def test_simulate_with_explicit_dt(self, tmp_path, paper_spec):
+        cfgd = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        params = write_json(tmp_path / "p.json", cfgd)
+        lv.wave_profile(paper_spec, np.linspace(-20, 20, 401)).to_csv(tmp_path / "init.csv")
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--params", params, "--init", str(tmp_path / "init.csv"),
+             "--t-end", "0.01", "--dt", "0.001", "--n-snapshots", "11", "--out", str(out)]
+        )
+        assert code == 0
+        assert report(out)["dt"] == 0.001
+        times = lv.Snapshots.from_dir(out / "snapshots").times
+        assert times == pytest.approx(np.arange(11) * 0.001, abs=1e-15)
+
+    def test_fisher_failing_candidates_exit_1(self, tmp_path, demo_two_wave):
+        demo_two_wave.profile(np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+        # K_super = 1 lies below the carrying level sigma3/c33, so it is no supersolution
+        cfgd = {
+            "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+            "K_sub": 1, "K_super": 1,
+        }
+        params = write_json(tmp_path / "p.json", cfgd)
+        out = tmp_path / "out"
+        code = main(
+            ["fisher", "--params", params, "--background", str(tmp_path / "bg.csv"),
+             "--out", str(out)]
+        )
+        assert code == 1
+        data = report(out)
+        assert data["solved"] is False
+        assert data["sub_check"]["pass"] and not data["super_check"]["pass"]
+        assert not (out / "w.csv").exists()
+
+    @pytest.mark.parametrize(
+        "n, flags, message",
+        [
+            (2, [], "grid needs at least three nodes"),
+            (801, ["--relaxation", "nan"], "relaxation must be finite, got nan"),
+            (801, ["--relaxation", "inf"], "relaxation must be finite, got inf"),
+        ],
+        ids=["two-node-background", "relaxation-nan", "relaxation-inf"],
+    )
+    def test_fisher_bad_input_is_usage_error(
+        self, tmp_path, demo_two_wave, capsys, n, flags, message
+    ):
+        demo_two_wave.profile(np.linspace(-40, 40, n)).to_csv(tmp_path / "bg.csv")
+        cfgd = {
+            "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+            "K_sub": 1, "K_super": 12,
+        }
+        params = write_json(tmp_path / "p.json", cfgd)
+        code = main(
+            ["fisher", "--params", params, "--background", str(tmp_path / "bg.csv"), *flags,
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestFigureData:
     def test_fig2_case_a_levels(self, tmp_path):

@@ -341,3 +341,10 @@ def test_exact_and_float_modes_agree_to_one_ulp(k1, k2, d1, d2, d3, th, s1, s2, 
     ):
         for e_val, f_val in zip(exact_row, float_row):
             assert ulp_distance(float(e_val), f_val) <= 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_free_params_refuse_non_finite_theta(paper_free, value):
+    fields = {k: getattr(paper_free, k) for k in lv.FreeParams.__dataclass_fields__}
+    with pytest.raises(ValueError, match=f"theta must be finite, got {value}"):
+        lv.FreeParams(**{**fields, "theta": value})

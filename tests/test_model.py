@@ -269,3 +269,18 @@ def test_three_species_params_refuse_non_finite(name, wording, value):
     three = dict(_BLOCK, d3=1, sigma3=1, c13=0, c23=0, c31=1, c32=1, c33=1)
     with pytest.raises(ValueError, match=f"{name} must be {wording}, got"):
         lv.ThreeSpeciesParams(**{**three, name: value})
+
+
+@pytest.mark.parametrize("u, v, name", [
+    (math.nan, 1, "u"), (math.inf, 1, "u"), (1, math.nan, "v"), (1, math.inf, "v"),
+])
+def test_evenness_refuses_non_finite(u, v, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+        lv.evenness_index(u, v)
+
+
+def test_equilibria_come_in_their_documented_order(strong_params):
+    origin, u_only, v_only, coexistence = lv.model.equilibria(strong_params)
+    assert (origin.u, origin.v, u_only.v, v_only.u) == (0, 0, 0, 0)
+    assert (u_only.u, v_only.v) == (1, 1)
+    assert coexistence == lv.coexistence_equilibrium(strong_params)

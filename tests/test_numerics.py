@@ -129,6 +129,15 @@ class TestIntegrateOde:
         with pytest.raises(ValueError):
             lv.integrate_ode(strong_params, -0.1, 0.5, t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("name, value", [
+        ("u0", np.nan), ("u0", np.inf), ("v0", np.nan), ("t_end", np.inf), ("t_end", np.nan),
+        ("dt", np.nan),
+    ])
+    def test_non_finite_argument_rejected(self, strong_params, name, value):
+        kwargs = {"u0": 0.5, "v0": 0.5, "t_end": 1.0, "dt": 0.05, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            lv.integrate_ode(strong_params, **kwargs)
+
 
 @settings(max_examples=15, deadline=None)
 @given(
@@ -191,6 +200,13 @@ class TestSimulatePde:
         init = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.ones_like(x))
         with pytest.raises(ValueError):
             lv.simulate_pde(paper_spec.params, init, SimConfig(grid=grid, t_end=0.1))
+
+    @pytest.mark.parametrize("x", [np.linspace(-5.0, 5.0, 51), np.linspace(-4.0, 6.0, 101)])
+    def test_init_off_the_configured_grid_rejected(self, strong_params, x):
+        init = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.ones_like(x))
+        cfg = SimConfig(grid=GridSpec(-5.0, 5.0, 101), t_end=0.1)
+        with pytest.raises(ValueError, match="not sampled on the configured grid"):
+            lv.simulate_pde(strong_params, init, cfg)
 
     def test_nonnegative_and_bounded_by_upper_bound(self, strong_params):
         # initial combined density at or below the closed-form ceiling
@@ -391,6 +407,37 @@ class TestFrontSpeed:
         with pytest.raises(LevelNotCrossedError):
             lv.estimate_front_speed(snaps, "w", 0.5)
 
+    def test_level_on_a_node_is_read_off_the_node(self):
+        # u = max(0, 5 + t - x) meets the level 2 exactly at the node x = 3 + t
+        x = np.linspace(0.0, 10.0, 11)
+        profiles = tuple(
+            lv.WaveProfile(x=x, u=np.maximum(0.0, 5.0 + t - x), v=np.zeros_like(x))
+            for t in (0.0, 1.0)
+        )
+        snaps = Snapshots(times=np.array([0.0, 1.0]), profiles=profiles)
+        est = lv.estimate_front_speed(snaps, "u", 2.0)
+        assert est.positions.tolist() == [3.0, 4.0]
+        assert est.speed == pytest.approx(1.0, abs=1e-12)
+
+    def test_single_snapshot_rejected(self, paper_spec):
+        snaps = self._translated_snapshots(paper_spec, n_shots=1)
+        with pytest.raises(ValueError, match="need at least two snapshots"):
+            lv.estimate_front_speed(snaps, "u", 0.4)
+
+    def test_snapshots_refuse_a_time_count_off_the_profile_count(self, paper_spec):
+        snaps = self._translated_snapshots(paper_spec, n_shots=2)
+        with pytest.raises(ValueError, match="1 times for 2 snapshots"):
+            Snapshots(times=snaps.times[:1], profiles=snaps.profiles)
+
+    def test_speed_refuses_snapshots_on_two_grids(self, paper_spec):
+        snaps = self._translated_snapshots(paper_spec, n_shots=2)
+        first = snaps.profiles[0]
+        for x in (first.x + 6.0, first.x[::2]):
+            moved = lv.WaveProfile(x=x, u=first.u[: x.size], v=first.v[: x.size])
+            two_grids = Snapshots(times=snaps.times, profiles=(first, moved))
+            with pytest.raises(ValueError, match="not all on one grid"):
+                lv.estimate_front_speed(two_grids, "u", 0.4)
+
 
 class TestSubSuper:
     def test_constant_super_at_replaced_background(self):
@@ -505,6 +552,27 @@ class TestSolveFisher:
                 tol=1e-12,
                 max_iter=2,
             )
+
+    @pytest.mark.parametrize("relaxation", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_relaxation_rejected(self, fisher_ctx, relaxation):
+        with pytest.raises(ValueError, match=f"relaxation must be finite, got {relaxation}"):
+            lv.solve_fisher_bvp(
+                fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0),
+                relaxation=relaxation,
+            )
+
+    def test_relaxation_below_slope_bound_rejected(self, fisher_ctx):
+        with pytest.raises(ValueError, match="relaxation 1.0 is below the reaction slope bound"):
+            lv.solve_fisher_bvp(
+                fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0),
+                relaxation=1.0,
+            )
+
+    def test_context_refuses_background_of_two_nodes(self, fisher_ctx):
+        x = np.array([0.0, 1.0])
+        background = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.zeros_like(x))
+        with pytest.raises(ValueError, match="grid needs at least three nodes"):
+            replace(fisher_ctx, background=background)
 
     def test_iterates_decrease_monotonically(self, fisher_ctx):
         # the one-sweep result dominates the converged solution pointwise

@@ -202,3 +202,12 @@ def test_figure_files_match_reference_writer(tmp_path, monkeypatch, which, case)
     assert ref_files == sorted(p.name for p in (tmp_path / "new").iterdir())
     for name in ref_files:
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+@pytest.mark.parametrize("header", ["x,u,v,q,z", "x,u,v,q", "x,u,v,w,z", "x,v,u", "x,u"])
+def test_wave_profile_takes_only_its_two_headers(tmp_path, header):
+    path = tmp_path / "p.csv"
+    n = header.count(",") + 1
+    path.write_text(header + "\n" + "\n".join(",".join([str(i)] * n) for i in range(3)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"expected header x,u,v[,w], got {header}")):
+        WaveProfile.from_csv(path)
