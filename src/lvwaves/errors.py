@@ -43,7 +43,8 @@ class BlowupDetectedError(LVError):
 
 
 class CFLViolationError(LVError):
-    """Explicit time step exceeds the diffusive stability bound."""
+    """Explicit time step exceeds the scheme's stability bound on diffusion plus
+    reaction."""
 
 
 class NegativeDensityError(LVError):

@@ -10,10 +10,13 @@ exponentially along the front; the fourth-order seed keeps tracking errors
 within tolerance on coarse grids where the second-order seed cannot.
 Zero-flux boundaries use ghost-node reflection.
 
-Explicit schemes enforce dt <= 2 / lambda_max with lambda_max the spectral
-bound of the discrete diffusion (4 d / h^2 at second order, giving the
-classical dt <= h^2 / (2 max d); 16 d / (3 h^2) at fourth order), and
-dt="auto" takes 80 percent of that bound.  Each simulation run is
+Explicit schemes enforce dt <= C / lambda, where C is the scheme's real
+stability interval (2 for forward Euler, 2.785 for classical RK4) and
+lambda = (4 or 16/3) max d / h^2 + R adds the spectral bound of the
+discrete diffusion at second or fourth order to R, a Gershgorin bound on the
+reaction Jacobian over the initial state's range.  dt="auto" takes 80
+percent of that bound; an explicit dt above it is refused before the first
+step, naming the term that binds.  Each simulation run is
 sequential and deterministic; independent runs may execute in parallel.
 Each step runs in buffers allocated once per run, with the interior stencil
 on the flat (species * n) state buffer, and its results are bit-identical to
@@ -46,7 +49,7 @@ from .rational import Number, _require_finite
 from .report import CheckItem, CheckReport, format_float
 
 BLOWUP_LIMIT = 1e12
-#: Share of the diffusive stability bound 2/lambda_max used when dt="auto".
+#: Share of the stability bound C / lambda used when dt="auto".
 AUTO_DT_FRACTION = 0.8
 #: Slack allowed when asserting monotone-iteration ordering (roundoff only).
 ORDERING_SLACK = 1e-10
@@ -64,6 +67,12 @@ class BoundaryKind(Enum):
 class Scheme(Enum):
     EXPLICIT_EULER = "ExplicitEuler"
     RK4MOL = "RK4MOL"
+
+
+#: Real stability interval C of each scheme: a step dt is stable on the
+#: eigenvalue -lambda when dt * lambda <= C (classical RK4: Hairer and
+#: Wanner, Solving ODEs II, section IV.2).
+STABILITY_INTERVAL = {Scheme.EXPLICIT_EULER: 2.0, Scheme.RK4MOL: 2.785}
 
 
 @dataclass(frozen=True)
@@ -107,18 +116,44 @@ class SimConfig:
         if self.n_snapshots < 1:
             raise ValueError(f"n_snapshots must be at least 1, got {self.n_snapshots}")
 
-    def resolve_dt(self, max_diffusion: float) -> float:
+    def resolve_dt(self, max_diffusion: float, max_reaction: float) -> float:
+        """The time step before rounding to whole steps: ``AUTO_DT_FRACTION``
+        of C / lambda for dt="auto", else the explicit dt, which must not
+        exceed C / lambda (``CFLViolationError``)."""
         stencil_bound = 4.0 if self.space_order == 2 else 16.0 / 3.0
-        lambda_max = stencil_bound * max_diffusion / self.grid.h**2
-        cfl = 2.0 / lambda_max
+        diffusion = stencil_bound * max_diffusion / self.grid.h**2
+        bound = STABILITY_INTERVAL[self.scheme] / (diffusion + max_reaction)
         if self.dt == "auto":
-            return AUTO_DT_FRACTION * cfl
+            return AUTO_DT_FRACTION * bound
         dt = float(self.dt)
-        if dt > cfl:
+        if dt > bound:
+            binding = "diffusion" if diffusion >= max_reaction else "reaction"
             raise CFLViolationError(
-                f"dt={dt} exceeds the diffusive CFL bound {cfl} for h={self.grid.h}"
+                f"dt={dt} exceeds the {self.scheme.value} stability bound {bound} "
+                f"for h={self.grid.h}: diffusion term {diffusion}, reaction term "
+                f"{max_reaction}; the {binding} term binds"
             )
         return dt
+
+
+def reaction_bound(sigma: np.ndarray, comp: np.ndarray, state: np.ndarray) -> float:
+    """Gershgorin bound on the reaction Jacobian J = diag(sigma - C s) - diag(s) C
+    over the box between the per-species min and max of ``state``.
+
+    It is the largest row sum of |J|.  The coefficients are nonnegative, so
+    each diagonal entry falls and each off-diagonal entry grows with s, and
+    the box's low and high corners bound every row.  A non-finite state has
+    no bound: 0 is returned, and the step loop's range check reports the
+    state.
+    """
+    lo, hi = state.min(axis=1), state.max(axis=1)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return 0.0
+    c_diag = np.diag(comp)
+    diag_lo = sigma - comp @ lo - c_diag * lo
+    diag_hi = sigma - comp @ hi - c_diag * hi
+    off = hi * (comp.sum(axis=1) - c_diag)
+    return float(np.max(np.maximum(diag_lo, -diag_hi) + off))
 
 
 @dataclass(frozen=True)
@@ -145,6 +180,8 @@ def integrate_ode(
     if t_end <= 0 or dt <= 0:
         raise ValueError("t_end and dt must be positive")
     _require_finite(u0=u0, v0=v0, t_end=t_end, dt=dt)
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end={t_end} and dt={dt} give too many steps to count")
     s1, s2 = float(p.sigma1), float(p.sigma2)
     a11, a12 = float(p.c11), float(p.c12)
     a21, a22 = float(p.c21), float(p.c22)
@@ -180,6 +217,8 @@ class Snapshots:
     profiles: tuple[WaveProfile, ...]
 
     def __post_init__(self):
+        if not self.profiles:
+            raise ValueError("snapshots need at least one profile")
         if len(self.times) != len(self.profiles):
             raise ValueError(f"{len(self.times)} times for {len(self.profiles)} snapshots")
 
@@ -257,7 +296,7 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     state = np.stack([init.u, init.v] + ([init.w] if has_w else [])).astype(float)
 
     h = cfg.grid.h
-    dt = cfg.resolve_dt(float(np.max(diff)))
+    dt = cfg.resolve_dt(float(np.max(diff)), reaction_bound(sigma, comp, state))
     n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
     dt = cfg.t_end / n_steps
 

@@ -408,6 +408,17 @@ class TestSimulationCommands:
         assert code == 2
         assert "1 times for 2 snapshots" in capsys.readouterr().err
 
+    def test_speed_refuses_an_empty_manifest(self, tmp_path, capsys):
+        snapshots = tmp_path / "snapshots"
+        snapshots.mkdir()
+        write_json(snapshots / "manifest.json", {"times": [], "files": []})
+        code = main(
+            ["speed", "--snapshots", str(snapshots), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "snapshots need at least one profile" in capsys.readouterr().err
+
     def test_simulate_with_explicit_dt(self, tmp_path, paper_spec):
         cfgd = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
         params = write_json(tmp_path / "p.json", cfgd)

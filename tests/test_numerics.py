@@ -30,7 +30,21 @@ from lvwaves.numerics import (
 )
 from lvwaves.profiles import uniform_grid
 
+from conftest import as_float, two_species_params
+
 F = Fraction
+# reaction-stiff block: the reaction term, not diffusion, sets the stable step
+STIFF = lv.TwoSpeciesParams(
+    d1=F(1), d2=F(1), sigma1=F(4000), sigma2=F(4000),
+    c11=F(4000), c12=F(8000), c21=F(12000), c22=F(4000),
+)
+
+
+def stiff_start():
+    grid = GridSpec(-10.0, 10.0, 41)
+    x = grid.x()
+    t = np.tanh(x)
+    return grid, lv.WaveProfile(x=x, u=0.5 - 0.5 * t, v=0.5 + 0.5 * t)
 
 
 def reference_simulate(p, init, cfg):
@@ -40,7 +54,7 @@ def reference_simulate(p, init, cfg):
     has_w = init.w is not None
     state = np.stack([init.u, init.v] + ([init.w] if has_w else [])).astype(float)
     h = cfg.grid.h
-    dt = cfg.resolve_dt(float(np.max(diff)))
+    dt = cfg.resolve_dt(float(np.max(diff)), lv.numerics.reaction_bound(sigma, comp, state))
     n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
     dt = cfg.t_end / n_steps
     inv_h2 = 1.0 / (h * h)
@@ -119,6 +133,10 @@ class TestIntegrateOde:
         traj = lv.integrate_ode(p, 0.5, 0.5, t_end=200.0, dt=0.05)
         assert traj.u[-1] == pytest.approx(1.0, abs=1e-4)
         assert traj.v[-1] == pytest.approx(0.0, abs=1e-4)
+
+    def test_step_count_overflow_rejected(self, strong_params):
+        with pytest.raises(ValueError, match=r"t_end=1e\+300 and dt=1e-10"):
+            lv.integrate_ode(strong_params, 0.5, 0.5, t_end=1e300, dt=1e-10)
 
     def test_axis_equilibrium_is_stationary(self, strong_params):
         traj = lv.integrate_ode(strong_params, 1.0, 0.0, t_end=50.0, dt=0.05)
@@ -258,11 +276,14 @@ class TestSimulatePde:
 
     def test_auto_dt_follows_stencil_bound(self):
         grid = GridSpec(-1.0, 1.0, 21)
-        second = SimConfig(grid=grid, t_end=1.0, space_order=2)
-        fourth = SimConfig(grid=grid, t_end=1.0, space_order=4)
         h2 = grid.h**2
-        assert second.resolve_dt(1.0) == pytest.approx(0.4 * h2)
-        assert fourth.resolve_dt(1.0) == pytest.approx(0.3 * h2)
+        expected = {
+            (Scheme.EXPLICIT_EULER, 2): 0.4, (Scheme.EXPLICIT_EULER, 4): 0.3,
+            (Scheme.RK4MOL, 2): 0.557, (Scheme.RK4MOL, 4): 0.41775,
+        }
+        for (scheme, order), share in expected.items():
+            cfg = SimConfig(grid=grid, t_end=1.0, scheme=scheme, space_order=order)
+            assert cfg.resolve_dt(1.0, 0.0) == pytest.approx(share * h2)
 
     @pytest.mark.parametrize(
         "boundary,scheme,space_order,three",
@@ -304,22 +325,79 @@ class TestSimulatePde:
             d1=F(1), d2=F(1), sigma1=F(4000), sigma2=F(4000),
             c11=F(4000), c12=F(8000), c21=F(12000), c22=F(4000),
         )
-        with pytest.raises(NegativeDensityError, match="at t=0.05; reduce dt"):
+        with pytest.raises(NegativeDensityError, match="at t=0.00143084.*; reduce dt"):
             lv.simulate_pde(stiff, init, cfg)
         # a profile refuses NaN samples, so the NaN is written in after
         # construction and the start is not recorded as a snapshot
         nan = lv.WaveProfile(x=x, u=init.u.copy(), v=init.v)
         nan.u[:] = np.nan
         final_only = SimConfig(grid=grid, t_end=0.1, n_snapshots=1)
-        with pytest.raises(BlowupDetectedError, match="admissible range at t=0.05"):
+        with pytest.raises(BlowupDetectedError, match="admissible range at t=0.1"):
             lv.simulate_pde(strong_params, nan, final_only)
         tiny = F(1, 10**15)
         runaway = lv.TwoSpeciesParams(
             d1=F(1), d2=F(1), sigma1=F(4000), sigma2=F(4000),
             c11=tiny, c12=tiny, c21=tiny, c22=tiny,
         )
-        with pytest.raises(BlowupDetectedError, match="admissible range at t=0.1"):
+        with pytest.raises(BlowupDetectedError, match="admissible range at t=0.00718"):
             lv.simulate_pde(runaway, init, cfg)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_stiff_kinetics_shrink_the_auto_step(self, scheme):
+        grid, init = stiff_start()
+        cfg = SimConfig(grid=grid, t_end=0.1, scheme=scheme, space_order=2)
+        snaps = lv.simulate_pde(STIFF, init, cfg)
+        assert snaps.times[-1] == pytest.approx(0.1)
+        for prof in snaps.profiles:
+            assert np.min(prof.u) >= 0.0 and np.min(prof.v) >= 0.0
+            assert np.max(prof.u + prof.v) <= 1.0 + 1e-12
+
+    def test_explicit_dt_above_the_bound_names_the_binding_term(self, strong_params):
+        grid, init = stiff_start()
+        cfg = SimConfig(grid=grid, t_end=0.1, dt=1e-3, space_order=2)
+        with pytest.raises(CFLViolationError, match="RK4MOL.*the reaction term binds"):
+            lv.simulate_pde(STIFF, init, cfg)
+        fine = GridSpec(-10.0, 10.0, 401)
+        flat = lv.WaveProfile(x=fine.x(), u=np.ones(401), v=np.ones(401))
+        euler = SimConfig(grid=fine, t_end=0.1, dt=0.01, scheme=Scheme.EXPLICIT_EULER)
+        with pytest.raises(CFLViolationError, match="ExplicitEuler.*the diffusion term binds"):
+            lv.simulate_pde(strong_params, flat, euler)
+
+    @settings(max_examples=30, deadline=None)
+    @given(two_species_params(), st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4))
+    def test_reaction_bound_covers_the_jacobian_on_the_box(self, p, corners):
+        _, sigma, comp = lv.numerics._kinetics(as_float(p))
+        lo = np.minimum(corners[:2], corners[2:])
+        hi = np.maximum(corners[:2], corners[2:])
+        bound = lv.numerics.reaction_bound(sigma, comp, np.stack([lo, hi], axis=1))
+        for s in itertools.product(*zip(lo, hi)):
+            s = np.array(s)
+            jac = np.diag(sigma - comp @ s) - s[:, None] * comp
+            assert np.max(np.abs(jac).sum(axis=1)) <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_auto_step_error_is_below_the_tracking_error(self, paper_spec, h):
+        # a quarter of the auto step moves the solution by under 1 % of its
+        # distance to the exact wave, so the time step does not set the error
+        grid = GridSpec(-30.0, 30.0, round(60.0 / h) + 1, BoundaryKind.DIRICHLET_FROM_PROFILE)
+        x = grid.x()
+        init = lv.wave_profile(paper_spec, x)
+        auto = SimConfig(grid=grid, t_end=0.5, n_snapshots=1)
+        _, sigma, comp = lv.numerics._kinetics(paper_spec.params)
+        state = np.stack([init.u, init.v, init.w])
+        dt = auto.resolve_dt(1.0, lv.numerics.reaction_bound(sigma, comp, state))
+        quarter = replace(auto, dt=dt / 4.0)
+        final = [
+            lv.simulate_pde(paper_spec.params, init, cfg).profiles[-1] for cfg in (auto, quarter)
+        ]
+        mask = (x >= -20) & (x <= 20)
+        exact = lv.evaluate_wave(paper_spec, x - 3.0 * 0.5)
+
+        def sup(fields, others):
+            return max(np.max(np.abs(f - g)[mask]) for f, g in zip(fields, others))
+
+        got, finer = ((prof.u, prof.v, prof.w) for prof in final)
+        assert sup(got, finer) < 0.01 * sup(got, exact)
 
     def test_non_finite_grid_bounds_rejected(self):
         with pytest.raises(ValueError, match="x_max must be finite, got inf"):
@@ -428,6 +506,10 @@ class TestFrontSpeed:
         snaps = self._translated_snapshots(paper_spec, n_shots=2)
         with pytest.raises(ValueError, match="1 times for 2 snapshots"):
             Snapshots(times=snaps.times[:1], profiles=snaps.profiles)
+
+    def test_snapshots_refuse_an_empty_run(self):
+        with pytest.raises(ValueError, match="snapshots need at least one profile"):
+            Snapshots(times=np.array([]), profiles=())
 
     def test_speed_refuses_snapshots_on_two_grids(self, paper_spec):
         snaps = self._translated_snapshots(paper_spec, n_shots=2)
