@@ -21,6 +21,9 @@ sequential and deterministic; independent runs may execute in parallel.
 Each step runs in buffers allocated once per run, with the interior stencil
 on the flat (species * n) state buffer, and its results are bit-identical to
 the straightforward allocating form of the same arithmetic.
+
+The monotone solver's tridiagonal solves use ``scipy.linalg.solve_banded``,
+imported on the first solve: importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BlowupDetectedError,
@@ -190,6 +192,10 @@ def integrate_ode(
         return u * (s1 - a11 * u - a12 * v), v * (s2 - a21 * u - a22 * v)
 
     n_steps = max(1, round(t_end / dt))
+    if n_steps >= np.iinfo(np.intp).max:
+        raise ValueError(
+            f"t_end={t_end} and dt={dt} give {n_steps} steps, more than an array can hold"
+        )
     step = t_end / n_steps
     ts = np.empty(n_steps + 1)
     us = np.empty(n_steps + 1)
@@ -211,7 +217,7 @@ def integrate_ode(
 
 @dataclass(frozen=True)
 class Snapshots:
-    """Solution snapshots of a simulation run at increasing times."""
+    """Solution snapshots of a simulation run at increasing times, all on one grid."""
 
     times: np.ndarray
     profiles: tuple[WaveProfile, ...]
@@ -221,6 +227,8 @@ class Snapshots:
             raise ValueError("snapshots need at least one profile")
         if len(self.times) != len(self.profiles):
             raise ValueError(f"{len(self.times)} times for {len(self.profiles)} snapshots")
+        if any(not np.array_equal(prof.x, self.x) for prof in self.profiles[1:]):
+            raise ValueError("snapshots are not all on one grid")
 
     @property
     def x(self) -> np.ndarray:
@@ -305,21 +313,30 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     d_col = diff[:, None]
     sigma_col = sigma[:, None]
     fourth = cfg.space_order == 4
-    lap = np.empty_like(state)
-    react = np.empty_like(state)
     # The interior stencil runs on the flat (species * n) buffers; the values
-    # it leaves where two rows meet are the boundary columns the closures
-    # below overwrite.
+    # it leaves where two rows meet are in end columns, which the Neumann
+    # closure overwrites and Dirichlet zeroes in ``out``.  The stencil never
+    # writes the first and last entries, so ``lap`` starts at zero: under
+    # Dirichlet, garbage there could overflow before it is zeroed.
+    lap = np.zeros_like(state)
+    react = np.empty_like(state)
     lap_flat = lap.reshape(-1)
     tmp_flat = react.reshape(-1)
+    # the columns beside the ends (1 and n - 2, one column when n = 3), their
+    # left and right neighbours, and the ends 0 and n - 1
+    n = x.size
+    stride = max(n - 3, 1)
+    inner = slice(1, n - 1, stride)
+    left, right = slice(0, n - 2, stride), slice(2, n, stride)
+    ends = slice(0, n, n - 1)
 
     def rhs(s: np.ndarray, out: np.ndarray) -> None:
         flat = s.reshape(-1)
         if fourth:
             mid, tmp = lap_flat[2:-2], tmp_flat[2:-2]
-            np.negative(flat[:-4], out=mid)
-            np.multiply(flat[1:-3], 16.0, out=tmp)
-            np.add(mid, tmp, out=mid)
+            # 16 b - a is -a + 16 b exactly
+            np.multiply(flat[1:-3], 16.0, out=mid)
+            np.subtract(mid, flat[:-4], out=mid)
             np.multiply(flat[2:-2], 30.0, out=tmp)
             np.subtract(mid, tmp, out=mid)
             np.multiply(flat[3:-1], 16.0, out=tmp)
@@ -327,24 +344,22 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
             np.subtract(mid, flat[4:], out=mid)
             np.multiply(mid, inv_h2 / 12.0, out=mid)
             # second-order closure beside each boundary
-            lap[:, 1] = (s[:, 0] - 2.0 * s[:, 1] + s[:, 2]) * inv_h2
-            lap[:, -2] = (s[:, -3] - 2.0 * s[:, -2] + s[:, -1]) * inv_h2
+            lap[:, inner] = (s[:, left] - 2.0 * s[:, inner] + s[:, right]) * inv_h2
         else:
             mid, tmp = lap_flat[1:-1], tmp_flat[1:-1]
             np.multiply(flat[1:-1], 2.0, out=tmp)
             np.subtract(flat[:-2], tmp, out=mid)
             np.add(mid, flat[2:], out=mid)
             np.multiply(mid, inv_h2, out=mid)
-        lap[:, 0] = 2.0 * (s[:, 1] - s[:, 0]) * inv_h2
-        lap[:, -1] = 2.0 * (s[:, -2] - s[:, -1]) * inv_h2
+        if not dirichlet:
+            lap[:, ends] = 2.0 * (s[:, inner] - s[:, ends]) * inv_h2
         np.multiply(d_col, lap, out=lap)
         np.matmul(comp, s, out=react)
         np.subtract(sigma_col, react, out=react)
         np.multiply(s, react, out=react)
         np.add(lap, react, out=out)
         if dirichlet:
-            out[:, 0] = 0.0
-            out[:, -1] = 0.0
+            out[:, ends] = 0.0
 
     if cfg.n_snapshots > 1:
         snap_steps = {
@@ -457,17 +472,14 @@ def estimate_front_speed(
 ) -> FrontSpeedEstimate:
     """Linear fit of the level-set position against time.
 
-    Each snapshot must lie on the first one's grid and cross ``level``
-    exactly once in x.  Positions are refined with a local cubic interpolant
-    around the bracketing cell.
+    Each snapshot must cross ``level`` exactly once in x.  Positions are
+    refined with a local cubic interpolant around the bracketing cell.
     """
     if len(snapshots.profiles) < 2:
         raise ValueError("need at least two snapshots")
     fields = [getattr(prof, component, None) for prof in snapshots.profiles]
     if any(f is None for f in fields):
         raise ValueError(f"snapshots carry no component {component!r}")
-    if any(not np.array_equal(prof.x, snapshots.x) for prof in snapshots.profiles[1:]):
-        raise ValueError("snapshots are not all on one grid")
     positions = np.array([_crossing_position(snapshots.x, f, level) for f in fields])
     slope, intercept = np.polyfit(snapshots.times, positions, 1)
     fit = slope * snapshots.times + intercept
@@ -638,6 +650,9 @@ def solve_fisher_bvp(
     decayed at the grid boundary).  Returns once the discrete residual drops
     below ``tol``; raises :class:`MaxIterExceededError` otherwise.
     """
+    # imported here, not at module level: scipy.linalg doubles every other command's start-up
+    from scipy.linalg import solve_banded
+
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:

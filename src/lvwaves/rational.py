@@ -81,10 +81,3 @@ def rel_close(a: Number, b: Number, tol: float) -> bool:
     if scale == 0:
         return diff == 0
     return diff <= tol * scale
-
-
-def ulp_distance(a: float, b: float) -> float:
-    """Distance between two floats in units of the larger one's ulp."""
-    if a == b:
-        return 0.0
-    return abs(a - b) / math.ulp(max(abs(a), abs(b)))

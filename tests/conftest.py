@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,13 @@ def strong_two_species_params(draw, allow_weak=False):
         c21=(sigma2 * c11 / sigma1) * gap1,
         c12=(sigma1 * c22 / sigma2) * gap2,
     )
+
+
+def ulp_distance(a: float, b: float) -> float:
+    """Distance between two floats in units of the larger one's ulp."""
+    if a == b:
+        return 0.0
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
 
 def as_float(p):

@@ -355,9 +355,10 @@ class TestSimulationCommands:
 
     def test_speed_of_missing_component_is_usage_error(self, tmp_path, demo_two_wave):
         x = np.linspace(-40, 40, 801)
+        ahead = demo_two_wave.profile(x - 6.0)
         snaps = lv.Snapshots(
             times=np.array([0.0, 1.0]),
-            profiles=(demo_two_wave.profile(x), demo_two_wave.profile(x - 6.0)),
+            profiles=(demo_two_wave.profile(x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v)),
         )
         with pytest.raises(ValueError, match="'w'"):
             lv.estimate_front_speed(snaps, "w", 0.4)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 import lvwaves as lv
 from lvwaves.errors import ConsistencyError, InfeasibleError, NonPositiveCoefficientError
 from lvwaves.model import Regime
-from lvwaves.rational import ulp_distance
 
-from conftest import positive_rationals
+from conftest import positive_rationals, ulp_distance
 
 F = Fraction
 

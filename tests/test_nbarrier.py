@@ -13,7 +13,6 @@ from lvwaves.errors import RegimeError
 from lvwaves.model import Regime, classify_regime
 from lvwaves.hypotheses import ExistenceInputs
 from lvwaves.nbarrier import BarrierLines, BoundPair, BoundSide, ConicKind, _check_weights
-from lvwaves.rational import ulp_distance
 from lvwaves.report import CheckItem
 
 from conftest import (
@@ -21,6 +20,7 @@ from conftest import (
     positive_rationals,
     strong_two_species_params,
     two_species_params,
+    ulp_distance,
 )
 
 F = Fraction

@@ -1,6 +1,11 @@
 import itertools
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +142,12 @@ class TestIntegrateOde:
     def test_step_count_overflow_rejected(self, strong_params):
         with pytest.raises(ValueError, match=r"t_end=1e\+300 and dt=1e-10"):
             lv.integrate_ode(strong_params, 0.5, 0.5, t_end=1e300, dt=1e-10)
+
+    @pytest.mark.parametrize("t_end", [1e20, 1e9])
+    def test_step_count_beyond_an_array_rejected(self, strong_params, t_end):
+        message = f"t_end={t_end} and dt=1e-10 give {round(t_end / 1e-10)} steps"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lv.integrate_ode(strong_params, 0.5, 0.5, t_end=t_end, dt=1e-10)
 
     def test_axis_equilibrium_is_stationary(self, strong_params):
         traj = lv.integrate_ode(strong_params, 1.0, 0.0, t_end=50.0, dt=0.05)
@@ -314,6 +325,20 @@ class TestSimulatePde:
         for a, b in itertools.combinations(fields, 2):
             assert not np.shares_memory(a, b)
         assert not any(np.shares_memory(f, c) for f in fields for c in after)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("boundary", list(BoundaryKind))
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_smallest_grids_match_reference(self, paper_spec, n, boundary, space_order):
+        # the boundary columns are addressed by stride n - 3, which these grids
+        # bring to one (n = 4), to zero (n = 3) and to the two-column case
+        grid = GridSpec(-2.0, 2.0, n, boundary)
+        init = lv.wave_profile(paper_spec, grid.x())
+        cfg = SimConfig(grid=grid, t_end=0.01, space_order=space_order, n_snapshots=3)
+        snaps = lv.simulate_pde(paper_spec.params, init, cfg)
+        expected = reference_simulate(paper_spec.params, init, cfg)
+        for prof, ref in zip(snaps.profiles, expected, strict=True):
+            assert np.array_equal(np.stack([prof.u, prof.v, prof.w]), ref)
 
     def test_leaving_the_admissible_range_aborts(self, strong_params):
         grid = GridSpec(-10.0, 10.0, 41)
@@ -516,9 +541,8 @@ class TestFrontSpeed:
         first = snaps.profiles[0]
         for x in (first.x + 6.0, first.x[::2]):
             moved = lv.WaveProfile(x=x, u=first.u[: x.size], v=first.v[: x.size])
-            two_grids = Snapshots(times=snaps.times, profiles=(first, moved))
             with pytest.raises(ValueError, match="not all on one grid"):
-                lv.estimate_front_speed(two_grids, "u", 0.4)
+                Snapshots(times=snaps.times, profiles=(first, moved))
 
 
 class TestSubSuper:
@@ -556,6 +580,31 @@ class TestSubSuper:
 
 
 class TestSolveFisher:
+    def test_only_the_solve_loads_scipy_linalg(self):
+        # a fresh interpreter: this one has loaded scipy.linalg already
+        code = """
+import sys
+import numpy as np
+import lvwaves as lv
+import lvwaves.cli
+assert "scipy.linalg" not in sys.modules, "importing lvwaves loads scipy.linalg"
+x = np.linspace(-10.0, 10.0, 201)
+background = lv.WaveProfile(x=x, u=np.full_like(x, 0.05), v=np.zeros_like(x))
+ctx = lv.FisherContext(
+    d3=1.0, theta=0.5, sigma3=1.0, c31=0.5, c32=0.01, c33=1.0, background=background
+)
+sol = lv.solve_fisher_bvp(ctx, lv.constant_candidate(0.0), lv.constant_candidate(1.0))
+assert sol.residual < 1e-8 and "scipy.linalg" in sys.modules
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
+
     def test_demo_instance_converges(self, fisher_ctx):
         w_sub = lv.tanh_pulse_candidate(1.0)
         w_super = lv.constant_candidate(12.0)
