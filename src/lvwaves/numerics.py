@@ -16,13 +16,22 @@ lambda = (4 or 16/3) max d / h^2 + R adds the spectral bound of the
 discrete diffusion at second or fourth order to R, a Gershgorin bound on the
 reaction Jacobian over the initial state's range.  dt="auto" takes 80
 percent of that bound; an explicit dt above it is refused before the first
-step, naming the term that binds.  Each simulation run is
-sequential and deterministic; independent runs may execute in parallel.
-Each step runs in buffers allocated once per run, with the interior stencil
-on the flat (species * n) state buffer, and its results are bit-identical to
-the straightforward allocating form of the same arithmetic.
+step, naming the term that binds.  A snapshot count above the run's
+n_steps + 1 time levels is refused before the first step.  Each simulation
+run is sequential and deterministic; independent runs may execute in
+parallel.
 
-The monotone solver's tridiagonal solves use ``scipy.linalg.solve_banded``,
+Each step runs in buffers and slice views built once per run, with the
+interior stencil on the flat (species * n) state buffer.  The diffusion and
+growth coefficients are contiguous (species, n) arrays, so no pass
+broadcasts a column, and one 16 s pass per right-hand side feeds both of the
+fourth-order stencil's 16 s[i - 1] and 16 s[i + 1] terms.  A fourth-order
+RK4 step makes 63 full-array passes.  Its results are bit-identical to the
+straightforward allocating form of the same arithmetic.
+
+The monotone solver refuses a grid whose cell Peclet number
+|theta| h / (2 d3) exceeds 1, where its central-difference matrix stops
+being monotone.  Its tridiagonal solves use ``scipy.linalg.solve_banded``,
 imported on the first solve: importing this module does not load scipy.
 """
 
@@ -307,11 +316,19 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     dt = cfg.resolve_dt(float(np.max(diff)), reaction_bound(sigma, comp, state))
     n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
     dt = cfg.t_end / n_steps
+    if cfg.n_snapshots > n_steps + 1:
+        raise ValueError(
+            f"n_snapshots={cfg.n_snapshots} exceeds the {n_steps + 1} time levels "
+            f"of this run: n_steps={n_steps} at dt={dt}"
+        )
 
     dirichlet = cfg.grid.boundary is BoundaryKind.DIRICHLET_FROM_PROFILE
     inv_h2 = 1.0 / (h * h)
-    d_col = diff[:, None]
-    sigma_col = sigma[:, None]
+    n = x.size
+    # full-shape coefficients: the same products as a (species, 1) column,
+    # without the broadcast that makes each pass about twice as slow
+    d_full = np.repeat(diff[:, None], n, axis=1)
+    sigma_full = np.repeat(sigma[:, None], n, axis=1)
     fourth = cfg.space_order == 4
     # The interior stencil runs on the flat (species * n) buffers; the values
     # it leaves where two rows meet are in end columns, which the Neumann
@@ -319,47 +336,69 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     # writes the first and last entries, so ``lap`` starts at zero: under
     # Dirichlet, garbage there could overflow before it is zeroed.
     lap = np.zeros_like(state)
-    react = np.empty_like(state)
-    lap_flat = lap.reshape(-1)
-    tmp_flat = react.reshape(-1)
+    pad = 2 if fourth else 1
+    mid, tmp = lap.reshape(-1)[pad:-pad], np.empty(state.size - 2 * pad)
+    # 16 s on the flat buffer without its first and last entries: 16 s[i - 1]
+    # and 16 s[i + 1] of the fourth-order stencil are both shifted views of it
+    sixteen = np.empty(state.size - 2)
+    sixteen_left, sixteen_right = sixteen[:-2], sixteen[2:]
     # the columns beside the ends (1 and n - 2, one column when n = 3), their
     # left and right neighbours, and the ends 0 and n - 1
-    n = x.size
     stride = max(n - 3, 1)
     inner = slice(1, n - 1, stride)
     left, right = slice(0, n - 2, stride), slice(2, n, stride)
     ends = slice(0, n, n - 1)
+    lap_inner, lap_ends = lap[:, inner], lap[:, ends]
+    edge = np.empty((n_species, 2))
+    closure = edge[:, : lap_inner.shape[1]]
 
-    def rhs(s: np.ndarray, out: np.ndarray) -> None:
+    def views(s: np.ndarray) -> tuple:
+        """The slices of ``s`` that ``rhs`` reads, built once per buffer."""
         flat = s.reshape(-1)
         if fourth:
-            mid, tmp = lap_flat[2:-2], tmp_flat[2:-2]
-            # 16 b - a is -a + 16 b exactly
-            np.multiply(flat[1:-3], 16.0, out=mid)
-            np.subtract(mid, flat[:-4], out=mid)
-            np.multiply(flat[2:-2], 30.0, out=tmp)
+            shifts = (flat[1:-1], flat[:-4], flat[2:-2], flat[4:])
+        else:
+            shifts = (flat[:-2], flat[1:-1], flat[2:])
+        return s, shifts, s[:, left], s[:, inner], s[:, right], s[:, ends]
+
+    def rhs(src: tuple, dst: tuple) -> None:
+        s, shifts, s_left, s_inner, s_right, s_ends = src
+        out, out_ends = dst
+        if fourth:
+            body, s0, s2, s4 = shifts
+            # ((((-s0 + 16 s1) - 30 s2) + 16 s3) - s4) (inv_h2 / 12); scaling
+            # by 16 is exact and 16 s1 - s0 is -s0 + 16 s1 exactly
+            np.multiply(body, 16.0, out=sixteen)
+            np.subtract(sixteen_left, s0, out=mid)
+            np.multiply(s2, 30.0, out=tmp)
             np.subtract(mid, tmp, out=mid)
-            np.multiply(flat[3:-1], 16.0, out=tmp)
-            np.add(mid, tmp, out=mid)
-            np.subtract(mid, flat[4:], out=mid)
+            np.add(mid, sixteen_right, out=mid)
+            np.subtract(mid, s4, out=mid)
             np.multiply(mid, inv_h2 / 12.0, out=mid)
             # second-order closure beside each boundary
-            lap[:, inner] = (s[:, left] - 2.0 * s[:, inner] + s[:, right]) * inv_h2
+            np.multiply(s_inner, 2.0, out=closure)
+            np.subtract(s_left, closure, out=closure)
+            np.add(closure, s_right, out=closure)
+            np.multiply(closure, inv_h2, out=lap_inner)
         else:
-            mid, tmp = lap_flat[1:-1], tmp_flat[1:-1]
-            np.multiply(flat[1:-1], 2.0, out=tmp)
-            np.subtract(flat[:-2], tmp, out=mid)
-            np.add(mid, flat[2:], out=mid)
+            s0, s1, s2 = shifts
+            np.multiply(s1, 2.0, out=tmp)
+            np.subtract(s0, tmp, out=mid)
+            np.add(mid, s2, out=mid)
             np.multiply(mid, inv_h2, out=mid)
         if not dirichlet:
-            lap[:, ends] = 2.0 * (s[:, inner] - s[:, ends]) * inv_h2
-        np.multiply(d_col, lap, out=lap)
-        np.matmul(comp, s, out=react)
-        np.subtract(sigma_col, react, out=react)
-        np.multiply(s, react, out=react)
-        np.add(lap, react, out=out)
+            np.subtract(s_inner, s_ends, out=edge)
+            np.multiply(edge, 2.0, out=edge)
+            np.multiply(edge, inv_h2, out=lap_ends)
+        np.multiply(d_full, lap, out=lap)
+        # the reaction s (sigma - C s) is built in ``out``, so the final
+        # lap + reaction is in place
+        np.matmul(comp, s, out=out)
+        np.subtract(sigma_full, out, out=out)
+        np.multiply(s, out, out=out)
+        np.add(lap, out, out=out)
         if dirichlet:
-            out[:, ends] = 0.0
+            out_ends.fill(0.0)
 
     if cfg.n_snapshots > 1:
         snap_steps = {
@@ -386,33 +425,36 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     euler = cfg.scheme is Scheme.EXPLICIT_EULER
     half_dt = 0.5 * dt
     k, stage, acc = (np.empty_like(state) for _ in range(3))
+    state_views, stage_views = views(state), views(stage)
+    # rhs writes k or acc, and under Dirichlet zeroes their end columns
+    k_views, acc_views = ((buf, buf[:, ends]) for buf in (k, acc))
     for step in range(1, n_steps + 1):
         # state + dt * k for Euler; for RK4 the stages are state + (dt/2) k1,
         # state + (dt/2) k2, state + dt k3 and the update is
         # state + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); doubling k2 and k3 in
         # place is exact, so the sum rounds as the allocating form does
         if euler:
-            rhs(state, k)
+            rhs(state_views, k_views)
             np.multiply(k, dt, out=k)
         else:
-            rhs(state, acc)
+            rhs(state_views, acc_views)
             np.multiply(acc, half_dt, out=stage)
             np.add(state, stage, out=stage)
-            rhs(stage, k)
+            rhs(stage_views, k_views)
             np.multiply(k, half_dt, out=stage)
             np.add(state, stage, out=stage)
             np.multiply(k, 2.0, out=k)
             np.add(acc, k, out=acc)
-            rhs(stage, k)
+            rhs(stage_views, k_views)
             np.multiply(k, dt, out=stage)
             np.add(state, stage, out=stage)
             np.multiply(k, 2.0, out=k)
             np.add(acc, k, out=acc)
-            rhs(stage, k)
+            rhs(stage_views, k_views)
             np.add(acc, k, out=acc)
             np.multiply(acc, dt / 6.0, out=k)
         np.add(state, k, out=state)
-        low, high = float(np.min(state)), float(np.max(state))
+        low, high = float(state.min()), float(state.max())
         # NaN fails both comparisons and +-inf one, so only a state that
         # needs clipping or has left the admissible range takes the slow path
         if not (low >= 0.0 and high <= BLOWUP_LIMIT):
@@ -645,10 +687,12 @@ def solve_fisher_bvp(
     sup of |d reaction / d w| over the bracket so the iterates decrease
     pointwise and stay above the subsolution; both facts are asserted every
     sweep.  Any ``relaxation`` >= that sup keeps the scheme monotone; values
-    closer to it converge in fewer sweeps.  The truncated
-    domain carries homogeneous Dirichlet ends (tails are assumed to have
-    decayed at the grid boundary).  Returns once the discrete residual drops
-    below ``tol``; raises :class:`MaxIterExceededError` otherwise.
+    closer to it converge in fewer sweeps.  The matrix is monotone only
+    while the cell Peclet number |theta| h / (2 d3) is at most 1; a coarser
+    grid is refused with :class:`DomainError` before the first sweep.  The
+    truncated domain carries homogeneous Dirichlet ends (tails are assumed to
+    have decayed at the grid boundary).  Returns once the discrete residual
+    drops below ``tol``; raises :class:`MaxIterExceededError` otherwise.
     """
     # imported here, not at module level: scipy.linalg doubles every other command's start-up
     from scipy.linalg import solve_banded
@@ -662,6 +706,17 @@ def solve_fisher_bvp(
     x = ctx.background.x
     n = x.size
     h = float(x[1] - x[0])
+    d3 = float(ctx.d3)
+    th = float(ctx.theta)
+    # central differences for theta w' give a negative off-diagonal, and the
+    # iterates lose their ordering, once the cell Peclet number exceeds 1
+    peclet = abs(th) * h / (2.0 * d3)
+    if peclet > 1.0:
+        raise DomainError(
+            f"cell Peclet number |theta| h / (2 d3) = {peclet} exceeds 1 for h={h}, "
+            f"d3={d3}, theta={th}: the monotone iteration needs h <= 2 d3 / |theta| "
+            f"= {2.0 * d3 / abs(th)}"
+        )
     ws = w_sub.sample(x)
     wS = w_super.sample(x)
     if np.any(ws > wS):
@@ -675,8 +730,6 @@ def solve_fisher_bvp(
             )
 
     g = ctx.linear_coefficient()
-    d3 = float(ctx.d3)
-    th = float(ctx.theta)
     c33 = float(ctx.c33)
     # monotonicity needs M >= |d reaction / d w| everywhere on the bracket
     slope_bound = float(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -303,8 +306,12 @@ class TestSimulationCommands:
             (["--t-end", "0.5", "--dt", "nan"], "dt"),
             (["--t-end", "0.5", "--n-snapshots", "0"], "n_snapshots"),
             (["--t-end", "0.5", "--n-snapshots", "-3"], "n_snapshots"),
+            (["--t-end", "0.001", "--n-snapshots", "3"], "n_snapshots=3 exceeds the 2"),
         ],
-        ids=["t_end-inf", "t_end-nan", "dt-nan", "n_snapshots-0", "n_snapshots-negative"],
+        ids=[
+            "t_end-inf", "t_end-nan", "dt-nan", "n_snapshots-0", "n_snapshots-negative",
+            "n_snapshots-beyond-steps",
+        ],
     )
     def test_bad_time_or_snapshot_count_is_usage_error(
         self, tmp_path, paper_spec, capsys, flags, field
@@ -453,6 +460,20 @@ class TestSimulationCommands:
         assert data["sub_check"]["pass"] and not data["super_check"]["pass"]
         assert not (out / "w.csv").exists()
 
+    def test_fisher_peclet_above_one_exits_1(self, tmp_path, demo_two_wave, capsys):
+        demo_two_wave.profile(np.linspace(-40, 40, 401)).to_csv(tmp_path / "bg.csv")
+        cfgd = {
+            "d3": 0.2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+            "K_sub": 0, "K_super": 12,
+        }
+        params = write_json(tmp_path / "p.json", cfgd)
+        code = main(
+            ["fisher", "--params", params, "--background", str(tmp_path / "bg.csv"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "error: cell Peclet number" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "n, flags, message",
         [
@@ -540,6 +561,17 @@ class TestContract:
         main(["bounds", "--params", params, "--out", str(out)])
         data = report(out)
         assert isinstance(data, dict)
+
+    def test_python_m_lvwaves_runs_the_cli(self):
+        src = Path(lv.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "lvwaves", "--help"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: lvwaves")
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

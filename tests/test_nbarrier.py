@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 import lvwaves as lv
@@ -522,3 +522,52 @@ def test_exact_wave_combined_density_below_upper_bound(paper_spec, paper_block):
     u, v, w = lv.evaluate_wave(paper_spec, x)
     assert np.all(w >= 0)
     assert float(np.max(u + v)) <= float(pair.q_upper) + 1e-12
+
+
+def tanh_family_extrema(wave, alpha, beta):
+    """Exact min and max of alpha u + beta v over the two-species tanh wave.
+
+    With t = tanh x in [-1, 1], u = (u* + 1)/2 + (u* - 1)/2 t and
+    v = k1 (1 + t)^2, so alpha u + beta v = a t^2 + b t + c with a > 0: the
+    max sits at an endpoint, the min at the vertex when it lies inside.
+    """
+    a = beta * wave.k1
+    b = alpha * (wave.u_star - 1) / 2 + 2 * beta * wave.k1
+    c = alpha * (wave.u_star + 1) / 2 + beta * wave.k1
+
+    def q(t):
+        return (a * t + b) * t + c
+
+    ends = (q(F(-1)), q(F(1)))
+    vertex = -b / (2 * a)
+    inside = (q(vertex),) if -1 < vertex < 1 else ()
+    return min(ends + inside), max(ends)
+
+
+@settings(max_examples=150)
+@given(
+    positive_rationals, positive_rationals, positive_rationals, positive_rationals,
+    positive_rationals, positive_rationals,
+)
+def test_tanh_family_wave_within_bounds(d1, d2, excess, k1, alpha, beta):
+    # an oracle that shares no code with bounds(): every family member is a
+    # strong-regime wave, so q_lower <= alpha u + beta v <= q_upper on it
+    wave = lv.two_species_wave_family(d1, d2, 8 * d1 + excess, k1)
+    pair = lv.bounds(wave.params, alpha, beta)
+    low, high = tanh_family_extrema(wave, alpha, beta)
+    target(float(pair.q_lower / low), label="q_lower / min")
+    target(float(high / pair.q_upper), label="max / q_upper")
+    assert pair.q_lower <= low and high <= pair.q_upper
+
+
+def test_near_tight_tanh_family_member():
+    # a member within 0.4 % of q_lower whose limit state (1, 0) attains
+    # q_upper: a loosened bound lowers a ratio below its pinned value
+    wave = lv.two_species_wave_family(F(397, 16), F(397, 16), F(3183, 16), F(1, 16))
+    alpha, beta = F(15, 2), F(99, 8)
+    pair = lv.bounds(wave.params, alpha, beta)
+    low, high = tanh_family_extrema(wave, alpha, beta)
+    lower_ratio, upper_ratio = pair.q_lower / low, high / pair.q_upper
+    print(f"q_lower / min = {float(lower_ratio):.6f}, max / q_upper = {float(upper_ratio):.6f}")
+    assert F(996, 1000) < lower_ratio < 1
+    assert upper_ratio == 1

@@ -329,16 +329,27 @@ class TestSimulatePde:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("boundary", list(BoundaryKind))
     @pytest.mark.parametrize("space_order", [2, 4])
-    def test_smallest_grids_match_reference(self, paper_spec, n, boundary, space_order):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_smallest_grids_match_reference(self, paper_spec, n, boundary, space_order, scheme):
         # the boundary columns are addressed by stride n - 3, which these grids
         # bring to one (n = 4), to zero (n = 3) and to the two-column case
         grid = GridSpec(-2.0, 2.0, n, boundary)
         init = lv.wave_profile(paper_spec, grid.x())
-        cfg = SimConfig(grid=grid, t_end=0.01, space_order=space_order, n_snapshots=3)
+        cfg = SimConfig(
+            grid=grid, t_end=0.01, scheme=scheme, space_order=space_order, n_snapshots=3
+        )
         snaps = lv.simulate_pde(paper_spec.params, init, cfg)
         expected = reference_simulate(paper_spec.params, init, cfg)
         for prof, ref in zip(snaps.profiles, expected, strict=True):
             assert np.array_equal(np.stack([prof.u, prof.v, prof.w]), ref)
+
+    def test_snapshot_count_beyond_the_time_levels_refused(self, strong_params):
+        # t_end = 0.05 is one auto step on this grid: two time levels
+        grid, init = stiff_start()
+        one_step = SimConfig(grid=grid, t_end=0.05, n_snapshots=2)
+        assert len(lv.simulate_pde(strong_params, init, one_step).profiles) == 2
+        with pytest.raises(ValueError, match="n_snapshots=41 exceeds the 2 time levels.*n_steps=1"):
+            lv.simulate_pde(strong_params, init, replace(one_step, n_snapshots=41))
 
     def test_leaving_the_admissible_range_aborts(self, strong_params):
         grid = GridSpec(-10.0, 10.0, 41)
@@ -698,6 +709,21 @@ assert sol.residual < 1e-8 and "scipy.linalg" in sys.modules
                 fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0),
                 relaxation=1.0,
             )
+
+    @pytest.mark.parametrize("theta", [6.0, -6.0])
+    def test_coarse_grid_refused_by_cell_peclet_number(self, demo_two_wave, theta):
+        # h = 0.2 and d3 = 0.2 give Peclet 3; unrefused, the iterates lose
+        # their ordering at the first sweep, which does not name the cause
+        ctx = FisherContext(
+            d3=0.2, theta=theta, sigma3=10.0, c31=0.5, c32=0.01, c33=1.0,
+            background=demo_two_wave.profile(np.linspace(-40.0, 40.0, 401)),
+        )
+        match = (
+            r"cell Peclet number .* = 3\.0\d* exceeds 1 for h=0\.2\d*, d3=0\.2, "
+            rf"theta={theta}: .* h <= 2 d3 / \|theta\| = 0\.0666"
+        )
+        with pytest.raises(DomainError, match=match):
+            lv.solve_fisher_bvp(ctx, lv.constant_candidate(0.0), lv.constant_candidate(12.0))
 
     def test_context_refuses_background_of_two_nodes(self, fisher_ctx):
         x = np.array([0.0, 1.0])
