@@ -2,11 +2,11 @@
 
 Every subcommand reads a JSON parameter file (field names match the type
 definitions; rational strings like "41/5" are accepted), applies any
-``--set key=value`` overrides, and writes a deterministic ``report.json``
-plus CSV artifacts into the output directory.  Exit codes: 0 on success or a
-passing check, 1 on a failed check or domain error, 2 on usage or parse
-errors.  The environment variable ``LVWAVES_OUT`` provides the default
-output directory.
+``--set key=value`` overrides of keys the file holds, and writes a
+deterministic ``report.json`` plus CSV artifacts into the output directory.
+Exit codes: 0 on success or a passing check, 1 on a failed check or domain
+error, 2 on usage or parse errors.  The environment variable ``LVWAVES_OUT``
+provides the default output directory.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ def _load_params(args: argparse.Namespace) -> dict:
         if key.startswith("c.") and key.count(".") == 2:
             _, i, j = key.split(".")
             key = f"c{i}{j}"
+        if key not in data:
+            raise ValueError(f"override key {key!r} is not in the parameter file {args.params}")
         data[key] = value.strip()
     return data
 

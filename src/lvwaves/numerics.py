@@ -25,9 +25,11 @@ Each step runs in buffers and slice views built once per run, with the
 interior stencil on the flat (species * n) state buffer.  The diffusion and
 growth coefficients are contiguous (species, n) arrays, so no pass
 broadcasts a column, and one 16 s pass per right-hand side feeds both of the
-fourth-order stencil's 16 s[i - 1] and 16 s[i + 1] terms.  A fourth-order
-RK4 step makes 63 full-array passes.  Its results are bit-identical to the
-straightforward allocating form of the same arithmetic.
+fourth-order stencil's 16 s[i - 1] and 16 s[i + 1] terms.  One
+second-difference rule serves both orders: it fills the whole interior at
+second order and the closure columns beside each end at fourth.  A
+fourth-order RK4 step makes 63 full-array passes.  Its results are
+bit-identical to the straightforward allocating form of the same arithmetic.
 
 The monotone solver refuses a grid whose cell Peclet number
 |theta| h / (2 d3) exceeds 1, where its central-difference matrix stops
@@ -336,33 +338,40 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     # writes the first and last entries, so ``lap`` starts at zero: under
     # Dirichlet, garbage there could overflow before it is zeroed.
     lap = np.zeros_like(state)
-    pad = 2 if fourth else 1
-    mid, tmp = lap.reshape(-1)[pad:-pad], np.empty(state.size - 2 * pad)
-    # 16 s on the flat buffer without its first and last entries: 16 s[i - 1]
-    # and 16 s[i + 1] of the fourth-order stencil are both shifted views of it
-    sixteen = np.empty(state.size - 2)
-    sixteen_left, sixteen_right = sixteen[:-2], sixteen[2:]
     # the columns beside the ends (1 and n - 2, one column when n = 3), their
     # left and right neighbours, and the ends 0 and n - 1
     stride = max(n - 3, 1)
     inner = slice(1, n - 1, stride)
     left, right = slice(0, n - 2, stride), slice(2, n, stride)
     ends = slice(0, n, n - 1)
-    lap_inner, lap_ends = lap[:, inner], lap[:, ends]
+    lap_ends = lap[:, ends]
+    # the small passes on the end columns write a contiguous buffer: with a
+    # strided view of ``lap`` as their ``out``, each call costs about 0.3 us
+    # more, and a fourth-order RK4 run about 2 percent more
     edge = np.empty((n_species, 2))
-    closure = edge[:, : lap_inner.shape[1]]
+    if fourth:
+        mid, tmp = lap.reshape(-1)[2:-2], np.empty(state.size - 4)
+        # 16 s on the flat buffer without its first and last entries: 16 s[i - 1]
+        # and 16 s[i + 1] of the fourth-order stencil are both shifted views of it
+        sixteen = np.empty(state.size - 2)
+        sixteen_left, sixteen_right = sixteen[:-2], sixteen[2:]
+        # the second difference closes the stencil beside each end
+        second_out = lap[:, inner]
+        second = edge[:, : second_out.shape[1]]
+    else:
+        second = second_out = lap.reshape(-1)[1:-1]
 
     def views(s: np.ndarray) -> tuple:
         """The slices of ``s`` that ``rhs`` reads, built once per buffer."""
         flat = s.reshape(-1)
+        # the fourth-order shifts, and s[i - 1], s[i], s[i + 1] under ``second``
         if fourth:
             shifts = (flat[1:-1], flat[:-4], flat[2:-2], flat[4:])
-        else:
-            shifts = (flat[:-2], flat[1:-1], flat[2:])
-        return s, shifts, s[:, left], s[:, inner], s[:, right], s[:, ends]
+            return s, shifts, (s[:, left], s[:, inner], s[:, right]), s[:, inner], s[:, ends]
+        return s, (), (flat[:-2], flat[1:-1], flat[2:]), s[:, inner], s[:, ends]
 
     def rhs(src: tuple, dst: tuple) -> None:
-        s, shifts, s_left, s_inner, s_right, s_ends = src
+        s, shifts, (s_prev, s_here, s_next), s_inner, s_ends = src
         out, out_ends = dst
         if fourth:
             body, s0, s2, s4 = shifts
@@ -375,17 +384,11 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
             np.add(mid, sixteen_right, out=mid)
             np.subtract(mid, s4, out=mid)
             np.multiply(mid, inv_h2 / 12.0, out=mid)
-            # second-order closure beside each boundary
-            np.multiply(s_inner, 2.0, out=closure)
-            np.subtract(s_left, closure, out=closure)
-            np.add(closure, s_right, out=closure)
-            np.multiply(closure, inv_h2, out=lap_inner)
-        else:
-            s0, s1, s2 = shifts
-            np.multiply(s1, 2.0, out=tmp)
-            np.subtract(s0, tmp, out=mid)
-            np.add(mid, s2, out=mid)
-            np.multiply(mid, inv_h2, out=mid)
+        # ((s[i - 1] - 2 s[i]) + s[i + 1]) inv_h2
+        np.multiply(s_here, 2.0, out=second)
+        np.subtract(s_prev, second, out=second)
+        np.add(second, s_next, out=second)
+        np.multiply(second, inv_h2, out=second_out)
         if not dirichlet:
             np.subtract(s_inner, s_ends, out=edge)
             np.multiply(edge, 2.0, out=edge)
@@ -440,16 +443,12 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
             rhs(state_views, acc_views)
             np.multiply(acc, half_dt, out=stage)
             np.add(state, stage, out=stage)
-            rhs(stage_views, k_views)
-            np.multiply(k, half_dt, out=stage)
-            np.add(state, stage, out=stage)
-            np.multiply(k, 2.0, out=k)
-            np.add(acc, k, out=acc)
-            rhs(stage_views, k_views)
-            np.multiply(k, dt, out=stage)
-            np.add(state, stage, out=stage)
-            np.multiply(k, 2.0, out=k)
-            np.add(acc, k, out=acc)
+            for stage_dt in (half_dt, dt):
+                rhs(stage_views, k_views)
+                np.multiply(k, stage_dt, out=stage)
+                np.add(state, stage, out=stage)
+                np.multiply(k, 2.0, out=k)
+                np.add(acc, k, out=acc)
             rhs(stage_views, k_views)
             np.add(acc, k, out=acc)
             np.multiply(acc, dt / 6.0, out=k)
@@ -683,11 +682,11 @@ def solve_fisher_bvp(
 
         (d3 Dxx + theta Dx - M) w_next = -M w - w (sigma3 - c31 u - c32 v - c33 w)
 
-    where M defaults to sigma3 + 2 c33 max(w_super), raised if needed to the
-    sup of |d reaction / d w| over the bracket so the iterates decrease
-    pointwise and stay above the subsolution; both facts are asserted every
-    sweep.  Any ``relaxation`` >= that sup keeps the scheme monotone; values
-    closer to it converge in fewer sweeps.  The matrix is monotone only
+    where M defaults to the sup of |d reaction / d w| over the bracket, the
+    smallest value for which the iterates decrease pointwise and stay above
+    the subsolution; both facts are asserted every sweep.  Any
+    ``relaxation`` >= that sup keeps the scheme monotone; values closer to
+    it converge in fewer sweeps.  The matrix is monotone only
     while the cell Peclet number |theta| h / (2 d3) is at most 1; a coarser
     grid is refused with :class:`DomainError` before the first sweep.  The
     truncated domain carries homogeneous Dirichlet ends (tails are assumed to
@@ -735,14 +734,9 @@ def solve_fisher_bvp(
     slope_bound = float(
         np.max(np.maximum(g - 2.0 * c33 * ws, 2.0 * c33 * wS - g))
     )
-    if relaxation is None:
-        relax = max(float(ctx.sigma3) + 2.0 * c33 * float(np.max(wS)), slope_bound)
-    else:
-        relax = float(relaxation)
-        if relax < slope_bound:
-            raise ValueError(
-                f"relaxation {relax} is below the reaction slope bound {slope_bound}"
-            )
+    relax = slope_bound if relaxation is None else float(relaxation)
+    if relax < slope_bound:
+        raise ValueError(f"relaxation {relax} is below the reaction slope bound {slope_bound}")
 
     lower = d3 / (h * h) - th / (2.0 * h)
     diag = -2.0 * d3 / (h * h) - relax

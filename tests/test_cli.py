@@ -144,6 +144,20 @@ class TestClosedFormCommands:
         assert code == 0
         assert report(out)["regime"] == "ExclusionUWins"
 
+    @pytest.mark.parametrize("override, key", [("sigm1=5", "sigm1"), ("c.1.3=7", "c13")])
+    def test_override_of_a_key_not_in_the_file_is_usage_error(
+        self, tmp_path, capsys, override, key
+    ):
+        # a misspelt key would otherwise be ignored and the report written
+        # as if no override had been given
+        params = write_json(tmp_path / "s.json", STRONG)
+        out = tmp_path / "out"
+        code = main(["bounds", "--params", params, "--set", override, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and params in err
+        assert not (out / "report.json").exists()
+
     def test_evenness(self, tmp_path):
         out = tmp_path / "out"
         assert main(["evenness", "--u", "1", "--v", "3", "--out", str(out)]) == 0

@@ -571,3 +571,58 @@ def test_near_tight_tanh_family_member():
     print(f"q_lower / min = {float(lower_ratio):.6f}, max / q_upper = {float(upper_ratio):.6f}")
     assert F(996, 1000) < lower_ratio < 1
     assert upper_ratio == 1
+
+
+def settled_front(p, left, right, centre):
+    """A second-order run to t = 40 from a tanh front at ``centre`` joining
+    the constant states ``left`` and ``right`` (Neumann ends); its last six
+    of 21 snapshots."""
+    grid = lv.GridSpec(-60.0, 60.0, 1001)
+    x = grid.x()
+    step = 0.5 * (1.0 + np.tanh(x - centre))
+    init = lv.WaveProfile(
+        x=x,
+        u=left[0] + (right[0] - left[0]) * step,
+        v=left[1] + (right[1] - left[1]) * step,
+    )
+    cfg = lv.SimConfig(grid=grid, t_end=40.0, n_snapshots=21, space_order=2)
+    return lv.simulate_pde(p, init, cfg).profiles[-6:]
+
+
+@pytest.mark.parametrize(
+    "c12, c21, regime, margins",
+    [
+        # (alpha, beta): (lower, upper) smallest margins over the late snapshots
+        (F(2), F(3), Regime.STRONG,
+         {(1, 1): (0.58, 3.0), (1, 3): (0.90, 9.0), (2, 1): (0.68, 6.0)}),
+        (F(1, 2), F(2, 3), Regime.WEAK,
+         {(1, 1): (0.75, 6.75), (1, 3): (0.75, 21.75), (2, 1): (1.75, 9.96)}),
+    ],
+    ids=["strong", "weak"],
+)
+def test_pde_settled_front_within_bounds(c12, c21, regime, margins):
+    # an oracle that shares no code with bounds(): the fronts the PDE itself
+    # settles into, with d1 != d2, the case the N-barrier construction is for
+    one = F(1)
+    p = lv.TwoSpeciesParams(
+        d1=one, d2=F(4), sigma1=one, sigma2=one, c11=one, c12=c12, c21=c21, c22=one
+    )
+    assert classify_regime(p) is regime
+    if regime is Regime.STRONG:
+        # a bistable front, nearly standing (speed 0.17)
+        profiles = settled_front(p, (1.0, 0.0), (0.0, 1.0), 0.0)
+    else:
+        # coexistence invades (1, 0) at about 2.1: started at x = -50, the
+        # front is near x = 20 at t = 40, with both states still on the grid
+        eq = lv.coexistence_equilibrium(p)
+        profiles = settled_front(p, (float(eq.u), float(eq.v)), (1.0, 0.0), -50.0)
+    for (alpha, beta), (lower, upper) in margins.items():
+        pair = lv.bounds(p, F(alpha), F(beta))
+        reports = [lv.verify_bounds_on_profile(prof, alpha, beta, pair) for prof in profiles]
+        low = min(rep.item("lower").margin for rep in reports)
+        high = min(rep.item("upper").margin for rep in reports)
+        print(f"{regime.value} (alpha, beta) = ({alpha}, {beta}): smallest margins "
+              f"lower {low:.4f}, upper {high:.4f}")
+        assert all(rep.passed for rep in reports)
+        # a loosened bound widens a margin past its pinned value
+        assert (low, high) == pytest.approx((lower, upper), abs=0.01)

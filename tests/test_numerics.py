@@ -631,6 +631,18 @@ assert sol.residual < 1e-8 and "scipy.linalg" in sys.modules
         assert abs(sol.profile.w[0]) < 1e-6 and abs(sol.profile.w[-1]) < 1e-6
         assert np.max(sol.profile.w) > 1.0
 
+    def test_default_relaxation_is_the_slope_bound(self, fisher_ctx):
+        # sup |d reaction / d w| on the bracket is 2 c33 12 - (sigma3 - c31) =
+        # 14.5; the older default sigma3 + 2 c33 max(w_super) = 34 needed 319
+        # sweeps, past the default max_iter of 200
+        sol = lv.solve_fisher_bvp(
+            fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0)
+        )
+        print(f"default relaxation {sol.relaxation}: {sol.iterations} sweeps")
+        assert sol.relaxation == pytest.approx(14.5, abs=1e-6)
+        assert sol.iterations <= 200
+        assert sol.residual < 1e-8
+
     def test_solution_profile_roundtrips_csv(self, tmp_path, fisher_ctx):
         sol = lv.solve_fisher_bvp(
             fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0),
