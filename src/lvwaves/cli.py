@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exactwaves, figures, numerics
-from .errors import LVError
+from .errors import LVError, MissingKeysError
 from .hypotheses import ExistenceInputs, existence_report, nonexistence_report
 from .model import (
     ThreeSpeciesParams,
@@ -31,7 +31,7 @@ from .model import (
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
-from .rational import Number, all_exact, is_exact, parse_number
+from .rational import Number, all_exact, is_exact, parse_fields, parse_number
 from .report import write_json
 
 
@@ -143,7 +143,7 @@ def _cmd_exact_wave(args: argparse.Namespace) -> int:
 
 def _cmd_two_wave(args: argparse.Namespace) -> int:
     data = _load_params(args)
-    free = {k: parse_number(data[k]) for k in ("d1", "d2", "theta", "sigma1", "sigma2", "k1")}
+    free = parse_fields(data, ("d1", "d2", "theta", "sigma1", "sigma2", "k1"))
     wave = exactwaves.two_species_exact_wave(**free)
     payload = {
         "params": {k: float(v) for k, v in wave.params.to_dict().items()},
@@ -208,17 +208,11 @@ def _cmd_speed(args: argparse.Namespace) -> int:
 def _cmd_fisher(args: argparse.Namespace) -> int:
     data = _load_params(args)
     background = WaveProfile.from_csv(args.background)
-    ctx = numerics.FisherContext(
-        d3=parse_number(data["d3"]),
-        theta=parse_number(data["theta"]),
-        sigma3=parse_number(data["sigma3"]),
-        c31=parse_number(data["c31"]),
-        c32=parse_number(data["c32"]),
-        c33=parse_number(data["c33"]),
-        background=background,
-    )
-    w_sub = numerics.tanh_pulse_candidate(float(parse_number(data["K_sub"])))
-    w_super = numerics.constant_candidate(float(parse_number(data["K_super"])))
+    values = parse_fields(data, ("d3", "theta", "sigma3", "c31", "c32", "c33", "K_sub", "K_super"))
+    k_sub, k_super = float(values.pop("K_sub")), float(values.pop("K_super"))
+    ctx = numerics.FisherContext(**values, background=background)
+    w_sub = numerics.tanh_pulse_candidate(k_sub)
+    w_super = numerics.constant_candidate(k_super)
     sub_rep = numerics.check_sub_super(ctx, w_sub, numerics.Side.SUB, tol=1e-12)
     super_rep = numerics.check_sub_super(ctx, w_super, numerics.Side.SUPER, tol=1e-12)
     payload = {
@@ -370,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except LVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MissingKeysError as exc:  # only parameter files are checked for keys
+        print(f"usage error: {exc} in the parameter file {args.params}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import ConsistencyError, InfeasibleError, NonPositiveCoefficientError
 from .model import ThreeSpeciesParams, TwoSpeciesParams, _require_positive, coexistence_equilibrium
 from .profiles import WaveProfile
-from .rational import Number, _require_finite, all_exact, parse_number, rel_close
+from .rational import Number, _require_finite, all_exact, parse_fields, rel_close
 
 _FREE_FIELDS = ("k1", "k2", "d1", "d2", "d3", "theta", "sigma1", "sigma2", "sigma3")
 
@@ -91,7 +91,7 @@ class FreeParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FreeParams":
-        return cls(**{k: parse_number(data[k]) for k in _FREE_FIELDS})
+        return cls(**parse_fields(data, _FREE_FIELDS))
 
     def is_exact(self) -> bool:
         return all_exact(*(getattr(self, k) for k in _FREE_FIELDS))

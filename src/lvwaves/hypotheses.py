@@ -27,18 +27,32 @@ evaluated with weights (c31, c32), the form matching the two-sided bound
 formula; the verdict always states which variant passed, and neither is
 declared authoritative.
 
-Margins are signed reals (negative = violated), never bare booleans.
+Margins are signed reals (negative = violated), never bare booleans.  When
+every number H1-H4 read is exact, their margins are evaluated on integer
+numerator/denominator pairs with positive denominators and one correctly
+rounded division per reported float; float or mixed inputs take the generic
+expressions.  The two give the same floats bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
-from .model import Regime, ThreeSpeciesParams, TwoSpeciesParams, _ratios, _require_positive
+from .model import (
+    _TWO_FIELDS,
+    Regime,
+    ThreeSpeciesParams,
+    TwoSpeciesParams,
+    _ratios,
+    _require_positive,
+)
 from .nbarrier import _lower_bound_at, bounds
-from .rational import Number, _require_finite, parse_number
+from .rational import Number, _require_finite, all_exact, parse_fields
 from .report import CheckItem, CheckReport
+
+_INVADER_FIELDS = ("d3", "sigma3", "c31", "c32", "c33", "theta", "K_sub", "K_super")
 
 
 @dataclass(frozen=True)
@@ -64,12 +78,9 @@ class ExistenceInputs:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExistenceInputs":
-        block = TwoSpeciesParams.from_dict(data)
-        extra = {
-            k: parse_number(data[k])
-            for k in ("d3", "sigma3", "c31", "c32", "c33", "theta", "K_sub", "K_super")
-        }
-        return cls(two_species=block, **extra)
+        values = parse_fields(data, _TWO_FIELDS + _INVADER_FIELDS)
+        block = TwoSpeciesParams(**{k: values.pop(k) for k in _TWO_FIELDS})
+        return cls(two_species=block, **values)
 
 
 @dataclass(frozen=True)
@@ -92,23 +103,31 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
 
     Requires the background block to be strongly or weakly competitive
     (otherwise the closed-form bounds do not apply and RegimeError is
-    raised).  The block's regime and (u*, v*) come from its kernel.
+    raised).  The block's regime and (u*, v*) come from its kernel.  When
+    every number the margins read is exact, they are evaluated on integer
+    numerators over positive denominators, with one correctly rounded
+    division per reported float; float or mixed inputs take the generic
+    expressions.  Both give the same floats bit for bit.
     """
     block = inputs.two_species
     pair = bounds(block, inputs.c31, inputs.c32)
     q_lo, q_hi = pair.q_lower, pair.q_upper
     eq = block.kernel.coexistence
-
-    m_h1 = float(
-        min(inputs.c31 - inputs.sigma3, inputs.c31 * eq.u + inputs.c32 * eq.v - inputs.sigma3)
-    )
-    m_h2 = float(inputs.c33 * inputs.K_super + q_lo - inputs.sigma3)
-    a_coef = inputs.c33 * inputs.K_sub + 6 * inputs.d3
-    c_coef = inputs.sigma3 - inputs.c33 * inputs.K_sub - 2 * inputs.d3 - q_hi
-    m_h3 = float(4 * a_coef * c_coef - 4 * inputs.theta * inputs.theta)
-    m_h4 = float(min(inputs.K_super - inputs.K_sub, inputs.K_sub))
-    # the amplitude ordering is non-strict; only K_sub > 0 is strict
-    h4_ok = inputs.K_super >= inputs.K_sub and inputs.K_sub > 0
+    values = (inputs.c31, inputs.c32, inputs.sigma3, inputs.c33, inputs.d3, inputs.theta,
+              inputs.K_sub, inputs.K_super, eq.u, eq.v, q_lo, q_hi)
+    if all_exact(*values):
+        m_h1, m_h2, m_h3, m_h4, h4_ok = _integer_margins(*values)
+    else:
+        m_h1 = float(
+            min(inputs.c31 - inputs.sigma3, inputs.c31 * eq.u + inputs.c32 * eq.v - inputs.sigma3)
+        )
+        m_h2 = float(inputs.c33 * inputs.K_super + q_lo - inputs.sigma3)
+        a_coef = inputs.c33 * inputs.K_sub + 6 * inputs.d3
+        c_coef = inputs.sigma3 - inputs.c33 * inputs.K_sub - 2 * inputs.d3 - q_hi
+        m_h3 = float(4 * a_coef * c_coef - 4 * inputs.theta * inputs.theta)
+        m_h4 = float(min(inputs.K_super - inputs.K_sub, inputs.K_sub))
+        # the amplitude ordering is non-strict; only K_sub > 0 is strict
+        h4_ok = inputs.K_super >= inputs.K_sub and inputs.K_sub > 0
 
     items = (
         CheckItem("H1", m_h1 > 0, m_h1, {"q_lower": float(q_lo), "q_upper": float(q_hi)}),
@@ -122,6 +141,35 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
         + ", ".join(it.name for it in items if not it.passed)
     )
     return CheckReport(title="existence-audit", passed=passed, items=items, verdict=verdict)
+
+
+def _integer_margins(*values: int | Fraction):
+    """H1-H4's float margins and H4's pass for exact inputs, on integer
+    numerators over products of positive denominators, with no gcd taken.
+    Each sign is a numerator's, each min a cross-multiplied comparison, and
+    each float one ``n / d``, correctly rounded as ``float(Fraction)`` is, so
+    the floats equal the generic expressions' bit for bit."""
+    # c31 = a/A, c32 = b/B, sigma3 = s/S, c33 = g/G, d3 = e/E, theta = t/T,
+    # K_sub = k/K, K_super = m/M, u* = p/P, v* = r/R, q_lower = l/L, q_upper = h/H
+    (a, A), (b, B), (s, S), (g, G), (e, E), (t, T), (k, K), (m, M), (p, P), (r, R), (l, L), (
+        h, H) = (x.as_integer_ratio() for x in values)
+    # H1 is min(c31, c31 u* + c32 v*) - sigma3; the sum is less when c32 v* < c31 (1 - u*)
+    if b * r * A * P < a * (P - p) * B * R:
+        n1 = (a * p * B * R + b * r * A * P) * S - s * A * P * B * R
+        d1 = A * P * B * R * S
+    else:
+        n1, d1 = a * S - s * A, A * S
+    gm = G * M
+    n2 = (g * m * L + l * gm) * S - s * gm * L
+    # H3's a = c33 K_sub + 6 d3 over da, c = sigma3 - c33 K_sub - 2 d3 - q_upper over dc
+    gk = G * K
+    na, da = g * k * E + 6 * e * gk, gk * E
+    nc = ((s * gk - g * k * S) * E - 2 * e * S * gk) * H - h * S * da
+    dc = S * da * H
+    n3 = 4 * (na * nc * T * T - t * t * da * dc)
+    gap = m * K - k * M  # K_super - K_sub over M K
+    return (n1 / d1, n2 / (gm * L * S), n3 / (da * dc * T * T), min(gap, k * M) / (M * K),
+            gap >= 0 and k > 0)
 
 
 def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, SingularLinesError
-from .rational import Number, _is_finite, _require_finite, parse_number
+from .rational import Number, _is_finite, _require_finite, parse_fields
 
 #: Default relative tolerance on the cross products sigma1*c21 vs sigma2*c11
 #: and sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a
@@ -80,7 +80,7 @@ class TwoSpeciesParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoSpeciesParams":
-        return cls(**{k: parse_number(data[k]) for k in _TWO_FIELDS})
+        return cls(**parse_fields(data, _TWO_FIELDS))
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _TWO_FIELDS}
@@ -132,7 +132,7 @@ class ThreeSpeciesParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ThreeSpeciesParams":
-        return cls(**{k: parse_number(data[k]) for k in _THREE_FIELDS})
+        return cls(**parse_fields(data, _THREE_FIELDS))
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in _THREE_FIELDS}

@@ -186,7 +186,9 @@ def integrate_ode(
     """Classical fourth-order one-step integration of the diffusion-free kinetics.
 
     Zero components are allowed (the axis equilibria are admissible starts);
-    negative ones are not.
+    negative ones are not.  A step above RK4's stability bound for the
+    reaction Jacobian at the start (:func:`reaction_bound`) is refused with
+    ``CFLViolationError`` before the first step.
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial densities must be nonnegative")
@@ -208,6 +210,14 @@ def integrate_ode(
             f"t_end={t_end} and dt={dt} give {n_steps} steps, more than an array can hold"
         )
     step = t_end / n_steps
+    _, sigma, comp = _kinetics(p)
+    reaction = reaction_bound(sigma, comp, np.array([[u0], [v0]], dtype=float))
+    limit = STABILITY_INTERVAL[Scheme.RK4MOL]
+    if step * reaction > limit:
+        raise CFLViolationError(
+            f"dt={dt} (steps of {step}) exceeds the {Scheme.RK4MOL.value} stability bound "
+            f"{limit / reaction} at the start: reaction term {reaction}"
+        )
     ts = np.empty(n_steps + 1)
     us = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1)

@@ -195,6 +195,28 @@ class TestCheckCommands:
         assert data["checks"]["H2"]["pass"] and data["checks"]["H3"]["pass"]
         assert not data["checks"]["H1"]["pass"]
 
+    @pytest.mark.parametrize("command, data, missing", [
+        ("check-existence", {**STRONG, "d3": 1, "sigma3": 1, "c31": 1, "c32": 1, "c33": 1,
+                             "theta": 1, "K_sub": 1}, ["K_super"]),
+        ("check-existence", {"d1": 1, "sigma3": 1}, ["d2", "c22", "theta", "K_super"]),
+        ("check-nonexistence", {k: v for k, v in NONEXIST.items() if k not in ("c13", "c33")},
+         ["c13", "c33"]),
+        ("classify", {"d1": 1}, ["d2", "sigma1", "c12", "c22"]),
+        ("two-wave", {"d1": 1}, ["d2", "theta", "k1"]),
+        ("exact-wave", {"d1": 1}, ["k1", "sigma3"]),
+    ])
+    def test_missing_key_names_every_key_and_the_file(
+        self, tmp_path, capsys, command, data, missing
+    ):
+        params = write_json(tmp_path / "p.json", data)
+        out = tmp_path / "out"
+        assert main([command, "--params", params, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "missing key" in err and params in err
+        assert all(repr(key) in err for key in missing)
+        assert not any(repr(key) in err for key in data)
+        assert not (out / "report.json").exists()
+
 
 class TestProfileCommands:
     def test_verify_profile_pass_and_fail(self, tmp_path, paper_spec):

@@ -1,3 +1,4 @@
+import math
 import pickle
 import re
 from dataclasses import replace
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, target
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 import lvwaves as lv
@@ -364,19 +365,59 @@ def test_kernel_bounds_bit_equal_to_reference_in_floats(case):
     assert (got.q_lower.hex(), got.q_upper.hex()) == (ref.q_lower.hex(), ref.q_upper.hex())
 
 
+#: How the invader's numbers are typed: (block in floats, field index -> converter).
+#: Exact blocks under exact fields take the integer margins; the rest, the
+#: generic expressions.
+INVADER_KINDS = {
+    "exact": (False, lambda i: Fraction),
+    "float": (True, lambda i: float),
+    "float invader": (False, lambda i: float),
+    "mixed invader": (False, lambda i: (Fraction, float)[i % 2]),
+    "int invader": (False, lambda i: math.ceil),
+}
+INVADER_TIES = ("none", "K_super = K_sub", "c31 = sigma3", "H1 terms equal")
+INVADER_FIELDS = ("d3", "sigma3", "c31", "c32", "c33", "theta", "K_sub", "K_super")
+#: A weak block with u* = 3/4 < 1, so the two H1 terms can tie.
+WEAK_BLOCK = lv.TwoSpeciesParams(
+    d1=F(1), d2=F(2), sigma1=F(1), sigma2=F(1), c11=F(1), c12=F(1, 2), c21=F(2, 3), c22=F(1),
+)
+SMALL_INVADER = (F(1), F(2), F(3), F(1, 2), F(1), F(6), F(1, 4), F(2))
+
+
 @settings(max_examples=100)
 @given(
     strong_two_species_params(allow_weak=True),
     st.lists(st.tuples(*[positive_rationals] * 8), min_size=1, max_size=3),
+    st.sampled_from(sorted(INVADER_KINDS)),
+    st.sampled_from(INVADER_TIES),
     st.booleans(),
 )
-def test_existence_items_match_reference(p, invaders, in_floats):
-    num = float if in_floats else Fraction
+@example(WEAK_BLOCK, [SMALL_INVADER], "exact", "H1 terms equal", False)
+@example(WEAK_BLOCK, [SMALL_INVADER], "exact", "c31 = sigma3", False)
+@example(WEAK_BLOCK, [SMALL_INVADER], "exact", "K_super = K_sub", True)
+@example(WEAK_BLOCK, [SMALL_INVADER], "exact", "H1 terms equal", True)
+@example(WEAK_BLOCK, [SMALL_INVADER], "int invader", "none", False)
+@example(WEAK_BLOCK, [SMALL_INVADER], "mixed invader", "c31 = sigma3", True)
+def test_existence_items_match_reference(p, invaders, kind, tie, huge):
+    in_floats, converter = INVADER_KINDS[kind]
     block = as_float(p) if in_floats else p
-    for d3, sigma3, c31, c32, c33, theta, k_sub, k_super in invaders:
+    eq = lv.coexistence_equilibrium(p)
+    for fields in invaders:
+        values = dict(zip(INVADER_FIELDS, fields))
+        if huge:  # numerators and denominators near 10^30
+            values = {
+                k: F(v.numerator * 10**30 + 1, v.denominator * 10**30 + 1)
+                for k, v in values.items()
+            }
+        if tie == "K_super = K_sub":
+            values["K_super"] = values["K_sub"]
+        elif tie == "c31 = sigma3":  # H1 margin 0
+            values["c31"] = values["sigma3"]
+        elif tie == "H1 terms equal" and eq.u < 1:  # c31 = c31 u* + c32 v*
+            values["c32"] = values["c31"] * (1 - eq.u) / eq.v
         inputs = ExistenceInputs(
-            two_species=block, d3=num(d3), sigma3=num(sigma3), c31=num(c31), c32=num(c32),
-            c33=num(c33), theta=num(theta), K_sub=num(k_sub), K_super=num(k_super),
+            two_species=block,
+            **{k: converter(i)(v) for i, (k, v) in enumerate(values.items())},
         )
         # pickled, so the margins compare bit for bit
         items = lv.existence_report(inputs).items

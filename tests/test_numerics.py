@@ -154,6 +154,18 @@ class TestIntegrateOde:
         assert np.max(np.abs(traj.u - 1.0)) < 1e-12
         assert np.max(np.abs(traj.v)) == 0.0
 
+    def test_unstable_step_refused_before_the_first_step(self):
+        # at dt = 0.05 this block used to run until the state passed BLOWUP_LIMIT at t = 0.45
+        p = lv.TwoSpeciesParams(
+            d1=F(1), d2=F(1), sigma1=F(100), sigma2=F(100),
+            c11=F(100), c12=F(50), c21=F(200, 3), c22=F(100),
+        )
+        message = r"dt=0\.05 .* RK4MOL stability bound 0\.0417\d* at the start: reaction term 66\.6"
+        with pytest.raises(CFLViolationError, match=message):
+            lv.integrate_ode(p, 0.5, 0.5, t_end=10.0, dt=0.05)
+        traj = lv.integrate_ode(p, 0.5, 0.5, t_end=1.0, dt=0.02)
+        assert np.all(np.isfinite(traj.u)) and np.all(np.isfinite(traj.v))
+
     def test_negative_start_rejected(self, strong_params):
         with pytest.raises(ValueError):
             lv.integrate_ode(strong_params, -0.1, 0.5, t_end=1.0, dt=0.01)
