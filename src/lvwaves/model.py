@@ -21,7 +21,7 @@ and (u*, v*) are derived once per instance (:attr:`TwoSpeciesParams.kernel`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -240,7 +240,9 @@ def _ratios(p: TwoSpeciesParams | ThreeSpeciesParams, s1: Number, s2: Number) ->
 @dataclass(frozen=True)
 class BlockKernel:
     """A block's regime at :data:`DEGENERACY_TOL`, intercept and d-ratio extrema,
-    and (u*, v*); reading that raises again any SingularLinesError solving raised."""
+    and (u*, v*); reading that raises again any SingularLinesError solving raised.
+    ``bound_pairs`` holds the N-barrier bounds already derived for the block,
+    keyed on the weights' types and values (see :func:`lvwaves.nbarrier.bounds`)."""
 
     regime: Regime
     u_min: Number
@@ -250,6 +252,7 @@ class BlockKernel:
     d_min: Number
     d_max: Number
     _coexistence: Equilibrium2 | SingularLinesError
+    bound_pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def coexistence(self) -> Equilibrium2:

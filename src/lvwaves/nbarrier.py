@@ -25,7 +25,9 @@ combined weighted kinetics
 enters through the sign of its quadratic discriminant.
 
 The regime, intercepts and d-ratios are read off the block's kernel, derived
-once per instance; all bound computations stay exact when the inputs are.
+once per instance, and each weight pair's bounds are stored per block, keyed
+on the weights' types and values; all bound computations stay exact when the
+inputs are.
 """
 
 from __future__ import annotations
@@ -121,19 +123,29 @@ def _lower_bound_at(alpha, beta, u_min, v_min, d_min) -> Number:
 
 
 def bounds(p: TwoSpeciesParams, alpha: Number, beta: Number) -> BoundPair:
-    """Both closed-form bounds on alpha*u + beta*v, read off the block's kernel."""
-    _check_weights(alpha, beta)
+    """Both closed-form bounds on alpha*u + beta*v, read off the block's kernel.
+
+    The pair is derived once per block and weight pair, and stored in the
+    kernel keyed on the weights' types and values: ``Fraction(1, 2)`` and
+    ``0.5`` are equal and hash alike, but each gets its own arithmetic.
+    Refusals are not stored, so bad weights and blocks raise on every call.
+    """
     k = p.kernel
-    if k.regime not in (Regime.STRONG, Regime.WEAK):
-        raise RegimeError(
-            f"bounds require strong or weak competition, classification is {k.regime.value}"
+    key = (type(alpha), alpha, type(beta), beta)
+    pair = k.bound_pairs.get(key)
+    if pair is None:
+        _check_weights(alpha, beta)
+        if k.regime not in (Regime.STRONG, Regime.WEAK):
+            raise RegimeError(
+                f"bounds require strong or weak competition, classification is {k.regime.value}"
+            )
+        pair = k.bound_pairs[key] = BoundPair(
+            q_lower=_lower_bound_at(alpha, beta, k.u_min, k.v_min, k.d_min),
+            q_upper=max(alpha * k.u_max, beta * k.v_max) * k.d_max,
+            alpha=alpha,
+            beta=beta,
         )
-    return BoundPair(
-        q_lower=_lower_bound_at(alpha, beta, k.u_min, k.v_min, k.d_min),
-        q_upper=max(alpha * k.u_max, beta * k.v_max) * k.d_max,
-        alpha=alpha,
-        beta=beta,
-    )
+    return pair
 
 
 def conic_classify(p: TwoSpeciesParams, alpha: Number, beta: Number) -> ConicClass:

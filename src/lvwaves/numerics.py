@@ -186,9 +186,11 @@ def integrate_ode(
     """Classical fourth-order one-step integration of the diffusion-free kinetics.
 
     Zero components are allowed (the axis equilibria are admissible starts);
-    negative ones are not.  A step above RK4's stability bound for the
-    reaction Jacobian at the start (:func:`reaction_bound`) is refused with
-    ``CFLViolationError`` before the first step.
+    negative ones are not.  The competitive kinetics keep the state in the
+    box [0, max(u0, sigma1/c11)] x [0, max(v0, sigma2/c22)], and a step above
+    RK4's stability bound for the reaction Jacobian over that box
+    (:func:`reaction_bound`) is refused with ``CFLViolationError`` before the
+    first step.
     """
     if u0 < 0 or v0 < 0:
         raise ValueError("initial densities must be nonnegative")
@@ -211,12 +213,13 @@ def integrate_ode(
         )
     step = t_end / n_steps
     _, sigma, comp = _kinetics(p)
-    reaction = reaction_bound(sigma, comp, np.array([[u0], [v0]], dtype=float))
+    box = np.array([[0, max(u0, s1 / a11)], [0, max(v0, s2 / a22)]], dtype=float)
+    reaction = reaction_bound(sigma, comp, box)
     limit = STABILITY_INTERVAL[Scheme.RK4MOL]
     if step * reaction > limit:
         raise CFLViolationError(
             f"dt={dt} (steps of {step}) exceeds the {Scheme.RK4MOL.value} stability bound "
-            f"{limit / reaction} at the start: reaction term {reaction}"
+            f"{limit / reaction} over the reachable states: reaction term {reaction}"
         )
     ts = np.empty(n_steps + 1)
     us = np.empty(n_steps + 1)

@@ -2,9 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import lvwaves as lv
+
+# No per-example deadline: example times swing with the load of a shared
+# machine, and the deadline also caps the draw time of hypothesis's too_slow
+# health check at 5x its value (1 s at the 200 ms default).
+settings.register_profile("lvwaves", deadline=None)
+settings.load_profile("lvwaves")
 
 # bounded positive rationals, exact by construction
 positive_rationals = st.fractions(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import re
@@ -422,6 +423,88 @@ def test_existence_items_match_reference(p, invaders, kind, tie, huge):
         # pickled, so the margins compare bit for bit
         items = lv.existence_report(inputs).items
         assert pickle.dumps(items) == pickle.dumps(reference_existence_items(inputs))
+
+
+def fresh(p):
+    """A copy of a block with its own, not yet derived, kernel."""
+    return lv.TwoSpeciesParams(**p.to_dict())
+
+
+@settings(max_examples=50)
+@given(
+    strong_two_species_params(allow_weak=True),
+    st.lists(st.tuples(positive_rationals, positive_rationals), min_size=2, max_size=2),
+    st.lists(st.tuples(*[positive_rationals] * 6), min_size=3, max_size=3),
+)
+def test_existence_items_on_a_shared_block_match_reference(p, weights, others):
+    """One block audits a lattice of invaders, so most weight pairs are repeat
+    lookups; exact invaders go first, then float and mixed ones of equal
+    value, then all-float ones on the block's float twin."""
+
+    def audit(block, kind):
+        converter = INVADER_KINDS[kind][1]
+        for (c31, c32), (d3, sigma3, c33, theta, k_sub, k_super) in itertools.product(
+            weights, others
+        ):
+            values = (d3, sigma3, c31, c32, c33, theta, k_sub, k_super)
+            inputs = ExistenceInputs(
+                two_species=block,
+                **{k: converter(i)(v) for i, (k, v) in enumerate(zip(INVADER_FIELDS, values))},
+            )
+            items = lv.existence_report(inputs).items
+            assert pickle.dumps(items) == pickle.dumps(reference_existence_items(inputs))
+
+    exact = fresh(p)
+    for kind in ("exact", "exact", "float invader", "mixed invader"):
+        audit(exact, kind)
+    twin = as_float(p)
+    for _ in range(2):
+        audit(twin, "float")
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_stored_pairs_keep_each_weight_type(strong_params, reverse):
+    """Fraction(1, 2) == 0.5 and 1 == Fraction(1) hash alike; each weight type
+    still gets its own pair, in whichever order the types are asked."""
+    weights = [F(1, 2), 0.5, 1, F(1)]
+    pairs = list(itertools.product(weights, weights))
+    if reverse:
+        pairs.reverse()
+    p = fresh(strong_params)
+    for _ in range(2):
+        for alpha, beta in pairs:
+            got = lv.bounds(p, alpha, beta)
+            assert pickle.dumps(got) == pickle.dumps(reference_bounds(p, alpha, beta))
+    assert len(p.kernel.bound_pairs) == len(pairs)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(0, 1), (1, F(0)), (F(-1, 2), 1), (1, -0.5), (math.nan, 1), (1, math.nan)]
+)
+def test_refused_weights_refused_again(strong_params, alpha, beta):
+    p = fresh(strong_params)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="weights must be strictly positive and finite"):
+            lv.bounds(p, alpha, beta)
+    assert p.kernel.bound_pairs == {}
+
+
+def test_exclusion_block_refused_again(strong_params):
+    p = replace(strong_params, c21=F(1, 2))
+    for _ in range(2):
+        with pytest.raises(RegimeError, match="classification is ExclusionVWins"):
+            lv.bounds(p, F(1), F(1))
+    assert p.kernel.bound_pairs == {}
+
+
+def test_stored_pairs_not_pickled(strong_params):
+    p = fresh(strong_params)
+    before = pickle.dumps(p)
+    for alpha, beta in [(F(1), F(2)), (1.0, 2.0), (F(1), F(2))]:
+        lv.bounds(p, alpha, beta)
+    assert p.kernel.bound_pairs
+    assert pickle.dumps(p) == before
+    assert pickle.loads(before).kernel.bound_pairs == {}
 
 
 @settings(max_examples=100)

@@ -160,10 +160,16 @@ class TestIntegrateOde:
             d1=F(1), d2=F(1), sigma1=F(100), sigma2=F(100),
             c11=F(100), c12=F(50), c21=F(200, 3), c22=F(100),
         )
-        message = r"dt=0\.05 .* RK4MOL stability bound 0\.0417\d* at the start: reaction term 66\.6"
-        with pytest.raises(CFLViolationError, match=message):
-            lv.integrate_ode(p, 0.5, 0.5, t_end=10.0, dt=0.05)
-        traj = lv.integrate_ode(p, 0.5, 0.5, t_end=1.0, dt=0.02)
+        # the run stays in [0, 1] x [0, 1], where the reaction term reaches 233.3;
+        # dt = 0.04 is under the bound at the start (0.0418), not over the run
+        for dt in (0.05, 0.04):
+            message = (
+                rf"dt={re.escape(str(dt))} .* RK4MOL stability bound 0\.01193\d* "
+                r"over the reachable states: reaction term 233\.3"
+            )
+            with pytest.raises(CFLViolationError, match=message):
+                lv.integrate_ode(p, 0.5, 0.5, t_end=10.0, dt=dt)
+        traj = lv.integrate_ode(p, 0.5, 0.5, t_end=1.0, dt=0.01)
         assert np.all(np.isfinite(traj.u)) and np.all(np.isfinite(traj.v))
 
     def test_negative_start_rejected(self, strong_params):
