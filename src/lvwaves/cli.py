@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exactwaves, figures, numerics
 from .errors import LVError, MissingKeysError
-from .hypotheses import ExistenceInputs, existence_report, nonexistence_report
+from .hypotheses import _INVADER_FIELDS, ExistenceInputs, existence_report, nonexistence_report
 from .model import (
     ThreeSpeciesParams,
     TwoSpeciesParams,
@@ -31,7 +31,7 @@ from .model import (
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
-from .rational import Number, all_exact, is_exact, parse_fields, parse_number
+from .rational import Number, all_exact, parse_fields, parse_number
 from .report import write_json
 
 
@@ -40,7 +40,7 @@ def _exact(**values: Number) -> dict:
     out = {}
     for name, value in values.items():
         out[name] = float(value)
-        if is_exact(value):
+        if all_exact(value):
             out[name + "_exact"] = str(value)
     return out
 
@@ -136,7 +136,7 @@ def _cmd_exact_wave(args: argparse.Namespace) -> int:
             args, partial(exactwaves.wave_profile, spec), partial(exactwaves.residual, spec)
         ),
     }
-    if free.is_exact():
+    if all_exact(*vars(free).values()):
         payload["c_exact"] = [[str(v) for v in row] for row in matrix]
     return _write_report(args, payload)
 
@@ -208,7 +208,7 @@ def _cmd_speed(args: argparse.Namespace) -> int:
 def _cmd_fisher(args: argparse.Namespace) -> int:
     data = _load_params(args)
     background = WaveProfile.from_csv(args.background)
-    values = parse_fields(data, ("d3", "theta", "sigma3", "c31", "c32", "c33", "K_sub", "K_super"))
+    values = parse_fields(data, _INVADER_FIELDS)
     k_sub, k_super = float(values.pop("K_sub")), float(values.pop("K_super"))
     ctx = numerics.FisherContext(**values, background=background)
     w_sub = numerics.tanh_pulse_candidate(k_sub)

@@ -57,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InfeasibleError, NonPositiveCoefficientError
-from .model import ThreeSpeciesParams, TwoSpeciesParams, _require_positive, coexistence_equilibrium
+from .model import ThreeSpeciesParams, TwoSpeciesParams, coexistence_equilibrium
 from .profiles import WaveProfile
-from .rational import Number, _require_finite, all_exact, parse_fields, rel_close
+from .rational import Number, _compare, _require_finite, _require_positive, all_exact, parse_fields
 
 _FREE_FIELDS = ("k1", "k2", "d1", "d2", "d3", "theta", "sigma1", "sigma2", "sigma3")
 
@@ -92,9 +92,6 @@ class FreeParams:
     @classmethod
     def from_dict(cls, data: dict) -> "FreeParams":
         return cls(**parse_fields(data, _FREE_FIELDS))
-
-    def is_exact(self) -> bool:
-        return all_exact(*(getattr(self, k) for k in _FREE_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ def induce_coefficients(free: FreeParams) -> ExactWaveSpec:
         d1=d1, d2=d2, d3=d3, sigma1=s1, sigma2=s2, sigma3=s3, **c
     )
     eq = coexistence_equilibrium(params.two_species_block())
-    if not rel_close(eq.v, 4 * k1, IDENTITY_TOL):
+    if _compare(eq.v, 4 * k1, IDENTITY_TOL) != 0:
         raise ConsistencyError(
             f"induced coexistence v* = {eq.v} differs from 4*k1 = {4 * k1}"
         )
@@ -158,6 +155,12 @@ def _ansatz(u_star: Number, k1: Number, k2: Number | None, x):
     if np.isscalar(x):
         return tuple(float(f) for f in fields)
     return tuple(fields)
+
+
+def _tanh_pulse(k: float, t):
+    """(w, w', w'') of the pulse w = k (1 - tanh^2 x), given t = tanh(x)."""
+    s = 1.0 - t * t  # d tanh / dx
+    return k * s, -2.0 * k * t * s, -2.0 * k * s * (1.0 - 3.0 * t * t)
 
 
 def _ansatz_residual(
@@ -187,8 +190,7 @@ def _ansatz_residual(
         (2.0 * k1 * (1.0 + t) * s, 2.0 * k1 * s * (1.0 - 2.0 * t - 3.0 * t * t)),
     ]
     if k2 is not None:
-        k2 = float(k2)
-        derivs.append((-2.0 * k2 * t * s, -2.0 * k2 * s * (1.0 - 3.0 * t * t)))
+        derivs.append(_tanh_pulse(float(k2), t)[1:])
     th = float(theta)
     out = []
     for i, (f, (df, d2f)) in enumerate(zip(fields, derivs), start=1):
@@ -295,11 +297,11 @@ def two_species_exact_wave(
     wave = two_species_wave_family(d1, d2, sigma1, k1)
     exact = all_exact(d1, d2, theta, sigma1, sigma2, k1)
     tol = 0.0 if exact else MATCH_TOL
-    if not rel_close(theta, wave.theta, tol):
+    if _compare(theta, wave.theta, tol) != 0:
         raise InfeasibleError(
             f"requested theta={theta} but the ansatz forces theta={wave.theta}"
         )
-    if not rel_close(sigma2, wave.params.sigma2, tol):
+    if _compare(sigma2, wave.params.sigma2, tol) != 0:
         raise InfeasibleError(
             f"requested sigma2={sigma2} but the ansatz forces sigma2={wave.params.sigma2}"
         )

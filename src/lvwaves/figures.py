@@ -17,8 +17,8 @@ import numpy as np
 from .model import TwoSpeciesParams
 from .nbarrier import BoundSide, conic_classify, construct_barrier
 from .profiles import _write_csv
-from .rational import format_number
-from .report import write_json
+from .rational import Number, all_exact
+from .report import format_float, write_json
 
 #: Lines per axis of the grid whose lines are intersected with F(u, v) = 0.
 CURVE_GRID_LINES = 161
@@ -55,14 +55,17 @@ _FIG3_CASES = {
 }
 
 
+def _format_number(value: Number) -> str:
+    """Exact values verbatim, floats as :func:`lvwaves.report.format_float` writes them."""
+    return str(value) if all_exact(value) else format_float(value)
+
+
 def _line_points(a, b, c, u_max: float, n: int = 201) -> list[tuple[float, float]]:
     """First-quadrant samples of a u + b v = c."""
-    pts = []
-    for u in np.linspace(0.0, u_max, n):
-        v = (float(c) - float(a) * u) / float(b)
-        if v >= 0:
-            pts.append((float(u), float(v)))
-    return pts
+    u = np.linspace(0.0, u_max, n)
+    v = (float(c) - float(a) * u) / float(b)
+    keep = v >= 0
+    return list(zip(u[keep].tolist(), v[keep].tolist()))
 
 
 def _grid_line_roots(a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -146,9 +149,9 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
     manifest = {
         "which": which,
         "case": case,
-        "alpha": format_number(alpha),
-        "beta": format_number(beta),
-        "params": {k: format_number(v) for k, v in p.to_dict().items()},
+        "alpha": _format_number(alpha),
+        "beta": _format_number(beta),
+        "params": {k: _format_number(v) for k, v in p.to_dict().items()},
         "conic": {
             "kind": conic.kind.value,
             "discriminant": float(conic.discriminant),
@@ -169,9 +172,9 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
         manifest["barrier"] = {
             "side": barrier.side.value,
             "case_id": barrier.case_id,
-            "lambda1": format_number(barrier.lambda1),
-            "lambda2": format_number(barrier.lambda2),
-            "eta": format_number(barrier.eta),
+            "lambda1": _format_number(barrier.lambda1),
+            "lambda2": _format_number(barrier.lambda2),
+            "eta": _format_number(barrier.eta),
         }
     write_json(out / "manifest.json", manifest)
     return manifest

@@ -40,16 +40,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .model import (
-    _TWO_FIELDS,
-    Regime,
-    ThreeSpeciesParams,
-    TwoSpeciesParams,
-    _ratios,
-    _require_positive,
-)
+from .model import _TWO_FIELDS, Regime, ThreeSpeciesParams, TwoSpeciesParams, _ratios
 from .nbarrier import _lower_bound_at, bounds
-from .rational import Number, _require_finite, all_exact, parse_fields
+from .rational import Number, _require_finite, _require_positive, all_exact, parse_fields
 from .report import CheckItem, CheckReport
 
 _INVADER_FIELDS = ("d3", "sigma3", "c31", "c32", "c33", "theta", "K_sub", "K_super")

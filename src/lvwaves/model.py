@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, SingularLinesError
-from .rational import Number, _is_finite, _require_finite, parse_fields
+from .rational import Number, _compare, _is_finite, _require_finite, _require_positive, parse_fields
 
 #: Default relative tolerance on the cross products sigma1*c21 vs sigma2*c11
 #: and sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a
@@ -39,13 +38,6 @@ _THREE_FIELDS = (
     "d1", "d2", "d3", "sigma1", "sigma2", "sigma3",
     "c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33",
 )
-
-
-def _require_positive(obj, names) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not (value > 0 and _is_finite(value)):
-            raise ValueError(f"{name} must be strictly positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -202,15 +194,6 @@ def coexistence_equilibrium(p: TwoSpeciesParams) -> Equilibrium2:
     return Equilibrium2(u_star, v_star)
 
 
-def _compare(lhs: Number, rhs: Number, tol: float) -> int:
-    """Sign of lhs - rhs with a relative tie band of width tol."""
-    diff = lhs - rhs
-    scale = max(abs(lhs), abs(rhs))
-    if abs(diff) <= tol * scale:
-        return 0
-    return 1 if diff > 0 else -1
-
-
 def classify_regime(p: TwoSpeciesParams, tol: float = DEGENERACY_TOL) -> Regime:
     """Classify the competition regime of the kinetics.
 
@@ -273,7 +256,7 @@ def evenness_index(u: Number, v: Number) -> float:
     total = u + v
     if total == 0:
         raise DomainError("evenness index undefined for u + v == 0")
-    pu = float(u / total) if isinstance(total, (int, Fraction)) else float(u) / float(total)
+    pu = float(u / total)
     pv = 1.0 - pu
     h = 0.0
     if pu > 0:

@@ -213,8 +213,14 @@ def verify_bounds_on_profile(
     Reports the extrema of alpha*u + beta*v over the grid and the signed
     margins to each bound.  The min/max reductions are order independent, so
     partitioning the grid across workers would give identical results.
+    The weights must equal ``bound_pair``'s own, in value if not in type.
     """
     _check_weights(alpha, beta)
+    if (alpha, beta) != (bound_pair.alpha, bound_pair.beta):
+        raise ValueError(
+            f"weights ({alpha}, {beta}) are not the bound pair's "
+            f"({bound_pair.alpha}, {bound_pair.beta})"
+        )
     combo = float(alpha) * profile.u + float(beta) * profile.v
     i_min = int(np.argmin(combo))
     i_max = int(np.argmax(combo))

@@ -56,9 +56,10 @@ from .errors import (
     NegativeDensityError,
     NotOrderedError,
 )
-from .model import ThreeSpeciesParams, TwoSpeciesParams, _require_positive
+from .exactwaves import _tanh_pulse
+from .model import ThreeSpeciesParams, TwoSpeciesParams
 from .profiles import ScalarProfile, WaveProfile, check_grid_bounds, uniform_grid
-from .rational import Number, _require_finite
+from .rational import Number, _require_finite, _require_positive
 from .report import CheckItem, CheckReport, format_float
 
 BLOWUP_LIMIT = 1e12
@@ -599,10 +600,7 @@ class Candidate:
             zero = np.zeros_like(x)
             return np.full_like(x, k), zero, zero
         if self.kind == "tanh_pulse":
-            k = float(self.amplitude)
-            t = np.tanh(x)
-            s = 1.0 - t * t
-            return k * s, -2.0 * k * t * s, -2.0 * k * s * (1.0 - 3.0 * t * t)
+            return _tanh_pulse(float(self.amplitude), np.tanh(x))
         if self.kind == "sampled":
             w = np.asarray(self.values, dtype=float)
             if w.shape != x.shape:

@@ -32,13 +32,22 @@ def _check_grid(x: np.ndarray) -> None:
         raise ValueError("grid spacing is not uniform")
 
 
-def _check_samples(name: str, a: np.ndarray, nonneg: bool = True) -> None:
-    if not np.isfinite(a).all():
-        bad = float(a[~np.isfinite(a)][0])
-        raise ValueError(f"{name} samples must be finite, got {bad}")
-    if nonneg and np.any(a < 0):
-        worst = float(np.min(a))
-        raise ValueError(f"{name} samples must be nonnegative (min {worst})")
+def _set_samples(obj, fields: tuple[str, ...], nonneg: bool) -> None:
+    """Store the grid ``x`` and the named fields of ``obj`` as float arrays,
+    then check the grid, then each field in turn: its shape, its samples
+    finite, and with ``nonneg`` none negative."""
+    for name in ("x", *fields):
+        object.__setattr__(obj, name, np.asarray(getattr(obj, name), dtype=float))
+    _check_grid(obj.x)
+    for name in fields:
+        a = getattr(obj, name)
+        if a.shape != obj.x.shape:
+            raise ValueError(f"{name} must match the grid shape")
+        if not np.isfinite(a).all():
+            bad = float(a[~np.isfinite(a)][0])
+            raise ValueError(f"{name} samples must be finite, got {bad}")
+        if nonneg and np.any(a < 0):
+            raise ValueError(f"{name} samples must be nonnegative (min {float(np.min(a))})")
 
 
 @dataclass(frozen=True)
@@ -51,21 +60,7 @@ class WaveProfile:
     w: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.w is not None:
-            object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        _check_grid(self.x)
-        for name in ("u", "v"):
-            arr = getattr(self, name)
-            if arr.shape != self.x.shape:
-                raise ValueError(f"{name} must match the grid shape")
-            _check_samples(name, arr)
-        if self.w is not None:
-            if self.w.shape != self.x.shape:
-                raise ValueError("w must match the grid shape")
-            _check_samples("w", self.w)
+        _set_samples(self, ("u", "v") if self.w is None else ("u", "v", "w"), nonneg=True)
 
     def to_csv(self, path) -> None:
         names = ["x", "u", "v"] + (["w"] if self.w is not None else [])
@@ -89,12 +84,7 @@ class ScalarProfile:
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        _check_grid(self.x)
-        if self.w.shape != self.x.shape:
-            raise ValueError("w must match the grid shape")
-        _check_samples("w", self.w, nonneg=False)
+        _set_samples(self, ("w",), nonneg=False)
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["x", "w"], np.column_stack([self.x, self.w]))

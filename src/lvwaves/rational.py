@@ -58,10 +58,6 @@ def parse_fields(data: dict, names: tuple[str, ...]) -> dict[str, Number]:
     return {name: parse_number(data[name]) for name in names}
 
 
-def is_exact(value: Number) -> bool:
-    return isinstance(value, (int, Fraction))
-
-
 def all_exact(*values: Number) -> bool:
     # every existence_report call runs this, so floats are refused first:
     # an isinstance test against the Fraction ABC costs 15 plain type tests
@@ -83,17 +79,20 @@ def _require_finite(**values: Number) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def format_number(value: Number) -> str:
-    """Render a number for reports: exact values verbatim, floats at 17 sig digits."""
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    return format(float(value), ".17g")
+def _require_positive(obj, names) -> None:
+    """Raise ``ValueError`` naming the first of ``obj``'s attributes ``names``
+    that is not strictly positive and finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (value > 0 and _is_finite(value)):
+            raise ValueError(f"{name} must be strictly positive and finite, got {value}")
 
 
-def rel_close(a: Number, b: Number, tol: float) -> bool:
-    """Relative comparison that stays exact for exact inputs when tol allows."""
-    diff = abs(a - b)
-    scale = max(abs(a), abs(b))
-    if scale == 0:
-        return diff == 0
-    return diff <= tol * scale
+def _compare(lhs: Number, rhs: Number, tol: float) -> int:
+    """Sign of lhs - rhs with a relative tie band of width tol: 0 is a tie.
+    Exact inputs compare exactly at tol = 0."""
+    diff = lhs - rhs
+    scale = max(abs(lhs), abs(rhs))
+    if abs(diff) <= tol * scale:
+        return 0
+    return 1 if diff > 0 else -1

@@ -2,12 +2,14 @@
 
 Margins are signed: nonnegative means the audited inequality holds, negative
 says by how much it is violated.  JSON output is byte-deterministic (sorted
-keys, two-space indent, floats printed with 17 significant digits) so reports
-can be used as golden files.
+keys, two-space indent, strings escaped as the ``json`` module escapes them,
+floats printed with 17 significant digits) so reports can be used as golden
+files.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -53,6 +55,10 @@ class CheckReport:
         }
 
 
+#: A string as JSON text, escaped as the ``json`` module escapes it.
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
@@ -71,10 +77,7 @@ def render_json(value: Any, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
     if isinstance(value, str):
-        escaped = (
-            value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
+        return _json_string(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -87,7 +90,7 @@ def render_json(value: Any, indent: int = 0) -> str:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f'{inner}"{key}": ' + render_json(value[key], indent + 1))
+            parts.append(f"{inner}{_json_string(key)}: " + render_json(value[key], indent + 1))
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 

@@ -628,6 +628,23 @@ class TestContract:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, extra, message",
+        [
+            (None, [], "this command requires --params FILE"),
+            ([1, 2], [], "parameter file must hold a JSON object"),
+            (STRONG, ["--set", "sigma1"], "override 'sigma1' is not of the form key=value"),
+        ],
+    )
+    def test_parameter_file_refusals(self, tmp_path, capsys, data, extra, message):
+        out = tmp_path / "o"
+        argv = ["classify", "--out", str(out), *extra]
+        if data is not None:
+            argv += ["--params", write_json(tmp_path / "p.json", data)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_params_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -200,6 +200,20 @@ def test_parse_number_rejects_non_finite(value):
         parse_number(value)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "expected a number, got True"),
+        ("1/0", "cannot parse number '1/0'"),
+        ([1], "expected a number, got [1]"),
+    ],
+)
+def test_parse_number_refusals(value, message):
+    with pytest.raises(ValueError) as info:
+        parse_number(value)
+    assert str(info.value) == message
+
+
 class TestBlockKernel:
     def test_fraction_block_and_float_twin_get_own_kernels(self, strong_params):
         twin = as_float(strong_params)

@@ -750,3 +750,17 @@ def test_pde_settled_front_within_bounds(c12, c21, regime, margins):
         assert all(rep.passed for rep in reports)
         # a loosened bound widens a margin past its pinned value
         assert (low, high) == pytest.approx((lower, upper), abs=0.01)
+
+
+def test_profile_audit_refuses_another_pairs_weights(demo_two_wave):
+    p = demo_two_wave.params
+    prof = demo_two_wave.profile(np.linspace(-40.0, 40.0, 801))
+    pair = lv.bounds(p, 10, 10)
+    with pytest.raises(ValueError) as info:
+        lv.verify_bounds_on_profile(prof, 1, 1, pair)
+    assert "(1, 1)" in str(info.value) and "(10, 10)" in str(info.value)
+    # the pair's own weights audit the exact wave, whose bound holds
+    assert lv.verify_bounds_on_profile(prof, 10, 10, pair).passed
+    # equal weights of another number type are the pair's weights
+    half = lv.bounds(p, F(1, 2), F(1, 2))
+    assert lv.verify_bounds_on_profile(prof, 0.5, 0.5, half).passed

@@ -176,6 +176,11 @@ class TestIntegrateOde:
         with pytest.raises(ValueError):
             lv.integrate_ode(strong_params, -0.1, 0.5, t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("t_end, dt", [(0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)])
+    def test_nonpositive_time_or_step_rejected(self, strong_params, t_end, dt):
+        with pytest.raises(ValueError, match="t_end and dt must be positive"):
+            lv.integrate_ode(strong_params, 0.1, 0.5, t_end=t_end, dt=dt)
+
     @pytest.mark.parametrize("name, value", [
         ("u0", np.nan), ("u0", np.inf), ("v0", np.nan), ("t_end", np.inf), ("t_end", np.nan),
         ("dt", np.nan),
@@ -247,6 +252,28 @@ class TestSimulatePde:
         init = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.ones_like(x))
         with pytest.raises(ValueError):
             lv.simulate_pde(paper_spec.params, init, SimConfig(grid=grid, t_end=0.1))
+
+    def test_unsupported_parameter_type_rejected(self, strong_params):
+        grid = GridSpec(-5.0, 5.0, 11)
+        x = grid.x()
+        init = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.ones_like(x))
+        with pytest.raises(TypeError, match="unsupported parameter type dict"):
+            lv.simulate_pde(strong_params.to_dict(), init, SimConfig(grid=grid, t_end=0.1))
+
+    def test_grid_of_two_nodes_rejected(self):
+        with pytest.raises(ValueError, match="grid needs at least three nodes"):
+            GridSpec(-1.0, 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"space_order": 3}, "space_order must be 2 or 4"),
+            ({"dt": "fast"}, "dt must be a number or 'auto', got 'fast'"),
+        ],
+    )
+    def test_config_refusals(self, change, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimConfig(grid=GridSpec(-1.0, 1.0, 11), t_end=1.0, **change)
 
     @pytest.mark.parametrize("x", [np.linspace(-5.0, 5.0, 51), np.linspace(-4.0, 6.0, 101)])
     def test_init_off_the_configured_grid_rejected(self, strong_params, x):
@@ -551,6 +578,21 @@ class TestFrontSpeed:
         assert est.positions.tolist() == [3.0, 4.0]
         assert est.speed == pytest.approx(1.0, abs=1e-12)
 
+    def test_crossing_in_an_end_cell_is_linear(self):
+        # the cubic refinement needs four nodes around the bracketing cell, so
+        # a crossing in the first or the last cell is read off the chord
+        x = np.linspace(0.0, 10.0, 11)
+        profiles = tuple(
+            lv.WaveProfile(x=x, u=np.exp(-(x - shift)), v=np.zeros_like(x)) for shift in (0.0, 9.0)
+        )
+        snaps = Snapshots(times=np.array([0.0, 1.0]), profiles=profiles)
+        est = lv.estimate_front_speed(snaps, "u", 0.5)
+        chords = []
+        for prof, i in zip(profiles, (0, 9)):
+            s = prof.u - 0.5
+            chords.append(x[i] + (x[i + 1] - x[i]) * s[i] / (s[i] - s[i + 1]))
+        assert est.positions.tolist() == chords
+
     def test_single_snapshot_rejected(self, paper_spec):
         snaps = self._translated_snapshots(paper_spec, n_shots=1)
         with pytest.raises(ValueError, match="need at least two snapshots"):
@@ -606,6 +648,10 @@ class TestSubSuper:
             fisher_ctx, lv.sampled_candidate(values), Side.SUB, tol=0.05
         )
         assert report.passed
+
+    def test_sampled_candidate_off_the_grid_rejected(self, fisher_ctx):
+        with pytest.raises(ValueError, match="sampled candidate does not match the grid"):
+            lv.check_sub_super(fisher_ctx, lv.sampled_candidate(np.ones(5)), Side.SUB)
 
 
 class TestSolveFisher:

@@ -10,8 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lvwaves import figures
-from lvwaves.profiles import ScalarProfile, WaveProfile, _read_csv, _write_csv
+from lvwaves.profiles import ScalarProfile, WaveProfile, _read_csv, _write_csv, uniform_grid
 from lvwaves.report import format_float
+
+from conftest import positive_rationals
 
 
 def reference_write_csv(path, names, cols):
@@ -204,6 +206,29 @@ def test_figure_files_match_reference_writer(tmp_path, monkeypatch, which, case)
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
+def reference_line_points(a, b, c, u_max, n=201):
+    """The per-sample loop over the first-quadrant points of a u + b v = c."""
+    pts = []
+    for u in np.linspace(0.0, u_max, n):
+        v = (float(c) - float(a) * u) / float(b)
+        if v >= 0:
+            pts.append((float(u), float(v)))
+    return pts
+
+
+@given(
+    a=st.one_of(positive_rationals, st.floats(1e-3, 1e3)),
+    b=st.one_of(positive_rationals, st.floats(1e-3, 1e3)),
+    c=st.one_of(positive_rationals, st.floats(-1e3, 1e3)),
+    u_max=st.floats(0.0, 50.0),
+    n=st.integers(1, 300),
+)
+def test_line_points_match_the_loop(a, b, c, u_max, n):
+    got = figures._line_points(a, b, c, u_max, n)
+    want = reference_line_points(a, b, c, u_max, n)
+    assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in want]
+
+
 @pytest.mark.parametrize("header", ["x,u,v,q,z", "x,u,v,q", "x,u,v,w,z", "x,v,u", "x,u"])
 def test_wave_profile_takes_only_its_two_headers(tmp_path, header):
     path = tmp_path / "p.csv"
@@ -211,3 +236,67 @@ def test_wave_profile_takes_only_its_two_headers(tmp_path, header):
     path.write_text(header + "\n" + "\n".join(",".join([str(i)] * n) for i in range(3)) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"expected header x,u,v[,w], got {header}")):
         WaveProfile.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ([0.0, 2.0, 1.0], "grid must be strictly increasing"),
+        ([0.0, 0.0, 1.0], "grid must be strictly increasing"),
+        ([0.0, 1.0, 3.0], "grid spacing is not uniform"),
+        ([0.0], "grid must be one-dimensional with at least two nodes"),
+    ],
+)
+def test_profiles_refuse_bad_grids(x, message):
+    n = len(x)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WaveProfile(x=x, u=np.ones(n), v=np.ones(n))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScalarProfile(x=x, w=np.ones(n))
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, n, message",
+    [
+        (0.0, 1.0, 1, "need at least two nodes"),
+        (0.0, 1.0, 0, "need at least two nodes"),
+        (1.0, 1.0, 5, "x_min must be below x_max"),
+        (2.0, 1.0, 5, "x_min must be below x_max"),
+    ],
+)
+def test_uniform_grid_refusals(x_min, x_max, n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        uniform_grid(x_min, x_max, n)
+
+
+def test_scalar_profile_field_off_the_grid_shape():
+    with pytest.raises(ValueError, match=re.escape("w must match the grid shape")):
+        ScalarProfile(x=np.linspace(0.0, 1.0, 4), w=np.ones((4, 1)))
+
+
+@pytest.mark.parametrize(
+    "x, fields, message",
+    [
+        # the grid is checked before any field
+        ([0.0, 2.0, 1.0], {"u": [1.0, 1.0], "v": [-1.0, 0.0, 0.0]}, "grid must be strictly"),
+        # then u (shape, then samples), v and w in turn
+        ([0.0, 1.0, 2.0], {"u": [1.0, 1.0]}, "u must match the grid shape"),
+        ([0.0, 1.0, 2.0], {"v": [1.0, 1.0]}, "v must match the grid shape"),
+        ([0.0, 1.0, 2.0], {"w": [[1.0, 1.0, 1.0]]}, "w must match the grid shape"),
+        ([0.0, 1.0, 2.0], {"u": [-1.0, 0.0, 0.0], "v": [1.0, 1.0]}, "u samples must be nonneg"),
+        ([0.0, 1.0, 2.0], {"u": [1.0, 1.0], "v": [np.nan, 0.0, 0.0]}, "u must match the grid"),
+        ([0.0, 1.0, 2.0], {"v": [np.nan, 0.0, 0.0], "w": [1.0]}, "v samples must be finite"),
+        ([0.0, 1.0, 2.0], {"w": [-2.0, 0.0, 0.0]}, "w samples must be nonnegative (min -2.0)"),
+    ],
+)
+def test_wave_profile_checks_in_order(x, fields, message):
+    values = {"u": [0.0, 0.0, 0.0], "v": [0.0, 0.0, 0.0], **fields}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WaveProfile(x=x, **values)
+
+
+def test_scalar_profile_from_csv_refuses_other_headers(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("x,u\n0,1\n1,2\n")
+    with pytest.raises(ValueError, match=re.escape("expected header x,w, got x,u")):
+        ScalarProfile.from_csv(path)
