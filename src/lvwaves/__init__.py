@@ -55,10 +55,8 @@ from .numerics import (
     tanh_pulse_candidate,
 )
 from .hypotheses import (
-    SW,
     ExistenceInputs,
     SigmaPair,
-    check_SW,
     existence_report,
     nonexistence_report,
     sigma_pair,

@@ -30,6 +30,7 @@ from .model import (
     evenness_index,
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
+from .numerics import CANDIDATE_TOL
 from .profiles import WaveProfile, uniform_grid
 from .rational import Number, all_exact, parse_fields, parse_number
 from .report import write_json
@@ -213,8 +214,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
     ctx = numerics.FisherContext(**values, background=background)
     w_sub = numerics.tanh_pulse_candidate(k_sub)
     w_super = numerics.constant_candidate(k_super)
-    sub_rep = numerics.check_sub_super(ctx, w_sub, numerics.Side.SUB, tol=1e-12)
-    super_rep = numerics.check_sub_super(ctx, w_super, numerics.Side.SUPER, tol=1e-12)
+    sub_rep = numerics.check_sub_super(ctx, w_sub, numerics.Side.SUB, tol=CANDIDATE_TOL)
+    super_rep = numerics.check_sub_super(ctx, w_super, numerics.Side.SUPER, tol=CANDIDATE_TOL)
     payload = {
         "sub_check": sub_rep.to_json_dict(),
         "super_check": super_rep.to_json_dict(),
@@ -256,10 +257,9 @@ def _cmd_check_nonexistence(args: argparse.Namespace) -> int:
 
 def _cmd_verify_profile(args: argparse.Namespace) -> int:
     p = TwoSpeciesParams.from_dict(_load_params(args))
-    alpha, beta = _weights(args)
     profile = WaveProfile.from_csv(args.profile)
-    pair = bounds(p, alpha, beta)
-    report = verify_bounds_on_profile(profile, alpha, beta, pair)
+    pair = bounds(p, *_weights(args))
+    report = verify_bounds_on_profile(profile, pair)
     _write_report(
         args, {**report.to_json_dict(), **_exact(q_lower=pair.q_lower, q_upper=pair.q_upper)}
     )

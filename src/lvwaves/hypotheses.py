@@ -37,10 +37,9 @@ expressions.  The two give the same floats bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .model import _TWO_FIELDS, Regime, ThreeSpeciesParams, TwoSpeciesParams, _ratios
+from .model import _TWO_FIELDS, ThreeSpeciesParams, TwoSpeciesParams, _ratios
 from .nbarrier import _lower_bound_at, bounds
 from .rational import Number, _require_finite, _require_positive, all_exact, parse_fields
 from .report import CheckItem, CheckReport
@@ -217,13 +216,3 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
         verdict = "nonexistence not established: " + ", ".join(failed)
     return CheckReport(title="nonexistence-audit", passed=passed, items=items, verdict=verdict)
 
-
-class SW(Enum):
-    S = "S"
-    W = "W"
-    NEITHER = "Neither"
-
-
-def check_SW(p: TwoSpeciesParams) -> SW:
-    """Collapse the regime classification to strong / weak / neither."""
-    return {Regime.STRONG: SW.S, Regime.WEAK: SW.W}.get(p.kernel.regime, SW.NEITHER)

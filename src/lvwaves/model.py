@@ -28,9 +28,9 @@ from functools import cached_property
 from .errors import DomainError, SingularLinesError
 from .rational import Number, _compare, _is_finite, _require_finite, _require_positive, parse_fields
 
-#: Default relative tolerance on the cross products sigma1*c21 vs sigma2*c11
-#: and sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a
-#: tie.  Products avoid divisions, so exact inputs compare exactly.
+#: Relative tolerance on the cross products sigma1*c21 vs sigma2*c11 and
+#: sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a tie.
+#: Products avoid divisions, so exact inputs compare exactly.
 DEGENERACY_TOL = 1e-9
 
 _TWO_FIELDS = ("d1", "d2", "sigma1", "sigma2", "c11", "c12", "c21", "c22")
@@ -194,15 +194,16 @@ def coexistence_equilibrium(p: TwoSpeciesParams) -> Equilibrium2:
     return Equilibrium2(u_star, v_star)
 
 
-def classify_regime(p: TwoSpeciesParams, tol: float = DEGENERACY_TOL) -> Regime:
+def classify_regime(p: TwoSpeciesParams) -> Regime:
     """Classify the competition regime of the kinetics.
 
-    The comparisons sigma1/c11 vs sigma2/c21 and sigma2/c22 vs sigma1/c12 are
-    evaluated on cross products.  A comparison within ``tol`` (relative) of a
-    tie makes the whole classification ``DEGENERATE``.
+    The comparisons s_u of sigma1/c11 vs sigma2/c21 and s_v of sigma2/c22 vs
+    sigma1/c12 are evaluated on cross products.  A comparison within
+    :data:`DEGENERACY_TOL` (relative) of a tie makes the whole classification
+    ``DEGENERATE``.
     """
-    s_u = _compare(p.sigma1 * p.c21, p.sigma2 * p.c11, tol)  # sigma1/c11 vs sigma2/c21
-    s_v = _compare(p.sigma2 * p.c12, p.sigma1 * p.c22, tol)  # sigma2/c22 vs sigma1/c12
+    s_u = _compare(p.sigma1 * p.c21, p.sigma2 * p.c11, DEGENERACY_TOL)
+    s_v = _compare(p.sigma2 * p.c12, p.sigma1 * p.c22, DEGENERACY_TOL)
     if s_u == 0 or s_v == 0:
         return Regime.DEGENERATE
     if s_u > 0 and s_v > 0:
@@ -222,10 +223,10 @@ def _ratios(p: TwoSpeciesParams | ThreeSpeciesParams, s1: Number, s2: Number) ->
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """A block's regime at :data:`DEGENERACY_TOL`, intercept and d-ratio extrema,
-    and (u*, v*); reading that raises again any SingularLinesError solving raised.
-    ``bound_pairs`` holds the N-barrier bounds already derived for the block,
-    keyed on the weights' types and values (see :func:`lvwaves.nbarrier.bounds`)."""
+    """A block's regime, intercept and d-ratio extrema, and (u*, v*); reading
+    that raises again any SingularLinesError solving raised.  ``bound_pairs``
+    holds the N-barrier bounds already derived for the block, keyed on the
+    weights' types and values (see :func:`lvwaves.nbarrier.bounds`)."""
 
     regime: Regime
     u_min: Number

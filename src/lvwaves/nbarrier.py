@@ -205,22 +205,16 @@ def construct_barrier(
     return BarrierLines(lambda1=eta * near, lambda2=eta * far, eta=eta, side=side, case_id=case)
 
 
-def verify_bounds_on_profile(
-    profile: WaveProfile, alpha: Number, beta: Number, bound_pair: BoundPair
-) -> CheckReport:
-    """Pointwise audit of the two-sided bound on a sampled profile.
+def verify_bounds_on_profile(profile: WaveProfile, bound_pair: BoundPair) -> CheckReport:
+    """Pointwise audit of ``bound_pair``'s two-sided bound on a sampled profile.
 
-    Reports the extrema of alpha*u + beta*v over the grid and the signed
-    margins to each bound.  The min/max reductions are order independent, so
-    partitioning the grid across workers would give identical results.
-    The weights must equal ``bound_pair``'s own, in value if not in type.
+    Reports the extrema of alpha*u + beta*v, with the pair's own weights, over
+    the grid and the signed margins to each bound.  The min/max reductions are
+    order independent, so partitioning the grid across workers would give
+    identical results.
     """
+    alpha, beta = bound_pair.alpha, bound_pair.beta
     _check_weights(alpha, beta)
-    if (alpha, beta) != (bound_pair.alpha, bound_pair.beta):
-        raise ValueError(
-            f"weights ({alpha}, {beta}) are not the bound pair's "
-            f"({bound_pair.alpha}, {bound_pair.beta})"
-        )
     combo = float(alpha) * profile.u + float(beta) * profile.v
     i_min = int(np.argmin(combo))
     i_max = int(np.argmax(combo))

@@ -60,7 +60,7 @@ from .exactwaves import _tanh_pulse
 from .model import ThreeSpeciesParams, TwoSpeciesParams
 from .profiles import ScalarProfile, WaveProfile, check_grid_bounds, uniform_grid
 from .rational import Number, _require_finite, _require_positive
-from .report import CheckItem, CheckReport, format_float
+from .report import CheckItem, CheckReport, format_float, write_json
 
 BLOWUP_LIMIT = 1e12
 #: Share of the stability bound C / lambda used when dt="auto".
@@ -71,6 +71,9 @@ ORDERING_SLACK = 1e-10
 #: anything closer to zero is roundoff from the non-monotone fourth-order
 #: stencil acting on underflowed tails and is snapped to zero.
 NEGATIVITY_FLOOR = 1e-12
+#: Residual slack with which a sub/supersolution candidate is audited before
+#: the monotone iteration starts from it.
+CANDIDATE_TOL = 1e-12
 
 
 class BoundaryKind(Enum):
@@ -200,9 +203,9 @@ def integrate_ode(
     _require_finite(u0=u0, v0=v0, t_end=t_end, dt=dt)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end={t_end} and dt={dt} give too many steps to count")
-    s1, s2 = float(p.sigma1), float(p.sigma2)
-    a11, a12 = float(p.c11), float(p.c12)
-    a21, a22 = float(p.c21), float(p.c22)
+    _, sigma, comp = _kinetics(p)
+    s1, s2 = sigma.tolist()
+    (a11, a12), (a21, a22) = comp.tolist()
 
     def f(u, v):
         return u * (s1 - a11 * u - a12 * v), v * (s2 - a21 * u - a22 * v)
@@ -213,7 +216,6 @@ def integrate_ode(
             f"t_end={t_end} and dt={dt} give {n_steps} steps, more than an array can hold"
         )
     step = t_end / n_steps
-    _, sigma, comp = _kinetics(p)
     box = np.array([[0, max(u0, s1 / a11)], [0, max(v0, s2 / a22)]], dtype=float)
     reaction = reaction_bound(sigma, comp, box)
     limit = STABILITY_INTERVAL[Scheme.RK4MOL]
@@ -242,7 +244,7 @@ def integrate_ode(
 
 @dataclass(frozen=True)
 class Snapshots:
-    """Solution snapshots of a simulation run at increasing times, all on one grid."""
+    """Solution snapshots of a run at finite, strictly increasing times, all on one grid."""
 
     times: np.ndarray
     profiles: tuple[WaveProfile, ...]
@@ -252,6 +254,9 @@ class Snapshots:
             raise ValueError("snapshots need at least one profile")
         if len(self.times) != len(self.profiles):
             raise ValueError(f"{len(self.times)} times for {len(self.profiles)} snapshots")
+        t = np.asarray(self.times, dtype=float)
+        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise ValueError(f"snapshot times must be finite and strictly increasing: {t.tolist()}")
         if any(not np.array_equal(prof.x, self.x) for prof in self.profiles[1:]):
             raise ValueError("snapshots are not all on one grid")
 
@@ -277,9 +282,7 @@ class Snapshots:
             },
             "config": config or {},
         }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n"
-        )
+        write_json(out / "manifest.json", manifest)
 
     @classmethod
     def from_dir(cls, out_dir) -> "Snapshots":
@@ -291,7 +294,10 @@ class Snapshots:
             if not np.array_equal(prof.x, profiles[0].x):
                 raise ValueError(f"snapshot {path} is not on the grid of {paths[0]}")
         times = np.array([float(t) for t in manifest["times"]])
-        return cls(times=times, profiles=profiles)
+        try:
+            return cls(times=times, profiles=profiles)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {out / 'manifest.json'}") from None
 
 
 def _kinetics(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -732,7 +738,7 @@ def solve_fisher_bvp(
     if np.any(ws > wS):
         raise NotOrderedError("w_sub exceeds w_super somewhere on the grid")
     for cand, side in ((w_sub, Side.SUB), (w_super, Side.SUPER)):
-        rep = check_sub_super(ctx, cand, side, tol=1e-12)
+        rep = check_sub_super(ctx, cand, side, tol=CANDIDATE_TOL)
         if not rep.passed:
             raise DomainError(
                 f"{side.value.lower()}solution check failed "

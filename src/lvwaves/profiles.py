@@ -9,11 +9,12 @@ read converts every cell in one call with the number syntax of ``float()``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .rational import _require_finite
 
 #: Relative tolerance on grid-spacing uniformity.
 GRID_UNIFORMITY_TOL = 1e-12
@@ -99,9 +100,7 @@ class ScalarProfile:
 
 def check_grid_bounds(x_min: float, x_max: float) -> None:
     """Raise ``ValueError`` unless both bounds are finite and ``x_min < x_max``."""
-    for name, value in (("x_min", x_min), ("x_max", x_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_finite(x_min=x_min, x_max=x_max)
     if not x_min < x_max:
         raise ValueError("x_min must be below x_max")
 

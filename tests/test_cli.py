@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -462,6 +463,47 @@ class TestSimulationCommands:
         )
         assert code == 2
         assert "snapshots need at least one profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", [["1", "0"], ["1", "1"], ["0", "nan"]],
+                             ids=["swapped", "equal", "nan"])
+    def test_speed_refuses_times_that_do_not_increase(
+        self, tmp_path, demo_two_wave, capsys, times
+    ):
+        x = np.linspace(-40, 40, 801)
+        ahead = demo_two_wave.profile(x - 6.0)
+        profiles = (demo_two_wave.profile(x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v))
+        values = np.array([float(t) for t in times])
+        with pytest.raises(ValueError, match="must be finite and strictly increasing"):
+            lv.Snapshots(times=values, profiles=profiles)
+        lv.Snapshots(times=np.array([0.0, 1.0]), profiles=profiles).to_dir(tmp_path / "snaps")
+        manifest = tmp_path / "snaps" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "times": times}))
+        code = main(
+            ["speed", "--snapshots", str(tmp_path / "snaps"), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"strictly increasing: {values.tolist()} in {manifest}" in err
+
+    def test_manifest_config_written_like_the_report(self, tmp_path, paper_spec):
+        cfgd = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        params = write_json(tmp_path / "p.json", cfgd)
+        lv.wave_profile(paper_spec, np.linspace(-20, 20, 201)).to_csv(tmp_path / "init.csv")
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--params", params, "--init", str(tmp_path / "init.csv"),
+             "--t-end", "2", "--n-snapshots", "3", "--out", str(out)]
+        )
+        assert code == 0
+        manifest = (out / "snapshots" / "manifest.json").read_text()
+        written = (out / "report.json").read_text()
+        for key in ("t_end", "dt", "scheme", "boundary", "space_order"):
+            pattern = f'"{key}": (.*?),?\n'
+            assert re.search(pattern, manifest)[1] == re.search(pattern, written)[1], key
+        assert re.search('"t_end": (.*?),?\n', manifest)[1] == "2"
+        snaps = lv.Snapshots.from_dir(out / "snapshots")
+        assert snaps.times.tolist() == [0.0, 1.0, 2.0]
 
     def test_simulate_with_explicit_dt(self, tmp_path, paper_spec):
         cfgd = {k: str(v) for k, v in paper_spec.params.to_dict().items()}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import lvwaves as lv
 from lvwaves.errors import RegimeError
-from lvwaves.hypotheses import SW, ExistenceInputs, SigmaPair, sigma_pair
+from lvwaves.hypotheses import ExistenceInputs, SigmaPair, sigma_pair
 
 from conftest import (
     as_float,
@@ -242,8 +242,8 @@ def test_decoupled_a2_equivalent_to_strong_or_weak(p):
     assert s.Sigma1 == p.sigma1 * p.c33
     assert s.Sigma2 == p.sigma2 * p.c33
     report = lv.nonexistence_report(p)
-    sw = lv.check_SW(p.two_species_block())
-    assert report.item("A2").passed == (sw in (SW.S, SW.W))
+    regime = p.two_species_block().kernel.regime
+    assert report.item("A2").passed == (regime in (lv.Regime.STRONG, lv.Regime.WEAK))
 
 
 @settings(max_examples=100)
@@ -282,21 +282,6 @@ def test_existence_margins_are_lipschitz(demo_inputs):
         for item in report.items:
             delta = abs(item.margin - base.item(item.name).margin)
             assert delta <= 1e3 * eps, (name, item.name, delta)
-
-
-class TestCheckSW:
-    def test_strong(self, strong_params):
-        assert lv.check_SW(strong_params) is SW.S
-
-    def test_weak(self, weak_params):
-        assert lv.check_SW(weak_params) is SW.W
-
-    def test_neither(self):
-        exclusion = lv.TwoSpeciesParams(
-            d1=F(1), d2=F(1), sigma1=F(1), sigma2=F(1),
-            c11=F(1), c12=F(1, 2), c21=F(3), c22=F(1),
-        )
-        assert lv.check_SW(exclusion) is SW.NEITHER
 
 
 @pytest.mark.parametrize("name, message", [

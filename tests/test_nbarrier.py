@@ -301,7 +301,7 @@ class TestVerifyProfile:
             x=x, u=np.full_like(x, float(eq.u)), v=np.full_like(x, float(eq.v))
         )
         pair = lv.bounds(strong_params, F(1), F(1))
-        report = lv.verify_bounds_on_profile(prof, 1.0, 1.0, pair)
+        report = lv.verify_bounds_on_profile(prof, pair)
         assert report.passed
 
     def test_synthetic_violation_fails_upper(self, strong_params):
@@ -310,7 +310,7 @@ class TestVerifyProfile:
         u = np.full_like(x, 0.4)
         v = np.full_like(x, 0.4)
         v[5] = float(pair.q_upper) + 0.5
-        report = lv.verify_bounds_on_profile(lv.WaveProfile(x=x, u=u, v=v), 1.0, 1.0, pair)
+        report = lv.verify_bounds_on_profile(lv.WaveProfile(x=x, u=u, v=v), pair)
         assert not report.passed
         assert not report.item("upper").passed
         assert report.item("lower").passed
@@ -326,7 +326,7 @@ class TestVerifyProfile:
 
         pair = lv.bounds(paper_block, F(1), F(1))
         prof = lv.wave_profile(paper_spec, np.linspace(-40, 40, 4001))
-        report = lv.verify_bounds_on_profile(prof, 1.0, 1.0, pair)
+        report = lv.verify_bounds_on_profile(prof, pair)
         assert report.passed
         margin = report.item("upper").margin
         assert margin == pytest.approx(float(F(311, 170)), abs=1e-12)
@@ -338,7 +338,7 @@ class TestVerifyProfile:
             x=x, u=np.full_like(x, float(eq.u)), v=np.full_like(x, float(eq.v))
         )
         pair = lv.bounds(strong_params, F(1), F(1))
-        data = lv.verify_bounds_on_profile(prof, 1.0, 1.0, pair).to_json_dict()
+        data = lv.verify_bounds_on_profile(prof, pair).to_json_dict()
         assert set(data) == {"title", "pass", "verdict", "checks"}
         assert data["checks"]["lower"]["side"] == "lower"
         assert "argmin_x" in data["checks"]["lower"]
@@ -742,7 +742,7 @@ def test_pde_settled_front_within_bounds(c12, c21, regime, margins):
         profiles = settled_front(p, (float(eq.u), float(eq.v)), (1.0, 0.0), -50.0)
     for (alpha, beta), (lower, upper) in margins.items():
         pair = lv.bounds(p, F(alpha), F(beta))
-        reports = [lv.verify_bounds_on_profile(prof, alpha, beta, pair) for prof in profiles]
+        reports = [lv.verify_bounds_on_profile(prof, pair) for prof in profiles]
         low = min(rep.item("lower").margin for rep in reports)
         high = min(rep.item("upper").margin for rep in reports)
         print(f"{regime.value} (alpha, beta) = ({alpha}, {beta}): smallest margins "
@@ -752,15 +752,12 @@ def test_pde_settled_front_within_bounds(c12, c21, regime, margins):
         assert (low, high) == pytest.approx((lower, upper), abs=0.01)
 
 
-def test_profile_audit_refuses_another_pairs_weights(demo_two_wave):
+def test_profile_audit_reads_the_pairs_weights(demo_two_wave):
     p = demo_two_wave.params
     prof = demo_two_wave.profile(np.linspace(-40.0, 40.0, 801))
-    pair = lv.bounds(p, 10, 10)
-    with pytest.raises(ValueError) as info:
-        lv.verify_bounds_on_profile(prof, 1, 1, pair)
-    assert "(1, 1)" in str(info.value) and "(10, 10)" in str(info.value)
-    # the pair's own weights audit the exact wave, whose bound holds
-    assert lv.verify_bounds_on_profile(prof, 10, 10, pair).passed
-    # equal weights of another number type are the pair's weights
-    half = lv.bounds(p, F(1, 2), F(1, 2))
-    assert lv.verify_bounds_on_profile(prof, 0.5, 0.5, half).passed
+    # the audit weighs the profile with the pair's own weights (10, 10)
+    report = lv.verify_bounds_on_profile(prof, lv.bounds(p, 10, 10))
+    assert report.passed
+    assert report.item("lower").details["extremum"] == float(np.min(10.0 * prof.u + 10.0 * prof.v))
+    # equal weights of another number type weigh alike
+    assert lv.verify_bounds_on_profile(prof, lv.bounds(p, F(1, 2), F(1, 2))).passed

@@ -1,0 +1,81 @@
+"""The package names the benchmark harness uses, and the README's CLI examples.
+
+The harness files are read as source, not imported: importing the worker
+pins thread pools and loads the tracer.
+"""
+
+import ast
+import importlib
+import re
+import shlex
+from pathlib import Path
+
+import lvwaves
+from lvwaves.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _resolve(dotted: str) -> object:
+    """``module.attr[.attr...]`` under ``lvwaves``; raises if any part is missing."""
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"lvwaves.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _module_assignments(path: Path) -> dict[str, ast.expr]:
+    tree = ast.parse(path.read_text())
+    return {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def test_worker_span_names_resolve():
+    assigned = _module_assignments(ROOT / "perfbench" / "worker.py")
+    timed = ast.literal_eval(assigned["SELF_TIMED"])
+    hooked = [ast.literal_eval(key) for key in assigned["HOOKS"].keys]
+    names = set(timed) | set(hooked)
+    assert names
+    for name in sorted(names):
+        assert callable(_resolve(name)), name
+
+
+def test_workload_imports_and_lv_attributes_resolve():
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    attrs = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "lv"
+    }
+    imported = {
+        (node.module, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "lvwaves"
+        for alias in node.names
+    }
+    assert attrs and imported
+    for attr in sorted(attrs):
+        assert hasattr(lvwaves, attr), attr
+    for module, name in sorted(imported):
+        owner = importlib.import_module(module)
+        # ``from lvwaves import cli`` names a submodule
+        assert hasattr(owner, name) or importlib.import_module(f"{module}.{name}"), name
+
+
+def _readme_commands() -> list[str]:
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("lvwaves ")]
+
+
+def test_readme_examples_parse():
+    commands = _readme_commands()
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.handler), line
