@@ -30,7 +30,6 @@ from .model import (
     evenness_index,
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
-from .numerics import CANDIDATE_TOL
 from .profiles import WaveProfile, uniform_grid
 from .rational import Number, all_exact, parse_fields, parse_number
 from .report import write_json
@@ -214,8 +213,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
     ctx = numerics.FisherContext(**values, background=background)
     w_sub = numerics.tanh_pulse_candidate(k_sub)
     w_super = numerics.constant_candidate(k_super)
-    sub_rep = numerics.check_sub_super(ctx, w_sub, numerics.Side.SUB, tol=CANDIDATE_TOL)
-    super_rep = numerics.check_sub_super(ctx, w_super, numerics.Side.SUPER, tol=CANDIDATE_TOL)
+    sub_rep = numerics.check_sub_super(ctx, w_sub, numerics.Side.SUB)
+    super_rep = numerics.check_sub_super(ctx, w_super, numerics.Side.SUPER)
     payload = {
         "sub_check": sub_rep.to_json_dict(),
         "super_check": super_rep.to_json_dict(),

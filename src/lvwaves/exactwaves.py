@@ -208,8 +208,7 @@ def evaluate_wave(spec: ExactWaveSpec, x):
 
 
 def wave_profile(spec: ExactWaveSpec, x: np.ndarray) -> WaveProfile:
-    u, v, w = evaluate_wave(spec, np.asarray(x, dtype=float))
-    return WaveProfile(x=x, u=u, v=v, w=w)
+    return WaveProfile(x, *evaluate_wave(spec, np.asarray(x, dtype=float)))
 
 
 def residual(spec: ExactWaveSpec, grid: np.ndarray) -> tuple[float, float, float]:
@@ -232,8 +231,7 @@ class TwoSpeciesWave:
         return _ansatz(self.u_star, self.k1, None, x)
 
     def profile(self, x: np.ndarray) -> WaveProfile:
-        u, v = self.evaluate(np.asarray(x, dtype=float))
-        return WaveProfile(x=x, u=u, v=v)
+        return WaveProfile(x, *self.evaluate(np.asarray(x, dtype=float)))
 
     def residual(self, grid: np.ndarray) -> tuple[float, float]:
         return _ansatz_residual(self.params, self.u_star, self.k1, None, self.theta, grid)

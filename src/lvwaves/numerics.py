@@ -33,8 +33,9 @@ bit-identical to the straightforward allocating form of the same arithmetic.
 
 The monotone solver refuses a grid whose cell Peclet number
 |theta| h / (2 d3) exceeds 1, where its central-difference matrix stops
-being monotone.  Its tridiagonal solves use ``scipy.linalg.solve_banded``,
-imported on the first solve: importing this module does not load scipy.
+being monotone.  A sampled candidate is audited with the same differences,
+every candidate at one slack, ``CANDIDATE_TOL``.  The tridiagonal solves use
+``scipy.linalg.solve_banded``, imported on the first solve, not with this module.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ ORDERING_SLACK = 1e-10
 #: anything closer to zero is roundoff from the non-monotone fourth-order
 #: stencil acting on underflowed tails and is snapped to zero.
 NEGATIVITY_FLOOR = 1e-12
-#: Residual slack with which a sub/supersolution candidate is audited before
-#: the monotone iteration starts from it.
+#: Residual slack of every sub/supersolution audit, the solver's own included.
 CANDIDATE_TOL = 1e-12
 
 
@@ -196,6 +196,8 @@ def integrate_ode(
     (:func:`reaction_bound`) is refused with ``CFLViolationError`` before the
     first step.
     """
+    if not isinstance(p, TwoSpeciesParams):
+        raise TypeError(f"integrate_ode takes TwoSpeciesParams, got {type(p).__name__}")
     if u0 < 0 or v0 < 0:
         raise ValueError("initial densities must be nonnegative")
     if t_end <= 0 or dt <= 0:
@@ -224,9 +226,7 @@ def integrate_ode(
             f"dt={dt} (steps of {step}) exceeds the {Scheme.RK4MOL.value} stability bound "
             f"{limit / reaction} over the reachable states: reaction term {reaction}"
         )
-    ts = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
+    ts, us, vs = (np.empty(n_steps + 1) for _ in range(3))
     u, v = float(u0), float(v0)
     ts[0], us[0], vs[0] = 0.0, u, v
     for k in range(n_steps):
@@ -287,17 +287,22 @@ class Snapshots:
     @classmethod
     def from_dir(cls, out_dir) -> "Snapshots":
         out = Path(out_dir)
-        manifest = json.loads((out / "manifest.json").read_text())
-        paths = [out / f for f in manifest["files"]]
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entries = manifest if isinstance(manifest, dict) else {}
+        files, times = entries.get("files"), entries.get("times")
+        named = isinstance(files, list) and all(isinstance(f, str) for f in files)
+        if not (named and isinstance(times, list)):
+            raise ValueError(f"{manifest_path} needs a 'files' list of names and a 'times' list")
+        paths = [out / f for f in files]
         profiles = tuple(WaveProfile.from_csv(path) for path in paths)
         for path, prof in zip(paths[1:], profiles[1:]):
             if not np.array_equal(prof.x, profiles[0].x):
                 raise ValueError(f"snapshot {path} is not on the grid of {paths[0]}")
-        times = np.array([float(t) for t in manifest["times"]])
         try:
-            return cls(times=times, profiles=profiles)
-        except ValueError as exc:
-            raise ValueError(f"{exc} in {out / 'manifest.json'}") from None
+            return cls(times=np.array([float(t) for t in times]), profiles=profiles)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{exc} in {manifest_path}") from None
 
 
 def _kinetics(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,10 +334,9 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     x = cfg.grid.x()
     if init.x.size != x.size or abs(init.x[0] - x[0]) > 1e-9 or abs(init.x[-1] - x[-1]) > 1e-9:
         raise ValueError("initial profile is not sampled on the configured grid")
-    has_w = init.w is not None
-    if has_w != (n_species == 3):
+    if len(init.components) != n_species:
         raise ValueError("initial profile components do not match the parameter type")
-    state = np.stack([init.u, init.v] + ([init.w] if has_w else [])).astype(float)
+    state = np.stack([getattr(init, name) for name in init.components])
 
     h = cfg.grid.h
     dt = cfg.resolve_dt(float(np.max(diff)), reaction_bound(sigma, comp, state))
@@ -434,14 +438,8 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
 
     def record(step: int) -> None:
         times.append(step * dt)
-        profiles.append(
-            WaveProfile(
-                x=x,
-                u=state[0].copy(),
-                v=state[1].copy(),
-                w=state[2].copy() if has_w else None,
-            )
-        )
+        # one copy per row: a single (species, n) block copy raised peak RSS
+        profiles.append(WaveProfile(x, *(row.copy() for row in state)))
 
     if 0 in snap_steps:
         record(0)
@@ -538,9 +536,9 @@ def estimate_front_speed(
     """
     if len(snapshots.profiles) < 2:
         raise ValueError("need at least two snapshots")
-    fields = [getattr(prof, component, None) for prof in snapshots.profiles]
-    if any(f is None for f in fields):
+    if any(component not in prof.components for prof in snapshots.profiles):
         raise ValueError(f"snapshots carry no component {component!r}")
+    fields = [getattr(prof, component) for prof in snapshots.profiles]
     positions = np.array([_crossing_position(snapshots.x, f, level) for f in fields])
     slope, intercept = np.polyfit(snapshots.times, positions, 1)
     fit = slope * snapshots.times + intercept
@@ -596,29 +594,22 @@ class Candidate:
     values: np.ndarray | None = None
 
     def sample(self, x: np.ndarray) -> np.ndarray:
-        w, _, _ = self.fields(x)
+        if self.kind != "sampled":
+            return self.fields(x)[0]
+        w = np.asarray(self.values, dtype=float)
+        if w.shape != x.shape:
+            raise ValueError("sampled candidate does not match the grid")
         return w
 
     def fields(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, w', w'') on the grid; analytic except for sampled candidates."""
+        """Analytic (w, w', w'') on the grid; a sampled candidate has none."""
         if self.kind == "constant":
             k = float(self.amplitude)
             zero = np.zeros_like(x)
             return np.full_like(x, k), zero, zero
         if self.kind == "tanh_pulse":
             return _tanh_pulse(float(self.amplitude), np.tanh(x))
-        if self.kind == "sampled":
-            w = np.asarray(self.values, dtype=float)
-            if w.shape != x.shape:
-                raise ValueError("sampled candidate does not match the grid")
-            h = float(x[1] - x[0])
-            dw = np.gradient(w, h, edge_order=2)
-            d2w = np.empty_like(w)
-            d2w[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / (h * h)
-            d2w[0] = d2w[1]
-            d2w[-1] = d2w[-2]
-            return w, dw, d2w
-        raise ValueError(f"unknown candidate kind {self.kind!r}")
+        raise ValueError(f"no analytic derivatives for candidate kind {self.kind!r}")
 
 
 def constant_candidate(amplitude: float) -> Candidate:
@@ -633,35 +624,39 @@ def sampled_candidate(values: np.ndarray) -> Candidate:
     return Candidate(kind="sampled", values=np.asarray(values, dtype=float))
 
 
-def check_sub_super(
-    ctx: FisherContext, candidate: Candidate, side: Side, tol: float = 0.0
-) -> CheckReport:
+def _invader_residual(w, g, c33: float, d3: float, theta: float, h: float) -> np.ndarray:
+    """d3 w'' + theta w' + w (g - c33 w) at the interior nodes, by central differences."""
+    return (
+        d3 * (w[:-2] - 2.0 * w[1:-1] + w[2:]) / (h * h)
+        + theta * (w[2:] - w[:-2]) / (2.0 * h)
+        + (w * (g - c33 * w))[1:-1]
+    )
+
+
+def check_sub_super(ctx: FisherContext, candidate: Candidate, side: Side) -> CheckReport:
     """Pointwise sign audit of the sub/supersolution inequality.
 
     Evaluates R = d3 w'' + theta w' + w (sigma3 - c31 u - c32 v - c33 w) on
-    the background grid.  A supersolution needs R <= tol everywhere, a
-    subsolution R >= -tol.  The margin is min(R) for the sub side and
-    -max(R) for the super side.
+    the background grid, or for a sampled candidate at the interior nodes by
+    the solver's own central differences.  A supersolution needs
+    R <= CANDIDATE_TOL everywhere, a subsolution R >= -CANDIDATE_TOL.  The
+    margin is min(R) for the sub side and -max(R) for the super side.
     """
     x = ctx.background.x
-    w, dw, d2w = candidate.fields(x)
-    residual = (
-        float(ctx.d3) * d2w
-        + float(ctx.theta) * dw
-        + w * (ctx.linear_coefficient() - float(ctx.c33) * w)
-    )
+    d3, th, g, c33 = float(ctx.d3), float(ctx.theta), ctx.linear_coefficient(), float(ctx.c33)
     if candidate.kind == "sampled":
-        residual = residual[1:-1]
-        x_used = x[1:-1]
+        h = float(x[1] - x[0])
+        residual, x_used = _invader_residual(candidate.sample(x), g, c33, d3, th, h), x[1:-1]
     else:
-        x_used = x
+        w, dw, d2w = candidate.fields(x)
+        residual, x_used = d3 * d2w + th * dw + w * (g - c33 * w), x
     if side is Side.SUB:
         idx = int(np.argmin(residual))
         margin = float(residual[idx])
     else:
         idx = int(np.argmax(residual))
         margin = float(-residual[idx])
-    passed = margin >= -tol
+    passed = margin >= -CANDIDATE_TOL
     item = CheckItem(
         name=side.value.lower(),
         passed=passed,
@@ -738,7 +733,7 @@ def solve_fisher_bvp(
     if np.any(ws > wS):
         raise NotOrderedError("w_sub exceeds w_super somewhere on the grid")
     for cand, side in ((w_sub, Side.SUB), (w_super, Side.SUPER)):
-        rep = check_sub_super(ctx, cand, side, tol=CANDIDATE_TOL)
+        rep = check_sub_super(ctx, cand, side)
         if not rep.passed:
             raise DomainError(
                 f"{side.value.lower()}solution check failed "
@@ -764,21 +759,10 @@ def solve_fisher_bvp(
     ab[1, :] = diag
     ab[2, :-1] = lower
 
-    def reaction(w: np.ndarray) -> np.ndarray:
-        return w * (g - c33 * w)
-
-    def discrete_residual(w: np.ndarray) -> float:
-        interior = (
-            d3 * (w[:-2] - 2.0 * w[1:-1] + w[2:]) / (h * h)
-            + th * (w[2:] - w[:-2]) / (2.0 * h)
-            + reaction(w)[1:-1]
-        )
-        return float(np.max(np.abs(interior)))
-
     w = wS.copy()
     scale = max(1.0, float(np.max(np.abs(wS))))
     for iteration in range(1, max_iter + 1):
-        rhs = -(relax * w + reaction(w))[1:-1]
+        rhs = -(relax * w + w * (g - c33 * w))[1:-1]
         w_next = np.zeros(n)
         w_next[1:-1] = solve_banded((1, 1), ab, rhs)
         if np.any(w_next > w + ORDERING_SLACK * scale):
@@ -786,7 +770,7 @@ def solve_fisher_bvp(
         if np.any(w_next < ws - ORDERING_SLACK * scale):
             raise NotOrderedError(f"iterate fell below w_sub at sweep {iteration}")
         w = w_next
-        res = discrete_residual(w)
+        res = float(np.max(np.abs(_invader_residual(w, g, c33, d3, th, h))))
         if res < tol:
             return FisherSolution(
                 profile=ScalarProfile(x=x, w=w),

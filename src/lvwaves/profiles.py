@@ -61,20 +61,25 @@ class WaveProfile:
     w: np.ndarray | None = None
 
     def __post_init__(self):
-        _set_samples(self, ("u", "v") if self.w is None else ("u", "v", "w"), nonneg=True)
+        _set_samples(self, self.components, nonneg=True)
+
+    @property
+    def components(self) -> tuple[str, ...]:
+        """Names of the densities in order: ("u", "v"), plus "w" for three species."""
+        return ("u", "v") if self.w is None else ("u", "v", "w")
 
     def to_csv(self, path) -> None:
-        names = ["x", "u", "v"] + (["w"] if self.w is not None else [])
-        cols = [self.x, self.u, self.v] + ([self.w] if self.w is not None else [])
-        _write_csv(path, names, np.column_stack(cols))
+        names = ["x", *self.components]
+        _write_csv(path, names, np.column_stack([getattr(self, name) for name in names]))
 
     @classmethod
     def from_csv(cls, path) -> "WaveProfile":
         names, cols = _read_csv(path)
-        if names not in (["x", "u", "v"], ["x", "u", "v", "w"]):
-            raise ValueError(f"expected header x,u,v[,w], got {','.join(names)}")
-        w = cols[3] if len(cols) > 3 else None
-        return cls(x=cols[0], u=cols[1], v=cols[2], w=w)
+        if 3 <= len(cols) <= 4:  # x and two or three densities
+            profile = cls(*cols)
+            if names == ["x", *profile.components]:
+                return profile
+        raise ValueError(f"expected header x,u,v[,w], got {','.join(names)}")
 
 
 @dataclass(frozen=True)

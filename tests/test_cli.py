@@ -464,6 +464,32 @@ class TestSimulationCommands:
         assert code == 2
         assert "snapshots need at least one profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            ["snapshot_0000.csv"],
+            {"times": ["0", "1"], "files": [5, 6]},
+            {"times": None, "files": ["snapshot_0000.csv"]},
+            {"files": ["snapshot_0000.csv"]},
+            {"times": ["0"], "files": "snapshot_0000.csv"},
+        ],
+        ids=["array", "numeric-files", "null-times", "no-times", "files-string"],
+    )
+    def test_speed_refuses_a_manifest_of_the_wrong_shape(
+        self, tmp_path, demo_two_wave, capsys, manifest
+    ):
+        snapshots = tmp_path / "snapshots"
+        profile = demo_two_wave.profile(np.linspace(-40, 40, 81))
+        lv.Snapshots(times=np.array([0.0]), profiles=(profile,)).to_dir(snapshots)
+        (snapshots / "manifest.json").write_text(json.dumps(manifest))
+        code = main(
+            ["speed", "--snapshots", str(snapshots), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {snapshots / 'manifest.json'} needs a 'files' list")
+
     @pytest.mark.parametrize("times", [["1", "0"], ["1", "1"], ["0", "nan"]],
                              ids=["swapped", "equal", "nan"])
     def test_speed_refuses_times_that_do_not_increase(

@@ -124,6 +124,12 @@ def fisher_ctx(demo_two_wave):
 
 
 class TestIntegrateOde:
+    def test_three_species_block_refused(self, paper_spec):
+        with pytest.raises(
+            TypeError, match="integrate_ode takes TwoSpeciesParams, got ThreeSpeciesParams"
+        ):
+            lv.integrate_ode(paper_spec.params, 0.5, 0.5, t_end=1.0)
+
     def test_weak_competition_reaches_coexistence(self, weak_params):
         eq = lv.coexistence_equilibrium(weak_params)
         traj = lv.integrate_ode(weak_params, 0.1, 0.1, t_end=200.0, dt=0.05)
@@ -561,6 +567,16 @@ class TestFrontSpeed:
         with pytest.raises(LevelNotCrossedError):
             lv.estimate_front_speed(snaps, "u", 2.0)
 
+    def test_speed_refuses_the_grid_column(self, demo_two_wave):
+        # the grid crosses 0.4 at x = 0.4 in every snapshot; read as a density
+        # it gave a speed of about 1e-16
+        x = np.linspace(-40.0, 40.0, 801)
+        profiles = tuple(lv.WaveProfile(x, *demo_two_wave.evaluate(x - 3.0 * t)) for t in range(3))
+        snaps = Snapshots(times=np.arange(3.0), profiles=profiles)
+        assert lv.estimate_front_speed(snaps, "u", 0.4).speed == pytest.approx(3.0, rel=1e-6)
+        with pytest.raises(ValueError, match="snapshots carry no component 'x'"):
+            lv.estimate_front_speed(snaps, "x", 0.4)
+
     def test_pulse_crosses_twice(self, paper_spec):
         snaps = self._translated_snapshots(paper_spec, n_shots=2)
         with pytest.raises(LevelNotCrossedError):
@@ -644,9 +660,7 @@ class TestSubSuper:
     def test_sampled_candidate_uses_finite_differences(self, fisher_ctx):
         x = fisher_ctx.background.x
         values = 1.0 * (1.0 - np.tanh(x) ** 2)
-        report = lv.check_sub_super(
-            fisher_ctx, lv.sampled_candidate(values), Side.SUB, tol=0.05
-        )
+        report = lv.check_sub_super(fisher_ctx, lv.sampled_candidate(values), Side.SUB)
         assert report.passed
 
     def test_sampled_candidate_off_the_grid_rejected(self, fisher_ctx):
@@ -806,6 +820,28 @@ assert sol.residual < 1e-8 and "scipy.linalg" in sys.modules
         background = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.zeros_like(x))
         with pytest.raises(ValueError, match="grid needs at least three nodes"):
             replace(fisher_ctx, background=background)
+
+    def test_solution_audits_at_its_own_residual(self, fisher_ctx):
+        # the audit of a returned profile, as a sampled candidate, uses the
+        # solver's discrete operator: its worst residual is the solver's
+        # residual bit for bit
+        mismatched = []
+        for sigma3, k_sub, max_iter in itertools.product(
+            (9.5, 10.0, 10.5), (0.75, 1.0, 1.25), (1, 2, 5, 400)
+        ):
+            ctx = replace(fisher_ctx, sigma3=sigma3)
+            sol = lv.solve_fisher_bvp(
+                ctx, lv.tanh_pulse_candidate(k_sub), lv.constant_candidate(12.0),
+                tol=1e-8 if max_iter == 400 else 1e30, max_iter=max_iter,
+            )
+            audited = lv.sampled_candidate(sol.profile.w)
+            worst = max(
+                abs(lv.check_sub_super(ctx, audited, side).items[0].details["worst_residual"])
+                for side in Side
+            )
+            if worst != sol.residual:
+                mismatched.append((sigma3, k_sub, max_iter, worst, sol.residual))
+        assert not mismatched, f"{len(mismatched)} of 36 solves audit off their residual"
 
     def test_iterates_decrease_monotonically(self, fisher_ctx):
         # the one-sweep result dominates the converged solution pointwise

@@ -6,12 +6,13 @@ pins thread pools and loads the tracer.
 
 import ast
 import importlib
+import json
 import re
 import shlex
 from pathlib import Path
 
 import lvwaves
-from lvwaves.cli import build_parser
+from lvwaves.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,3 +80,14 @@ def test_readme_examples_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert callable(args.handler), line
+
+
+def test_readme_free_json_example_runs(tmp_path):
+    # the README says all coefficients of this example come out rational
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```json\n(.*?)^```", text, flags=re.M | re.S)
+    params = tmp_path / "free.json"
+    params.write_text(block)
+    out = tmp_path / "out"
+    assert main(["exact-wave", "--params", str(params), "--out", str(out)]) == 0
+    assert "c_exact" in json.loads((out / "report.json").read_text())
