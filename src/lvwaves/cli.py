@@ -12,7 +12,6 @@ provides the default output directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
@@ -32,7 +31,7 @@ from .model import (
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
 from .rational import Number, all_exact, parse_fields, parse_number
-from .report import write_json
+from .report import read_json, write_json
 
 
 def _exact(**values: Number) -> dict:
@@ -48,7 +47,7 @@ def _exact(**values: Number) -> dict:
 def _load_params(args: argparse.Namespace) -> dict:
     if not args.params:
         raise ValueError("this command requires --params FILE")
-    data = json.loads(Path(args.params).read_text())
+    data = read_json(args.params)
     if not isinstance(data, dict):
         raise ValueError("parameter file must hold a JSON object")
     for entry in args.set:

@@ -34,13 +34,15 @@ bit-identical to the straightforward allocating form of the same arithmetic.
 The monotone solver refuses a grid whose cell Peclet number
 |theta| h / (2 d3) exceeds 1, where its central-difference matrix stops
 being monotone.  A sampled candidate is audited with the same differences,
-every candidate at one slack, ``CANDIDATE_TOL``.  The tridiagonal solves use
-``scipy.linalg.solve_banded``, imported on the first solve, not with this module.
+every candidate at one slack, ``CANDIDATE_TOL``.  On every grid the solver
+accepts, its tridiagonal matrix is diagonally dominant, so each sweep solves
+it by elimination without row swaps: plain floats in LAPACK ``dgtsv``'s
+operation order, with the pivots and multipliers computed once per solve.
+The package needs no scipy.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -61,7 +63,7 @@ from .exactwaves import _tanh_pulse
 from .model import ThreeSpeciesParams, TwoSpeciesParams
 from .profiles import ScalarProfile, WaveProfile, check_grid_bounds, uniform_grid
 from .rational import Number, _require_finite, _require_positive
-from .report import CheckItem, CheckReport, format_float, write_json
+from .report import CheckItem, CheckReport, format_float, read_json, write_json
 
 BLOWUP_LIMIT = 1e12
 #: Share of the stability bound C / lambda used when dt="auto".
@@ -288,7 +290,7 @@ class Snapshots:
     def from_dir(cls, out_dir) -> "Snapshots":
         out = Path(out_dir)
         manifest_path = out / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_json(manifest_path)
         entries = manifest if isinstance(manifest, dict) else {}
         files, times = entries.get("files"), entries.get("times")
         named = isinstance(files, list) and all(isinstance(f, str) for f in files)
@@ -672,12 +674,52 @@ def check_sub_super(ctx: FisherContext, candidate: Candidate, side: Side) -> Che
     return CheckReport(title="sub-super-check", passed=passed, items=(item,), verdict=verdict)
 
 
+def _tridiagonal_factors(
+    lower: float, diag: float, upper: float, m: int
+) -> tuple[list[float], list[float]]:
+    """Pivots and multipliers of the m x m tridiagonal matrix with constant
+    ``lower``, ``diag`` and ``upper`` diagonals, eliminated without row swaps
+    as LAPACK ``dgtsv`` eliminates it: each multiplier is a division,
+    ``lower / pivot``, not a product with a reciprocal."""
+    pivots, facts = [diag], []
+    for _ in range(m - 1):
+        fact = lower / pivots[-1]
+        facts.append(fact)
+        pivots.append(diag - fact * upper)
+    return pivots, facts
+
+
+def _tridiagonal_solve(
+    pivots: list[float], facts: list[float], upper: float, rhs: list[float]
+) -> list[float]:
+    """Solve the matrix factored by :func:`_tridiagonal_factors` for ``rhs``
+    in ``dgtsv``'s operation order, so where dgtsv swaps no rows the result is
+    dgtsv's bit for bit.  The back substitution's ``0.0 *`` term, on the
+    solution two nodes on, is dgtsv's zeroed fill-in entry: it can turn a
+    -0.0 into +0.0."""
+    y = rhs[0]
+    b = [y]
+    for fact, value in zip(facts, rhs[1:]):
+        y = value - fact * y
+        b.append(y)
+    # from the last node back; x1 and x2 are the solution one and two nodes
+    # on.  Past the last node x2 is +0.0, and subtracting 0.0 * 0.0 = +0.0
+    # leaves every value, -0.0 included, as dgtsv's row without the term does
+    x1, x2 = b[-1] / pivots[-1], 0.0
+    x = [x1]
+    for value, pivot in zip(b[-2::-1], pivots[-2::-1]):
+        x1, x2 = (value - upper * x1 - 0.0 * x2) / pivot, x1
+        x.append(x1)
+    return x[::-1]
+
+
 @dataclass(frozen=True)
 class FisherSolution:
     profile: ScalarProfile
     iterations: int
     residual: float
     relaxation: float  # the constant M used in the linearized solves
+    residual_history: tuple[float, ...]  # the residual after each sweep, the last is ``residual``
 
 
 def solve_fisher_bvp(
@@ -703,11 +745,9 @@ def solve_fisher_bvp(
     grid is refused with :class:`DomainError` before the first sweep.  The
     truncated domain carries homogeneous Dirichlet ends (tails are assumed to
     have decayed at the grid boundary).  Returns once the discrete residual
-    drops below ``tol``; raises :class:`MaxIterExceededError` otherwise.
+    drops below ``tol``, with the residual of every sweep in
+    ``residual_history``; raises :class:`MaxIterExceededError` otherwise.
     """
-    # imported here, not at module level: scipy.linalg doubles every other command's start-up
-    from scipy.linalg import solve_banded
-
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
@@ -753,30 +793,30 @@ def solve_fisher_bvp(
     lower = d3 / (h * h) - th / (2.0 * h)
     diag = -2.0 * d3 / (h * h) - relax
     upper = d3 / (h * h) + th / (2.0 * h)
-    m = n - 2
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
+    pivots, facts = _tridiagonal_factors(lower, diag, upper, n - 2)
 
     w = wS.copy()
     scale = max(1.0, float(np.max(np.abs(wS))))
+    floor = ws - ORDERING_SLACK * scale
+    history = []
     for iteration in range(1, max_iter + 1):
         rhs = -(relax * w + w * (g - c33 * w))[1:-1]
         w_next = np.zeros(n)
-        w_next[1:-1] = solve_banded((1, 1), ab, rhs)
+        w_next[1:-1] = _tridiagonal_solve(pivots, facts, upper, rhs.tolist())
         if np.any(w_next > w + ORDERING_SLACK * scale):
             raise NotOrderedError(f"iterate increased at sweep {iteration}")
-        if np.any(w_next < ws - ORDERING_SLACK * scale):
+        if np.any(w_next < floor):
             raise NotOrderedError(f"iterate fell below w_sub at sweep {iteration}")
         w = w_next
         res = float(np.max(np.abs(_invader_residual(w, g, c33, d3, th, h))))
+        history.append(res)
         if res < tol:
             return FisherSolution(
                 profile=ScalarProfile(x=x, w=w),
                 iterations=iteration,
                 residual=res,
                 relaxation=relax,
+                residual_history=tuple(history),
             )
     raise MaxIterExceededError(
         f"no convergence to tol={tol} within {max_iter} sweeps (residual {res})"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -99,3 +100,12 @@ def write_json(path, value: Any) -> None:
     text = render_json(value) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
+
+
+def read_json(path) -> Any:
+    """The value in the JSON file ``path``; a file that does not parse is a
+    ``ValueError`` naming the file and the decoder's position."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None

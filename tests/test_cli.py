@@ -490,6 +490,21 @@ class TestSimulationCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {snapshots / 'manifest.json'} needs a 'files' list")
 
+    def test_speed_refuses_a_manifest_that_is_not_json(self, tmp_path, demo_two_wave, capsys):
+        snapshots = tmp_path / "snapshots"
+        profile = demo_two_wave.profile(np.linspace(-40, 40, 81))
+        lv.Snapshots(times=np.array([0.0]), profiles=(profile,)).to_dir(snapshots)
+        (snapshots / "manifest.json").write_text("not json")
+        code = main(
+            ["speed", "--snapshots", str(snapshots), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {snapshots / 'manifest.json'} is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n"
+        )
+
     @pytest.mark.parametrize("times", [["1", "0"], ["1", "1"], ["0", "nan"]],
                              ids=["swapped", "equal", "nan"])
     def test_speed_refuses_times_that_do_not_increase(
@@ -713,10 +728,14 @@ class TestContract:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
-    def test_malformed_params_is_usage_error(self, tmp_path):
+    def test_malformed_params_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["bounds", "--params", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {bad} is not valid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)\n"
+        )
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         params = write_json(tmp_path / "p.json", STRONG)

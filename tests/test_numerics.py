@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -32,6 +33,8 @@ from lvwaves.numerics import (
     Side,
     SimConfig,
     Snapshots,
+    _tridiagonal_factors,
+    _tridiagonal_solve,
 )
 from lvwaves.profiles import uniform_grid
 
@@ -669,30 +672,52 @@ class TestSubSuper:
 
 
 class TestSolveFisher:
-    def test_only_the_solve_loads_scipy_linalg(self):
-        # a fresh interpreter: this one has loaded scipy.linalg already
+    def test_lvwaves_loads_no_scipy(self, tmp_path, demo_two_wave):
+        # a fresh interpreter: this one loads scipy for the solve's oracle
+        demo_two_wave.profile(np.linspace(-40.0, 40.0, 801)).to_csv(tmp_path / "bg.csv")
+        (tmp_path / "p.json").write_text(json.dumps({
+            "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+            "K_sub": 1, "K_super": 12,
+        }))
         code = """
 import sys
 import numpy as np
 import lvwaves as lv
-import lvwaves.cli
-assert "scipy.linalg" not in sys.modules, "importing lvwaves loads scipy.linalg"
+from lvwaves.cli import main
 x = np.linspace(-10.0, 10.0, 201)
 background = lv.WaveProfile(x=x, u=np.full_like(x, 0.05), v=np.zeros_like(x))
 ctx = lv.FisherContext(
     d3=1.0, theta=0.5, sigma3=1.0, c31=0.5, c32=0.01, c33=1.0, background=background
 )
 sol = lv.solve_fisher_bvp(ctx, lv.constant_candidate(0.0), lv.constant_candidate(1.0))
-assert sol.residual < 1e-8 and "scipy.linalg" in sys.modules
+assert sol.residual < 1e-8
+work = sys.argv[1]
+argv = ["fisher", "--params", work + "/p.json", "--background", work + "/bg.csv",
+        "--relaxation", "15", "--out", work + "/out"]
+assert main(argv) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"lvwaves loaded {loaded}"
 """
         src = Path(__file__).resolve().parents[1] / "src"
         run = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, str(tmp_path)],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
         )
         assert run.returncode == 0, run.stderr
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["solved"]
+
+    def test_residual_history_has_one_entry_per_sweep(self, fisher_ctx):
+        for tol, max_iter in ((1e30, 1), (1e30, 3), (1e-8, 200)):
+            sol = lv.solve_fisher_bvp(
+                fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0),
+                tol=tol, max_iter=max_iter,
+            )
+            history = sol.residual_history
+            assert len(history) == sol.iterations
+            assert history[-1] == sol.residual
+            assert all(res >= tol for res in history[:-1])
 
     def test_demo_instance_converges(self, fisher_ctx):
         w_sub = lv.tanh_pulse_candidate(1.0)
@@ -854,3 +879,50 @@ assert sol.residual < 1e-8 and "scipy.linalg" in sys.modules
             tol=1e-8, max_iter=200, relaxation=15.0,
         )
         assert np.all(final.profile.w <= first.profile.w + 1e-9)
+
+
+def _tridiagonal_systems():
+    """Seeded diagonally dominant systems as the solver builds them:
+    (lower, diag, upper, rhs), with +0.0 and -0.0 right-hand-side entries."""
+    rng = np.random.default_rng(19)
+    for m in (1, 2, 3, 800):
+        cases = [(1.0, 0.5, 4.0, 0.0), (1.0, 0.5, -4.0, 0.0)]  # Peclet exactly 1
+        for _ in range(6):
+            d3, h = rng.uniform(0.1, 4.0), rng.uniform(0.01, 0.5)
+            theta = rng.uniform(-1.0, 1.0) * 2.0 * d3 / h
+            cases.append((d3, h, theta, rng.choice([0.0, rng.uniform(0.0, 30.0)])))
+        for d3, h, theta, relax in cases:
+            lower = d3 / (h * h) - theta / (2.0 * h)
+            diag = -2.0 * d3 / (h * h) - relax
+            upper = d3 / (h * h) + theta / (2.0 * h)
+            for zeros in (0.2, 0.8):
+                rhs = rng.normal(size=m) * 10.0 ** rng.integers(-300, 100)
+                draw = rng.random(m)
+                rhs[draw < zeros] = 0.0
+                rhs[draw < zeros / 2] = -0.0
+                yield lower, diag, upper, rhs
+            # -0.0 ahead of a sign change: with a zero superdiagonal only
+            # dgtsv's 0.0 * x[i + 2] term turns the solution's -0.0 into +0.0
+            rhs = np.full(m, -0.0)
+            rhs[-2:] = (-1.0, 3.0)[-m:]
+            yield lower, diag, upper, rhs
+
+
+class TestTridiagonalSolve:
+    def test_matches_lapack_gtsv_bit_for_bit(self):
+        # the oracle only: the package itself never imports scipy
+        from scipy.linalg import solve_banded
+
+        mismatched, count = [], 0
+        for lower, diag, upper, rhs in _tridiagonal_systems():
+            m = rhs.size
+            band = np.zeros((3, m))
+            band[0, 1:], band[1], band[2, :-1] = upper, diag, lower
+            expected = solve_banded((1, 1), band, rhs)
+            pivots, facts = _tridiagonal_factors(lower, diag, upper, m)
+            got = np.array(_tridiagonal_solve(pivots, facts, upper, rhs.tolist()))
+            count += 1
+            if not np.array_equal(got.view(np.int64), expected.view(np.int64)):
+                mismatched.append((m, lower, diag, upper))
+        assert count == 96
+        assert not mismatched, f"{len(mismatched)} of {count} solves differ from dgtsv"

@@ -1,4 +1,5 @@
-"""The package names the benchmark harness uses, and the README's CLI examples.
+"""The package names the benchmark harness uses, the README's CLI examples, and
+the declared runtime dependencies.
 
 The harness files are read as source, not imported: importing the worker
 pins thread pools and loads the tracer.
@@ -9,7 +10,10 @@ import importlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
+
+import pytest
 
 import lvwaves
 from lvwaves.cli import build_parser, main
@@ -91,3 +95,26 @@ def test_readme_free_json_example_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["exact-wave", "--params", str(params), "--out", str(out)]) == 0
     assert "c_exact" in json.loads((out / "report.json").read_text())
+
+
+def _third_party_imports() -> set[str]:
+    """Top-level names of the modules ``src/lvwaves`` imports from outside
+    the package and the standard library."""
+    names = set()
+    for path in (ROOT / "src" / "lvwaves").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"lvwaves"}
+
+
+def test_runtime_dependencies_are_the_imports():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower().replace("-", "_")
+        for requirement in project["dependencies"]
+    }
+    assert _third_party_imports() == declared
