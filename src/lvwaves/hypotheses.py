@@ -121,16 +121,18 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
         # the amplitude ordering is non-strict; only K_sub > 0 is strict
         h4_ok = inputs.K_super >= inputs.K_sub and inputs.K_sub > 0
 
+    h1_ok, h2_ok, h3_ok = m_h1 > 0, m_h2 >= 0, m_h3 >= 0
+    f_lo, f_hi = pair.float_bounds
     items = (
-        CheckItem("H1", m_h1 > 0, m_h1, {"q_lower": float(q_lo), "q_upper": float(q_hi)}),
-        CheckItem("H2", m_h2 >= 0, m_h2, {}),
-        CheckItem("H3", m_h3 >= 0, m_h3, {}),
+        CheckItem("H1", h1_ok, m_h1, {"q_lower": f_lo, "q_upper": f_hi}),
+        CheckItem("H2", h2_ok, m_h2, {}),
+        CheckItem("H3", h3_ok, m_h3, {}),
         CheckItem("H4", h4_ok, m_h4, {}),
     )
-    passed = all(it.passed for it in items)
+    passed = h1_ok and h2_ok and h3_ok and h4_ok
     verdict = (
         "existence hypotheses all hold" if passed else "existence hypotheses violated: "
-        + ", ".join(it.name for it in items if not it.passed)
+        + ", ".join([it.name for it in items if not it.passed])
     )
     return CheckReport(title="existence-audit", passed=passed, items=items, verdict=verdict)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .rational import _require_finite
+from .report import read_text
 
 #: Relative tolerance on grid-spacing uniformity.
 GRID_UNIFORMITY_TOL = 1e-12
@@ -130,7 +131,7 @@ def _write_csv(path, names: list[str], rows) -> None:
 
 
 def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:
-    lines = Path(path).read_text().strip().splitlines()
+    lines = read_text(path).strip().splitlines()
     if not lines:
         raise ValueError(f"empty CSV {path}")
     names = [name.strip() for name in lines[0].split(",")]

@@ -5,6 +5,13 @@ says by how much it is violated.  JSON output is byte-deterministic (sorted
 keys, two-space indent, strings escaped as the ``json`` module escapes them,
 floats printed with 17 significant digits) so reports can be used as golden
 files.
+
+The two records are frozen dataclasses with hand-written ``__init__``s that
+store their fields in the instance dict in one pass.  The generated frozen
+``__init__`` calls ``object.__setattr__`` once per field: about 0.9 us per
+record against about 0.5 us (CPython 3.11), and an existence audit builds
+five records.  Fields, defaults, equality, ``repr``, ``replace``, ``asdict``
+and pickling are the dataclass's own.
 """
 
 from __future__ import annotations
@@ -18,7 +25,12 @@ from typing import Any, Mapping
 import numpy as np
 
 
-@dataclass(frozen=True)
+#: ``CheckItem``'s "no details given" default, as the generated ``__init__``
+#: marks a ``default_factory``.
+_NO_DETAILS: Any = object()
+
+
+@dataclass(frozen=True, init=False)
 class CheckItem:
     """One audited condition with its signed margin and extras."""
 
@@ -27,8 +39,16 @@ class CheckItem:
     margin: float
     details: Mapping[str, Any] = field(default_factory=dict)
 
+    def __init__(self, name: str, passed: bool, margin: float,
+                 details: Mapping[str, Any] = _NO_DETAILS):
+        d = self.__dict__
+        d["name"] = name
+        d["passed"] = passed
+        d["margin"] = margin
+        d["details"] = {} if details is _NO_DETAILS else details
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class CheckReport:
     """A bundle of named checks plus an overall verdict."""
 
@@ -36,6 +56,14 @@ class CheckReport:
     passed: bool
     items: tuple[CheckItem, ...]
     verdict: str = ""
+
+    def __init__(self, title: str, passed: bool, items: tuple[CheckItem, ...],
+                 verdict: str = ""):
+        d = self.__dict__
+        d["title"] = title
+        d["passed"] = passed
+        d["items"] = items
+        d["verdict"] = verdict
 
     def item(self, name: str) -> CheckItem:
         for it in self.items:
@@ -98,14 +126,24 @@ def render_json(value: Any, indent: int = 0) -> str:
 
 def write_json(path, value: Any) -> None:
     text = render_json(value) + "\n"
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def read_json(path) -> Any:
-    """The value in the JSON file ``path``; a file that does not parse is a
-    ``ValueError`` naming the file and the decoder's position."""
+def read_text(path) -> str:
+    """The UTF-8 text of the file ``path``; bytes that are not UTF-8 are a
+    ``ValueError`` naming the file."""
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_json(path) -> Any:
+    """The value in the JSON file ``path``; a file that is not UTF-8 or does
+    not parse is a ``ValueError`` naming the file (and the decoder's
+    position)."""
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None

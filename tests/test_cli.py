@@ -41,6 +41,12 @@ NONEXIST = {
     "c31": 1, "c32": 1, "c33": 1,
 }
 
+#: what a file of the bytes 0x80 0x81 is refused with, after its name
+NOT_UTF8 = (
+    " is not UTF-8 text: 'utf-8' codec can't decode byte 0x80 in position 0: "
+    "invalid start byte\n"
+)
+
 
 def write_json(path: Path, data: dict) -> str:
     path.write_text(json.dumps(data))
@@ -302,6 +308,15 @@ class TestProfileCommands:
         assert main(argv) == 2
         assert f"malformed CSV {wave}" in capsys.readouterr().err
 
+    def test_profile_not_utf8_is_usage_error(self, tmp_path, capsys):
+        params = write_json(tmp_path / "p.json", STRONG)
+        bad = tmp_path / "wave.csv"
+        bad.write_bytes(b"\x80\x81")
+        argv = ["verify-profile", "--params", params, "--profile", str(bad),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {bad}" + NOT_UTF8
+
     def test_csv_roundtrip_lossless(self, tmp_path, paper_spec):
         x = np.linspace(-15, 15, 301)
         prof = lv.wave_profile(paper_spec, x)
@@ -503,6 +518,20 @@ class TestSimulationCommands:
         assert capsys.readouterr().err == (
             f"usage error: {snapshots / 'manifest.json'} is not valid JSON: "
             "Expecting value: line 1 column 1 (char 0)\n"
+        )
+
+    def test_speed_refuses_a_manifest_that_is_not_utf8(self, tmp_path, demo_two_wave, capsys):
+        snapshots = tmp_path / "snapshots"
+        profile = demo_two_wave.profile(np.linspace(-40, 40, 81))
+        lv.Snapshots(times=np.array([0.0]), profiles=(profile,)).to_dir(snapshots)
+        (snapshots / "manifest.json").write_bytes(b"\x80")
+        code = main(
+            ["speed", "--snapshots", str(snapshots), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {snapshots / 'manifest.json'}" + NOT_UTF8
         )
 
     @pytest.mark.parametrize("times", [["1", "0"], ["1", "1"], ["0", "nan"]],
@@ -736,6 +765,12 @@ class TestContract:
             f"usage error: {bad} is not valid JSON: Expecting property name enclosed in "
             "double quotes: line 1 column 2 (char 1)\n"
         )
+
+    def test_params_not_utf8_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "p.json"
+        bad.write_bytes(b"\x80\x81")
+        assert main(["classify", "--params", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"usage error: {bad}" + NOT_UTF8
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         params = write_json(tmp_path / "p.json", STRONG)

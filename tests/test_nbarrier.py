@@ -464,9 +464,9 @@ def test_existence_items_on_a_shared_block_match_reference(p, weights, others):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_stored_pairs_keep_each_weight_type(strong_params, reverse):
-    """Fraction(1, 2) == 0.5 and 1 == Fraction(1) hash alike; each weight type
-    still gets its own pair, in whichever order the types are asked."""
-    weights = [F(1, 2), 0.5, 1, F(1)]
+    """Fraction(1, 2) == 0.5 and 1 == 1.0 == Fraction(1) hash alike; each weight
+    type still gets its own pair, in whichever order the types are asked."""
+    weights = [F(1, 2), 0.5, 1, 1.0, F(1)]
     pairs = list(itertools.product(weights, weights))
     if reverse:
         pairs.reverse()
@@ -476,6 +476,23 @@ def test_stored_pairs_keep_each_weight_type(strong_params, reverse):
             got = lv.bounds(p, alpha, beta)
             assert pickle.dumps(got) == pickle.dumps(reference_bounds(p, alpha, beta))
     assert len(p.kernel.bound_pairs) == len(pairs)
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_h1_details_are_the_pairs_float_bounds(strong_params, arithmetic):
+    """H1's q_lower and q_upper are float(pair.q_lower) and float(pair.q_upper)
+    bit for bit, converted once per stored pair."""
+    block = fresh(strong_params)
+    values = dict(zip(INVADER_FIELDS, SMALL_INVADER))
+    if arithmetic == "float":
+        block, values = as_float(block), {k: float(v) for k, v in values.items()}
+    inputs = ExistenceInputs(two_species=block, **values)
+    pair = lv.bounds(block, inputs.c31, inputs.c32)
+    first, second = (lv.existence_report(inputs).item("H1").details for _ in range(2))
+    for key, exact in (("q_lower", pair.q_lower), ("q_upper", pair.q_upper)):
+        assert first[key].hex() == float(exact).hex()
+        assert first[key] is second[key]
+    assert first is not second
 
 
 @pytest.mark.parametrize(
@@ -530,26 +547,28 @@ def test_non_finite_weights_refused(strong_params, alpha, beta):
 
 
 @settings(max_examples=150)
-@given(two_species_params(), positive_rationals, positive_rationals, positive_rationals)
+@given(
+    strong_two_species_params(allow_weak=True), positive_rationals, positive_rationals,
+    positive_rationals,
+)
 def test_bounds_homogeneous_in_weights(p, alpha, beta, k):
-    regime = lv.classify_regime(p)
-    assume(regime in (Regime.STRONG, Regime.WEAK))
     assert lv.lower_bound(p, k * alpha, k * beta) == k * lv.lower_bound(p, alpha, beta)
     assert lv.upper_bound(p, k * alpha, k * beta) == k * lv.upper_bound(p, alpha, beta)
 
 
 @settings(max_examples=150)
-@given(two_species_params(), positive_rationals, positive_rationals)
+@given(strong_two_species_params(allow_weak=True), positive_rationals, positive_rationals)
 def test_bounds_symmetric_under_relabeling(p, alpha, beta):
-    regime = lv.classify_regime(p)
-    assume(regime in (Regime.STRONG, Regime.WEAK))
     q = p.swapped()
     assert lv.lower_bound(q, beta, alpha) == lv.lower_bound(p, alpha, beta)
     assert lv.upper_bound(q, beta, alpha) == lv.upper_bound(p, alpha, beta)
 
 
 @settings(max_examples=150)
-@given(two_species_params(), positive_rationals, positive_rationals, positive_rationals)
+@given(
+    strong_two_species_params(allow_weak=True), positive_rationals, positive_rationals,
+    positive_rationals,
+)
 def test_equal_diffusions_drop_out(p, alpha, beta, d):
     base = lv.TwoSpeciesParams(
         d1=F(1), d2=F(1), sigma1=p.sigma1, sigma2=p.sigma2,
@@ -559,8 +578,6 @@ def test_equal_diffusions_drop_out(p, alpha, beta, d):
         d1=d, d2=d, sigma1=p.sigma1, sigma2=p.sigma2,
         c11=p.c11, c12=p.c12, c21=p.c21, c22=p.c22,
     )
-    regime = lv.classify_regime(base)
-    assume(regime in (Regime.STRONG, Regime.WEAK))
     assert lv.lower_bound(scaled, alpha, beta) == lv.lower_bound(base, alpha, beta)
     assert lv.upper_bound(scaled, alpha, beta) == lv.upper_bound(base, alpha, beta)
 
@@ -630,10 +647,8 @@ def test_coexistence_state_within_bounds(p, alpha, beta):
 
 
 @settings(max_examples=150)
-@given(two_species_params(), positive_rationals, positive_rationals)
+@given(strong_two_species_params(allow_weak=True), positive_rationals, positive_rationals)
 def test_bound_pair_ordered(p, alpha, beta):
-    regime = lv.classify_regime(p)
-    assume(regime in (Regime.STRONG, Regime.WEAK))
     pair = lv.bounds(p, alpha, beta)
     assert pair.q_lower <= pair.q_upper
 

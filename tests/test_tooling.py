@@ -1,13 +1,16 @@
-"""The package names the benchmark harness uses, the README's CLI examples, and
-the declared runtime dependencies.
+"""The package names the benchmark harness uses, the README's CLI examples, the
+declared runtime dependencies, and the contract of the package's records.
 
 The harness files are read as source, not imported: importing the worker
 pins thread pools and loads the tracer.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
+import pickle
+import pkgutil
 import re
 import shlex
 import sys
@@ -17,6 +20,7 @@ import pytest
 
 import lvwaves
 from lvwaves.cli import build_parser, main
+from lvwaves.report import CheckItem, CheckReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,3 +122,80 @@ def test_runtime_dependencies_are_the_imports():
         for requirement in project["dependencies"]
     }
     assert _third_party_imports() == declared
+
+
+def _package_dataclasses() -> list[type]:
+    """Every dataclass defined in a module of ``lvwaves`` (``__main__`` runs
+    the CLI on import, and defines none)."""
+    found = []
+    for info in pkgutil.iter_modules(lvwaves.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"lvwaves.{info.name}")
+        found += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == module.__name__
+        ]
+    return found
+
+
+def test_every_dataclass_is_frozen():
+    classes = _package_dataclasses()
+    assert CheckItem in classes and CheckReport in classes
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen, cls.__qualname__
+
+
+def _records() -> tuple[CheckItem, CheckReport]:
+    item = CheckItem("H1", False, -0.25, {"q_lower": 0.5, "q_upper": 4.0})
+    return item, CheckReport("existence-audit", False, (item, CheckItem("H4", True, 1.0)), "v")
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_refuse_assignment(record):
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, f.name)
+
+
+def test_records_replace_asdict_and_pickle_unchanged():
+    item, report = _records()
+    assert [(f.name, f.default) for f in dataclasses.fields(CheckReport)] == [
+        ("title", dataclasses.MISSING), ("passed", dataclasses.MISSING),
+        ("items", dataclasses.MISSING), ("verdict", ""),
+    ]
+    (details,) = [f for f in dataclasses.fields(CheckItem) if f.name == "details"]
+    assert details.default_factory is dict
+    for record in (item, report):
+        again = dataclasses.replace(record)
+        assert again == record and again is not record
+        assert repr(again) == repr(record)
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+        assert vars(back) == vars(record)
+    item_dict = {"name": "H1", "passed": False, "margin": -0.25,
+                 "details": {"q_lower": 0.5, "q_upper": 4.0}}
+    assert dataclasses.asdict(item) == item_dict
+    assert dataclasses.asdict(report) == {
+        "title": "existence-audit", "passed": False, "verdict": "v",
+        "items": (item_dict, {"name": "H4", "passed": True, "margin": 1.0, "details": {}}),
+    }
+    assert dataclasses.replace(item, margin=1.5).margin == 1.5
+    assert dataclasses.replace(report, verdict="w") == CheckReport(
+        "existence-audit", False, report.items, "w"
+    )
+    assert repr(item) == (
+        "CheckItem(name='H1', passed=False, margin=-0.25, "
+        "details={'q_lower': 0.5, 'q_upper': 4.0})"
+    )
+
+
+def test_items_without_details_do_not_share_a_dict():
+    first, second = CheckItem("a", True, 0.0), CheckItem("b", True, 0.0)
+    assert first.details == {} and second.details == {}
+    assert first.details is not second.details
+    assert CheckItem("c", True, 0.0, details=None).details is None
+    assert CheckReport("t", True, ()).verdict == ""
