@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exactwaves, figures, numerics
-from .errors import LVError, MissingKeysError
+from .errors import LVError
 from .hypotheses import _INVADER_FIELDS, ExistenceInputs, existence_report, nonexistence_report
 from .model import (
     ThreeSpeciesParams,
@@ -44,7 +44,9 @@ def _exact(**values: Number) -> dict:
     return out
 
 
-def _load_params(args: argparse.Namespace) -> dict:
+def _load_params(args: argparse.Namespace, parse):
+    """``parse`` of the --params file's JSON object after the --set overrides; a
+    ``ValueError`` from ``parse`` (missing key, bad number, refused value) names the file."""
     if not args.params:
         raise ValueError("this command requires --params FILE")
     data = read_json(args.params)
@@ -61,7 +63,10 @@ def _load_params(args: argparse.Namespace) -> dict:
         if key not in data:
             raise ValueError(f"override key {key!r} is not in the parameter file {args.params}")
         data[key] = value.strip()
-    return data
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in the parameter file {args.params}") from None
 
 
 def _write_report(args: argparse.Namespace, payload: dict) -> int:
@@ -89,12 +94,12 @@ def _write_wave(args: argparse.Namespace, profile, residual) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(args))
+    p = _load_params(args, TwoSpeciesParams.from_dict)
     return _write_report(args, {"regime": classify_regime(p).value})
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(args))
+    p = _load_params(args, TwoSpeciesParams.from_dict)
     alpha, beta = _weights(args)
     pair = bounds(p, alpha, beta)
     return _write_report(
@@ -103,7 +108,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_barrier(args: argparse.Namespace) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(args))
+    p = _load_params(args, TwoSpeciesParams.from_dict)
     alpha, beta = _weights(args)
     side = BoundSide.LOWER if args.side == "lower" else BoundSide.UPPER
     lines = construct_barrier(p, alpha, beta, side)
@@ -116,7 +121,7 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
 
 
 def _cmd_conic(args: argparse.Namespace) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(args))
+    p = _load_params(args, TwoSpeciesParams.from_dict)
     alpha, beta = _weights(args)
     conic = conic_classify(p, alpha, beta)
     return _write_report(
@@ -125,7 +130,7 @@ def _cmd_conic(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact_wave(args: argparse.Namespace) -> int:
-    free = exactwaves.FreeParams.from_dict(_load_params(args))
+    free = _load_params(args, exactwaves.FreeParams.from_dict)
     spec = exactwaves.induce_coefficients(free)
     matrix = spec.params.competition_matrix()
     payload = {
@@ -140,10 +145,13 @@ def _cmd_exact_wave(args: argparse.Namespace) -> int:
     return _write_report(args, payload)
 
 
-def _cmd_two_wave(args: argparse.Namespace) -> int:
-    data = _load_params(args)
+def _two_wave(data: dict) -> tuple[dict, exactwaves.TwoSpeciesWave]:
     free = parse_fields(data, ("d1", "d2", "theta", "sigma1", "sigma2", "k1"))
-    wave = exactwaves.two_species_exact_wave(**free)
+    return free, exactwaves.two_species_exact_wave(**free)
+
+
+def _cmd_two_wave(args: argparse.Namespace) -> int:
+    free, wave = _load_params(args, _two_wave)
     payload = {
         "params": {k: float(v) for k, v in wave.params.to_dict().items()},
         **_exact(theta=wave.theta, u_star=wave.u_star, v_star=wave.v_star),
@@ -154,10 +162,13 @@ def _cmd_two_wave(args: argparse.Namespace) -> int:
     return _write_report(args, payload)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    data = _load_params(args)
+def _simulate_params(data: dict) -> TwoSpeciesParams | ThreeSpeciesParams:
     three = "c33" in data or "d3" in data
-    p = (ThreeSpeciesParams if three else TwoSpeciesParams).from_dict(data)
+    return (ThreeSpeciesParams if three else TwoSpeciesParams).from_dict(data)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    p = _load_params(args, _simulate_params)
     init = WaveProfile.from_csv(args.init)
     boundary = (
         numerics.BoundaryKind.DIRICHLET_FROM_PROFILE
@@ -205,9 +216,8 @@ def _cmd_speed(args: argparse.Namespace) -> int:
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
-    data = _load_params(args)
+    values = _load_params(args, partial(parse_fields, names=_INVADER_FIELDS))
     background = WaveProfile.from_csv(args.background)
-    values = parse_fields(data, _INVADER_FIELDS)
     k_sub, k_super = float(values.pop("K_sub")), float(values.pop("K_super"))
     ctx = numerics.FisherContext(**values, background=background)
     w_sub = numerics.tanh_pulse_candidate(k_sub)
@@ -242,19 +252,19 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_existence(args: argparse.Namespace) -> int:
-    report = existence_report(ExistenceInputs.from_dict(_load_params(args)))
+    report = existence_report(_load_params(args, ExistenceInputs.from_dict))
     _write_report(args, report.to_json_dict())
     return 0 if report.passed else 1
 
 
 def _cmd_check_nonexistence(args: argparse.Namespace) -> int:
-    report = nonexistence_report(ThreeSpeciesParams.from_dict(_load_params(args)))
+    report = nonexistence_report(_load_params(args, ThreeSpeciesParams.from_dict))
     _write_report(args, report.to_json_dict())
     return 0 if report.passed else 1
 
 
 def _cmd_verify_profile(args: argparse.Namespace) -> int:
-    p = TwoSpeciesParams.from_dict(_load_params(args))
+    p = _load_params(args, TwoSpeciesParams.from_dict)
     profile = WaveProfile.from_csv(args.profile)
     pair = bounds(p, *_weights(args))
     report = verify_bounds_on_profile(profile, pair)
@@ -362,9 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     except LVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MissingKeysError as exc:  # only parameter files are checked for keys
-        print(f"usage error: {exc} in the parameter file {args.params}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

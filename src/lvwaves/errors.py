@@ -9,15 +9,6 @@ class LVError(Exception):
     """Base class for domain-level failures."""
 
 
-class MissingKeysError(ValueError):
-    """A parameter mapping lacks required keys: a usage error, not a domain failure."""
-
-    def __init__(self, keys):
-        self.keys = tuple(keys)
-        plural = "s" if len(self.keys) > 1 else ""
-        super().__init__(f"missing key{plural} " + ", ".join(map(repr, self.keys)))
-
-
 class SingularLinesError(LVError):
     """The two zero-growth lines are parallel; no coexistence intersection."""
 

@@ -84,7 +84,8 @@ class FreeParams:
     sigma3: Number
 
     def __post_init__(self):
-        _require_positive(self, ("k1", "k2", "d1", "d2", "d3", "sigma1", "sigma2", "sigma3"))
+        _require_positive(k1=self.k1, k2=self.k2, d1=self.d1, d2=self.d2, d3=self.d3,
+                          sigma1=self.sigma1, sigma2=self.sigma2, sigma3=self.sigma3)
         _require_finite(theta=self.theta)
         if 2 * self.d1 + self.theta == 0:
             raise ValueError("2*d1 + theta must be nonzero")
@@ -246,9 +247,7 @@ def two_species_wave_family(
     second growth rate come out of the algebra; use this entry point when
     you want the family member rather than checking given values.
     """
-    _require_finite(d1=d1, d2=d2, sigma1=sigma1, k1=k1)
-    if d1 <= 0 or d2 <= 0 or sigma1 <= 0 or k1 <= 0:
-        raise ValueError("d1, d2, sigma1, k1 must be strictly positive")
+    _require_positive(d1=d1, d2=d2, sigma1=sigma1, k1=k1)
     if not sigma1 > 8 * d1:
         raise InfeasibleError(
             f"two-species tanh wave needs sigma1 > 8*d1 (got sigma1={sigma1}, d1={d1})"

@@ -64,7 +64,7 @@ class ExistenceInputs:
     K_super: Number
 
     def __post_init__(self):
-        _require_positive(self, ("d3", "sigma3", "c31", "c32", "c33"))
+        _require_positive(d3=self.d3, sigma3=self.sigma3, c31=self.c31, c32=self.c32, c33=self.c33)
         # their signs are H4's to audit
         _require_finite(theta=self.theta, K_sub=self.K_sub, K_super=self.K_super)
 

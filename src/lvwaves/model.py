@@ -54,7 +54,8 @@ class TwoSpeciesParams:
     c22: Number
 
     def __post_init__(self):
-        _require_positive(self, _TWO_FIELDS)
+        _require_positive(d1=self.d1, d2=self.d2, sigma1=self.sigma1, sigma2=self.sigma2,
+                          c11=self.c11, c12=self.c12, c21=self.c21, c22=self.c22)
 
     def __getstate__(self):  # pickle the fields, not the cached kernel
         return self.to_dict()
@@ -114,9 +115,9 @@ class ThreeSpeciesParams:
     c33: Number
 
     def __post_init__(self):
-        _require_positive(
-            self, ("d1", "d2", "d3", "sigma1", "sigma2", "sigma3", "c11", "c22", "c33")
-        )
+        _require_positive(d1=self.d1, d2=self.d2, d3=self.d3, sigma1=self.sigma1,
+                          sigma2=self.sigma2, sigma3=self.sigma3, c11=self.c11, c22=self.c22,
+                          c33=self.c33)
         for name in ("c12", "c13", "c21", "c23", "c31", "c32"):
             value = getattr(self, name)
             if not (value >= 0 and _is_finite(value)):

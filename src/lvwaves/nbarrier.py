@@ -42,7 +42,7 @@ import numpy as np
 from .errors import RegimeError
 from .model import Regime, TwoSpeciesParams
 from .profiles import WaveProfile
-from .rational import Number, _is_finite
+from .rational import Number, _require_positive
 from .report import CheckItem, CheckReport
 
 #: Relative tolerance (against the dominant squared term) below which the
@@ -102,14 +102,9 @@ class BarrierLines:
             raise ValueError("upper barrier requires lambda1 >= lambda2")
 
 
-def _check_weights(alpha: Number, beta: Number) -> None:
-    if not (alpha > 0 and beta > 0 and _is_finite(alpha) and _is_finite(beta)):
-        raise ValueError(f"weights must be strictly positive and finite: {alpha=!s}, {beta=!s}")
-
-
 def F_value(p: TwoSpeciesParams, alpha: Number, beta: Number, u: Number, v: Number) -> Number:
     """Weighted sum of the two kinetic terms at the point (u, v)."""
-    _check_weights(alpha, beta)
+    _require_positive(alpha=alpha, beta=beta)
     return alpha * u * (p.sigma1 - p.c11 * u - p.c12 * v) + beta * v * (
         p.sigma2 - p.c21 * u - p.c22 * v
     )
@@ -157,7 +152,7 @@ def bounds(p: TwoSpeciesParams, alpha: Number, beta: Number) -> BoundPair:
     )
     pair = k.bound_pairs.get(key)
     if pair is None:
-        _check_weights(alpha, beta)
+        _require_positive(alpha=alpha, beta=beta)
         if k.regime not in (Regime.STRONG, Regime.WEAK):
             raise RegimeError(
                 f"bounds require strong or weak competition, classification is {k.regime.value}"
@@ -179,7 +174,7 @@ def conic_classify(p: TwoSpeciesParams, alpha: Number, beta: Number) -> ConicCla
     parabola.  Under strong competition D is provably positive (always a
     hyperbola).
     """
-    _check_weights(alpha, beta)
+    _require_positive(alpha=alpha, beta=beta)
     cross = alpha * p.c12 + beta * p.c21
     disc = cross * cross - 4 * alpha * beta * p.c11 * p.c22
     if abs(disc) <= PARABOLA_TOL * cross * cross:
@@ -207,7 +202,7 @@ def construct_barrier(
     dimensionally consistent choice); see the package notes on this point.
     Outside strong competition :class:`RegimeError` is raised.
     """
-    _check_weights(alpha, beta)
+    _require_positive(alpha=alpha, beta=beta)
     regime = p.kernel.regime
     if regime is not Regime.STRONG:
         raise RegimeError(
@@ -237,7 +232,7 @@ def verify_bounds_on_profile(profile: WaveProfile, bound_pair: BoundPair) -> Che
     identical results.
     """
     alpha, beta = bound_pair.alpha, bound_pair.beta
-    _check_weights(alpha, beta)
+    _require_positive(alpha=alpha, beta=beta)
     combo = float(alpha) * profile.u + float(beta) * profile.v
     i_min = int(np.argmin(combo))
     i_max = int(np.argmax(combo))

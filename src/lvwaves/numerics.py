@@ -128,10 +128,9 @@ class SimConfig:
             raise ValueError("space_order must be 2 or 4")
         if isinstance(self.dt, str) and self.dt != "auto":
             raise ValueError(f"dt must be a number or 'auto', got {self.dt!r}")
-        for name in ("t_end", "dt"):
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        _require_positive(t_end=self.t_end)
+        if not isinstance(self.dt, str):
+            _require_positive(dt=self.dt)
         if self.n_snapshots < 1:
             raise ValueError(f"n_snapshots must be at least 1, got {self.n_snapshots}")
 
@@ -202,9 +201,8 @@ def integrate_ode(
         raise TypeError(f"integrate_ode takes TwoSpeciesParams, got {type(p).__name__}")
     if u0 < 0 or v0 < 0:
         raise ValueError("initial densities must be nonnegative")
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
-    _require_finite(u0=u0, v0=v0, t_end=t_end, dt=dt)
+    _require_finite(u0=u0, v0=v0)
+    _require_positive(t_end=t_end, dt=dt)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end={t_end} and dt={dt} give too many steps to count")
     _, sigma, comp = _kinetics(p)
@@ -536,6 +534,7 @@ def estimate_front_speed(
     Each snapshot must cross ``level`` exactly once in x.  Positions are
     refined with a local cubic interpolant around the bracketing cell.
     """
+    _require_finite(level=level)
     if len(snapshots.profiles) < 2:
         raise ValueError("need at least two snapshots")
     if any(component not in prof.components for prof in snapshots.profiles):
@@ -567,7 +566,7 @@ class FisherContext:
     background: WaveProfile
 
     def __post_init__(self):
-        _require_positive(self, ("c33", "d3"))
+        _require_positive(c33=self.c33, d3=self.d3)
         _require_finite(theta=self.theta, sigma3=self.sigma3, c31=self.c31, c32=self.c32)
         if self.background.x.size < 3:
             raise ValueError("background grid needs at least three nodes")
@@ -748,8 +747,7 @@ def solve_fisher_bvp(
     drops below ``tol``, with the residual of every sweep in
     ``residual_history``; raises :class:`MaxIterExceededError` otherwise.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _require_positive(tol=tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if relaxation is not None:

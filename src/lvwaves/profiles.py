@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .rational import _require_finite
-from .report import read_text
+from .report import FLOAT_SPEC, read_text
 
 #: Relative tolerance on grid-spacing uniformity.
 GRID_UNIFORMITY_TOL = 1e-12
@@ -75,12 +75,7 @@ class WaveProfile:
 
     @classmethod
     def from_csv(cls, path) -> "WaveProfile":
-        names, cols = _read_csv(path)
-        if 3 <= len(cols) <= 4:  # x and two or three densities
-            profile = cls(*cols)
-            if names == ["x", *profile.components]:
-                return profile
-        raise ValueError(f"expected header x,u,v[,w], got {','.join(names)}")
+        return _from_csv(path, cls, "x,u,v[,w]", ("x,u,v", "x,u,v,w"))
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,7 @@ class ScalarProfile:
 
     @classmethod
     def from_csv(cls, path) -> "ScalarProfile":
-        names, cols = _read_csv(path)
-        if names != ["x", "w"]:
-            raise ValueError(f"expected header x,w, got {','.join(names)}")
-        return cls(x=cols[0], w=cols[1])
+        return _from_csv(path, cls, "x,w", ("x,w",))
 
 
 def check_grid_bounds(x_min: float, x_max: float) -> None:
@@ -125,9 +117,21 @@ def _write_csv(path, names: list[str], rows) -> None:
     bad = ~np.isfinite(data)
     if bad.any():
         raise ValueError(f"non-finite value in report: {float(data[bad][0])}")
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+    row = ",".join(["%" + FLOAT_SPEC] * len(names)) + "\n"
     body = "".join([row] * len(data)) % tuple(data.ravel().tolist())
     Path(path).write_text(",".join(names) + "\n" + body, newline="\n")
+
+
+def _from_csv(path, cls, expected: str, headers: tuple[str, ...]):
+    """``cls`` of the columns of the CSV file ``path``, whose header must be one
+    of ``headers``; the one place a profile file is read, so each refusal names it."""
+    names, cols = _read_csv(path)
+    try:
+        if ",".join(names) not in headers:
+            raise ValueError(f"expected header {expected}, got {','.join(names)}")
+        return cls(*cols)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in CSV {path}") from None
 
 
 def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:

@@ -3,15 +3,14 @@
 All closed-form operations in this package are written against plain Python
 arithmetic, so they stay exact whenever every input is an ``int`` or a
 :class:`fractions.Fraction` and fall back to ordinary float arithmetic
-otherwise.  Config files may spell rationals as strings like ``"41/5"``.
+otherwise.  Config files may spell rationals as strings like ``"41/5"``.  The
+number refusals live here, once each: :func:`_require_positive`, :func:`_require_finite`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .errors import MissingKeysError
 
 Number = int | float | Fraction
 
@@ -50,11 +49,12 @@ def parse_number(value: object) -> Number:
 
 
 def parse_fields(data: dict, names: tuple[str, ...]) -> dict[str, Number]:
-    """:func:`parse_number` of each named entry of a config mapping; a
-    :class:`MissingKeysError` lists every name the mapping lacks."""
+    """:func:`parse_number` of each named entry of a config mapping; the
+    ``ValueError`` for a mapping that lacks names lists every one of them."""
     missing = [name for name in names if name not in data]
     if missing:
-        raise MissingKeysError(missing)
+        plural = "s" if len(missing) > 1 else ""
+        raise ValueError(f"missing key{plural} " + ", ".join(map(repr, missing)))
     return {name: parse_number(data[name]) for name in names}
 
 
@@ -68,8 +68,10 @@ def all_exact(*values: Number) -> bool:
 
 
 def _is_finite(value: Number) -> bool:
-    # exact values always are; testing for float, not for the Fraction ABC, is cheap
-    return not isinstance(value, float) or math.isfinite(value)
+    # float, then Fraction by type (no ABC test); exact values skip float(), which overflows
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return type(value) is Fraction or isinstance(value, (int, Fraction)) or math.isfinite(value)
 
 
 def _require_finite(**values: Number) -> None:
@@ -79,11 +81,10 @@ def _require_finite(**values: Number) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _require_positive(obj, names) -> None:
-    """Raise ``ValueError`` naming the first of ``obj``'s attributes ``names``
-    that is not strictly positive and finite."""
-    for name in names:
-        value = getattr(obj, name)
+def _require_positive(**values: Number) -> None:
+    """Raise ``ValueError`` naming the first keyword whose value is not
+    strictly positive and finite (NaN and infinities of any real type)."""
+    for name, value in values.items():
         if not (value > 0 and _is_finite(value)):
             raise ValueError(f"{name} must be strictly positive and finite, got {value}")
 

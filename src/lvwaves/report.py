@@ -87,12 +87,15 @@ class CheckReport:
 #: A string as JSON text, escaped as the ``json`` module escapes it.
 _json_string = json.JSONEncoder(ensure_ascii=False).encode
 
+#: Float text of every report and profile CSV: 17 digits, which round-trip a double.
+FLOAT_SPEC = ".17g"
+
 
 def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {x}")
-    return format(x, ".17g")
+    return format(x, FLOAT_SPEC)
 
 
 def render_json(value: Any, indent: int = 0) -> str:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,20 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import lvwaves as lv
+
+# pytester runs a falsified property in a subprocess (tests/test_tooling.py)
+pytest_plugins = ["pytester"]
+
+# On a falsified property hypothesis imports this module to print a patch; it
+# imports libcst, whose mypy_extensions.TypedDict warns with a DeprecationWarning
+# that the "error::DeprecationWarning" filter would raise inside pytest's report
+# hook, ending the session.  Imported here once, with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # hypothesis then prints no patch, and warns of nothing
+        pass
 
 # No per-example deadline: example times swing with the load of a shared
 # machine, and the deadline also caps the draw time of hypothesis's too_slow

@@ -308,6 +308,22 @@ class TestProfileCommands:
         assert main(argv) == 2
         assert f"malformed CSV {wave}" in capsys.readouterr().err
 
+    def test_refused_init_samples_name_the_file(self, tmp_path, paper_spec, capsys):
+        three = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        params = write_json(tmp_path / "p.json", three)
+        wave = tmp_path / "wave.csv"
+        lv.wave_profile(paper_spec, np.linspace(-20, 20, 401)).to_csv(wave)
+        lines = wave.read_text().splitlines()
+        x, _, rest = lines[200].split(",", 2)
+        lines[200] = f"{x},-0.5,{rest}"
+        wave.write_text("\n".join(lines) + "\n")
+        argv = ["simulate", "--params", params, "--init", str(wave), "--t-end", "0.1",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: u samples must be nonnegative (min -0.5) in CSV {wave}\n"
+        )
+
     def test_profile_not_utf8_is_usage_error(self, tmp_path, capsys):
         params = write_json(tmp_path / "p.json", STRONG)
         bad = tmp_path / "wave.csv"
@@ -411,6 +427,25 @@ class TestSimulationCommands:
         )
         assert code == 2
         assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_speed_at_a_non_finite_level_is_usage_error(
+        self, tmp_path, demo_two_wave, capsys, level
+    ):
+        x = np.linspace(-40, 40, 801)
+        ahead = demo_two_wave.profile(x - 3.0)
+        snaps = lv.Snapshots(
+            times=np.array([0.0, 1.0]),
+            profiles=(demo_two_wave.profile(x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v)),
+        )
+        snaps.to_dir(tmp_path / "snapshots")
+        code = main(
+            ["speed", "--snapshots", str(tmp_path / "snapshots"), f"--level={level}",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: level must be finite, got {level}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_speed_of_missing_component_is_usage_error(self, tmp_path, demo_two_wave):
         x = np.linspace(-40, 40, 801)
@@ -686,6 +721,14 @@ class TestFigureData:
             ["figure-data", "--which", "fig1", "--case", "z", "--out", str(tmp_path / "o")]
         ) == 2
 
+    @pytest.mark.parametrize("which", ["fig2", "fig3"])
+    def test_bad_barrier_case_is_usage_error(self, tmp_path, capsys, which):
+        argv = ["figure-data", "--which", which, "--case", "e", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {which} case must be one of ['a', 'b', 'c', 'd']\n"
+        )
+
 
 class TestContract:
     def test_reports_are_byte_deterministic(self, tmp_path):
@@ -755,6 +798,45 @@ class TestContract:
             argv += ["--params", write_json(tmp_path / "p.json", data)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, data, extra, refused",
+        [
+            ("classify", {**STRONG, "c12": "abc"}, [], "cannot parse number 'abc'"),
+            ("classify", STRONG, ["--set", "c12=abc"], "cannot parse number 'abc'"),
+            ("classify", {**STRONG, "d1": 0}, [],
+             "d1 must be strictly positive and finite, got 0"),
+            ("two-wave", {"d1": 0, "d2": 1, "theta": 1, "sigma1": 41, "sigma2": 1, "k1": 1}, [],
+             "d1 must be strictly positive and finite, got 0"),
+            ("exact-wave", {**PAPER_FREE, "theta": -2}, [], "2*d1 + theta must be nonzero"),
+            ("check-existence", {**STRONG, "d3": 1, "sigma3": 1, "c31": -1, "c32": 1, "c33": 1,
+                                 "theta": 1, "K_sub": 1, "K_super": 2}, [],
+             "c31 must be strictly positive and finite, got -1"),
+            ("check-existence", {**STRONG, "d3": 1, "sigma3": 1, "c31": 1, "c32": 1, "c33": 1,
+                                 "theta": 1, "K_sub": 1}, [], "missing key 'K_super'"),
+            ("check-nonexistence", {**NONEXIST, "c13": -1}, [],
+             "c13 must be nonnegative and finite, got -1"),
+            # the parameters are read before the (here missing) profile
+            ("simulate", {**STRONG, "sigma2": "1/0"}, ["--init", "none.csv", "--t-end", "1"],
+             "cannot parse number '1/0'"),
+            ("fisher", {"d3": 2, "theta": 6, "sigma3": "x", "c31": 0.5, "c32": 0.01, "c33": 1,
+                        "K_sub": 1, "K_super": 12}, ["--background", "none.csv"],
+             "cannot parse number 'x'"),
+        ],
+        ids=["bad-number", "bad-override", "classify-d1-0", "two-wave-d1-0", "exact-wave-theta",
+             "existence-c31", "existence-missing-key", "nonexistence-c13",
+             "simulate-zero-denominator", "fisher-sigma3"],
+    )
+    def test_parameter_content_refusals_name_the_file(
+        self, tmp_path, capsys, command, data, extra, refused
+    ):
+        params = write_json(tmp_path / "p.json", data)
+        out = tmp_path / "o"
+        assert main([command, "--params", params, *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {refused} in the parameter file {params}\n"
+        )
         assert not out.exists()
 
     def test_malformed_params_is_usage_error(self, tmp_path, capsys):

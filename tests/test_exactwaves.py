@@ -211,8 +211,9 @@ class TestTwoSpeciesWave:
     def test_non_finite_family_input_is_bad_input(self, index, name, bad):
         args = [F(1), F(1), F(41), F(1)]
         args[index] = bad
-        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+        with pytest.raises(ValueError) as info:
             lv.two_species_wave_family(*args)
+        assert str(info.value) == f"{name} must be strictly positive and finite, got {bad}"
 
     def test_sympy_two_species_oracle(self):
         # residual of the ansatz under the induced two-species constraints
@@ -340,6 +341,13 @@ def test_exact_and_float_modes_agree_to_one_ulp(k1, k2, d1, d2, d3, th, s1, s2, 
     ):
         for e_val, f_val in zip(exact_row, float_row):
             assert ulp_distance(float(e_val), f_val) <= 1.0
+
+
+def test_free_params_refuse_a_speed_of_minus_twice_d1(paper_free):
+    fields = {k: getattr(paper_free, k) for k in lv.FreeParams.__dataclass_fields__}
+    with pytest.raises(ValueError) as info:
+        lv.FreeParams(**{**fields, "d1": F(3, 2), "theta": F(-3)})
+    assert str(info.value) == "2*d1 + theta must be nonzero"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,16 @@ class TestNonexistenceReport:
         assert report.item("A3_variant").passed
         assert report.passed
         assert report.verdict == "nonexistence predicted (literal A3 and variant both pass)"
+
+    def test_d_free_variant_alone_passes(self):
+        # d1 = d2 = 1/4 scales the literal lower bound by 1/4: 1/12 < sigma3 c33 = 1/10 <= 1/3
+        report = lv.nonexistence_report(
+            replace(derived_nonexistence_params(), d1=F(1, 4), d2=F(1, 4))
+        )
+        assert report.item("A3_literal").margin == float(F(1, 12) - F(1, 10))
+        assert report.item("A3_variant").margin == float(F(1, 3) - F(1, 10))
+        assert report.passed
+        assert report.verdict == "nonexistence predicted (d-free variant passes; literal A3 fails)"
 
     def test_sigma1_nonpositive_fails_a1(self):
         p = lv.ThreeSpeciesParams(

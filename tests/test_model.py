@@ -4,6 +4,7 @@ from dataclasses import replace
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 import lvwaves as lv
 from lvwaves.errors import DomainError, RegimeError, SingularLinesError
 from lvwaves.model import Regime
-from lvwaves.rational import parse_number
+from lvwaves.numerics import GridSpec, SimConfig
+from lvwaves.rational import _is_finite, parse_number
 
 from conftest import as_float, positive_rationals, two_species_params
 
@@ -212,6 +214,31 @@ def test_parse_number_refusals(value, message):
     with pytest.raises(ValueError) as info:
         parse_number(value)
     assert str(info.value) == message
+
+
+def test_parse_number_returns_a_fraction_itself():
+    value = F(41, 5)
+    assert parse_number(value) is value
+
+
+@pytest.mark.parametrize("value", [np.float32("inf"), np.float16("inf"), np.float32("nan"),
+                                   np.float16("-inf")])
+def test_non_finite_reals_of_every_type_refused(value):
+    """numpy's float32 and float16 are not Python floats; the positivity rule
+    refuses their infinities and NaN, in a record field and in an argument."""
+    with pytest.raises(ValueError) as info:
+        lv.TwoSpeciesParams(**{**_BLOCK, "d1": value})
+    assert str(info.value) == f"d1 must be strictly positive and finite, got {value}"
+    with pytest.raises(ValueError) as info:
+        SimConfig(grid=GridSpec(x_min=0.0, x_max=1.0, n=11), t_end=value)
+    assert str(info.value) == f"t_end must be strictly positive and finite, got {value}"
+
+
+def test_exact_values_stay_finite_without_a_float_conversion():
+    huge = F(10**400, 3)  # float(huge) overflows
+    assert _is_finite(huge) and _is_finite(10**400)
+    p = lv.TwoSpeciesParams(**{**_BLOCK, "d1": huge, "c12": 10**400})
+    assert p.d1 == huge
 
 
 class TestBlockKernel:

@@ -14,7 +14,8 @@ import lvwaves as lv
 from lvwaves.errors import RegimeError
 from lvwaves.model import Regime, classify_regime
 from lvwaves.hypotheses import ExistenceInputs
-from lvwaves.nbarrier import BarrierLines, BoundPair, BoundSide, ConicKind, _check_weights
+from lvwaves.nbarrier import BarrierLines, BoundPair, BoundSide, ConicKind
+from lvwaves.rational import _require_positive
 from lvwaves.report import CheckItem
 
 from conftest import (
@@ -31,7 +32,7 @@ F = Fraction
 def reference_construct_barrier(p, alpha, beta, side):
     """Barrier levels written out as eight cases (side x d2 >= d1 x
     cross-product test): the reference for the one-rule ``construct_barrier``."""
-    _check_weights(alpha, beta)
+    _require_positive(alpha=alpha, beta=beta)
     regime = classify_regime(p)
     if regime is not Regime.STRONG:
         raise RegimeError(
@@ -91,7 +92,7 @@ def reference_construct_barrier(p, alpha, beta, side):
 def reference_bounds(p, alpha, beta):
     """The bounds with the regime, intercepts and d-ratios derived again on
     every call: the reference for ``bounds``, which reads the block's kernel."""
-    _check_weights(alpha, beta)
+    _require_positive(alpha=alpha, beta=beta)
     regime = classify_regime(p)
     if regime not in (Regime.STRONG, Regime.WEAK):
         raise RegimeError(
@@ -495,14 +496,21 @@ def test_h1_details_are_the_pairs_float_bounds(strong_params, arithmetic):
     assert first is not second
 
 
+def refused_weight(alpha, beta) -> str:
+    """The refusal of a weight pair in which exactly one weight is bad."""
+    name, value = ("beta", beta) if alpha > 0 else ("alpha", alpha)
+    return f"{name} must be strictly positive and finite, got {value}"
+
+
 @pytest.mark.parametrize(
     "alpha, beta", [(0, 1), (1, F(0)), (F(-1, 2), 1), (1, -0.5), (math.nan, 1), (1, math.nan)]
 )
 def test_refused_weights_refused_again(strong_params, alpha, beta):
     p = fresh(strong_params)
     for _ in range(2):
-        with pytest.raises(ValueError, match="weights must be strictly positive and finite"):
+        with pytest.raises(ValueError) as info:
             lv.bounds(p, alpha, beta)
+        assert str(info.value) == refused_weight(alpha, beta)
     assert p.kernel.bound_pairs == {}
 
 
@@ -542,8 +550,9 @@ def test_kernel_bounds_refuse_same_regimes_with_same_message(p, alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", [(float("nan"), 1), (1, float("inf")), (-float("inf"), 1)])
 def test_non_finite_weights_refused(strong_params, alpha, beta):
-    with pytest.raises(ValueError, match="weights must be strictly positive and finite"):
+    with pytest.raises(ValueError) as info:
         lv.bounds(strong_params, alpha, beta)
+    assert str(info.value) == refused_weight(alpha, beta)
 
 
 @settings(max_examples=150)

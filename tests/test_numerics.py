@@ -187,8 +187,10 @@ class TestIntegrateOde:
 
     @pytest.mark.parametrize("t_end, dt", [(0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)])
     def test_nonpositive_time_or_step_rejected(self, strong_params, t_end, dt):
-        with pytest.raises(ValueError, match="t_end and dt must be positive"):
+        with pytest.raises(ValueError) as info:
             lv.integrate_ode(strong_params, 0.1, 0.5, t_end=t_end, dt=dt)
+        name, value = ("dt", dt) if t_end > 0 else ("t_end", t_end)
+        assert str(info.value) == f"{name} must be strictly positive and finite, got {value}"
 
     @pytest.mark.parametrize("name, value", [
         ("u0", np.nan), ("u0", np.inf), ("v0", np.nan), ("t_end", np.inf), ("t_end", np.nan),
@@ -196,8 +198,11 @@ class TestIntegrateOde:
     ])
     def test_non_finite_argument_rejected(self, strong_params, name, value):
         kwargs = {"u0": 0.5, "v0": 0.5, "t_end": 1.0, "dt": 0.05, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        with pytest.raises(ValueError) as info:
             lv.integrate_ode(strong_params, **kwargs)
+        # the start only has to be finite; the time and the step are positive too
+        rule = "finite" if name in ("u0", "v0") else "strictly positive and finite"
+        assert str(info.value) == f"{name} must be {rule}, got {value}"
 
 
 @settings(max_examples=15, deadline=None)
@@ -612,6 +617,13 @@ class TestFrontSpeed:
             chords.append(x[i] + (x[i + 1] - x[i]) * s[i] / (s[i] - s[i + 1]))
         assert est.positions.tolist() == chords
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_refused(self, paper_spec, level):
+        snaps = self._translated_snapshots(paper_spec, n_shots=2)
+        with pytest.raises(ValueError) as info:
+            lv.estimate_front_speed(snaps, "u", level)
+        assert str(info.value) == f"level must be finite, got {level}"
+
     def test_single_snapshot_rejected(self, paper_spec):
         snaps = self._translated_snapshots(paper_spec, n_shots=1)
         with pytest.raises(ValueError, match="need at least two snapshots"):
@@ -782,10 +794,11 @@ assert not loaded, f"lvwaves loaded {loaded}"
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_bad_tol_rejected(self, fisher_ctx, tol):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
+        with pytest.raises(ValueError) as info:
             lv.solve_fisher_bvp(
                 fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0), tol=tol
             )
+        assert str(info.value) == f"tol must be strictly positive and finite, got {tol}"
 
     def test_not_ordered_rejected(self, fisher_ctx):
         with pytest.raises(NotOrderedError):

@@ -300,3 +300,34 @@ def test_scalar_profile_from_csv_refuses_other_headers(tmp_path):
     path.write_text("x,u\n0,1\n1,2\n")
     with pytest.raises(ValueError, match=re.escape("expected header x,w, got x,u")):
         ScalarProfile.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        ("x,u,v\n0,1,1\n1,-0.5,1\n2,1,1\n", "u samples must be nonnegative (min -0.5)"),
+        ("x,u,q\n0,1,1\n1,1,1\n2,1,1\n", "expected header x,u,v[,w], got x,u,q"),
+        ("x,u,v,w\n0,1,1,1\n1,1,1,1\n3,1,1,1\n", "grid spacing is not uniform"),
+    ],
+)
+def test_wave_profile_refusals_name_the_file(tmp_path, text, refused):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        WaveProfile.from_csv(path)
+    assert str(info.value) == f"{refused} in CSV {path}"
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        ("x,u\n0,1\n1,2\n", "expected header x,w, got x,u"),
+        ("x,w\n0,1\n2,1\n1,1\n", "grid must be strictly increasing"),
+    ],
+)
+def test_scalar_profile_refusals_name_the_file(tmp_path, text, refused):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        ScalarProfile.from_csv(path)
+    assert str(info.value) == f"{refused} in CSV {path}"

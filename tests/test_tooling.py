@@ -199,3 +199,28 @@ def test_items_without_details_do_not_share_a_dict():
     assert first.details is not second.details
     assert CheckItem("c", True, 0.0, details=None).details is None
     assert CheckReport("t", True, ()).verdict == ""
+
+
+def test_falsified_property_does_not_end_the_session(pytester, monkeypatch):
+    """A falsified hypothesis property is one failed test, and the tests after
+    it still run, under this repository's own pytest settings and conftest."""
+    pytester.makepyprojecttoml((ROOT / "pyproject.toml").read_text())
+    pytester.makeconftest((ROOT / "tests" / "conftest.py").read_text())
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    pytester.makepyfile(
+        """
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_falsified(n):
+            assert n != 0
+
+        def test_after():
+            pass
+        """
+    )
+    # a subprocess, so the hypothesis modules a failure imports are not loaded yet
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    output = result.stdout.str() + result.stderr.str()
+    assert "INTERNALERROR" not in output
+    result.assert_outcomes(failed=1, passed=1)
