@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -215,11 +216,18 @@ def _cmd_speed(args: argparse.Namespace) -> int:
     return _write_report(args, payload)
 
 
-def _cmd_fisher(args: argparse.Namespace) -> int:
-    values = _load_params(args, partial(parse_fields, names=_INVADER_FIELDS))
-    background = WaveProfile.from_csv(args.background)
+def _invader(data: dict) -> tuple[numerics.FisherContext, float, float]:
+    """The invader record on a three-node stand-in background, and K_sub and
+    K_super: the record refuses its parameters before --background is read."""
+    values = parse_fields(data, _INVADER_FIELDS)
     k_sub, k_super = float(values.pop("K_sub")), float(values.pop("K_super"))
-    ctx = numerics.FisherContext(**values, background=background)
+    stand_in = WaveProfile(np.arange(3.0), np.zeros(3), np.zeros(3))
+    return numerics.FisherContext(**values, background=stand_in), k_sub, k_super
+
+
+def _cmd_fisher(args: argparse.Namespace) -> int:
+    invader, k_sub, k_super = _load_params(args, _invader)
+    ctx = replace(invader, background=WaveProfile.from_csv(args.background))
     w_sub = numerics.tanh_pulse_candidate(k_sub)
     w_super = numerics.constant_candidate(k_super)
     sub_rep = numerics.check_sub_super(ctx, w_sub, numerics.Side.SUB)
@@ -258,7 +266,10 @@ def _cmd_check_existence(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_nonexistence(args: argparse.Namespace) -> int:
-    report = nonexistence_report(_load_params(args, ThreeSpeciesParams.from_dict))
+    # the audit's own refusal of a zero coupling names the file too
+    report = _load_params(
+        args, lambda data: nonexistence_report(ThreeSpeciesParams.from_dict(data))
+    )
     _write_report(args, report.to_json_dict())
     return 0 if report.passed else 1
 

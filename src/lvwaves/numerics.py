@@ -61,7 +61,14 @@ from .errors import (
 )
 from .exactwaves import _tanh_pulse
 from .model import ThreeSpeciesParams, TwoSpeciesParams
-from .profiles import ScalarProfile, WaveProfile, check_grid_bounds, uniform_grid
+from .profiles import (
+    ScalarProfile,
+    WaveProfile,
+    _read_wave_csvs,
+    _write_wave_csvs,
+    check_grid_bounds,
+    uniform_grid,
+)
 from .rational import Number, _require_finite, _require_positive
 from .report import CheckItem, CheckReport, format_float, read_json, write_json
 
@@ -259,6 +266,8 @@ class Snapshots:
             raise ValueError(f"snapshot times must be finite and strictly increasing: {t.tolist()}")
         if any(not np.array_equal(prof.x, self.x) for prof in self.profiles[1:]):
             raise ValueError("snapshots are not all on one grid")
+        if any(prof.components != self.profiles[0].components for prof in self.profiles[1:]):
+            raise ValueError("snapshots do not all carry the same components")
 
     @property
     def x(self) -> np.ndarray:
@@ -267,11 +276,8 @@ class Snapshots:
     def to_dir(self, out_dir, config: dict | None = None) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        files = []
-        for idx, prof in enumerate(self.profiles):
-            name = f"snapshot_{idx:04d}.csv"
-            prof.to_csv(out / name)
-            files.append(name)
+        files = [f"snapshot_{idx:04d}.csv" for idx in range(len(self.profiles))]
+        _write_wave_csvs([out / name for name in files], self.profiles)
         manifest = {
             "times": [format_float(t) for t in self.times],
             "files": files,
@@ -295,10 +301,15 @@ class Snapshots:
         if not (named and isinstance(times, list)):
             raise ValueError(f"{manifest_path} needs a 'files' list of names and a 'times' list")
         paths = [out / f for f in files]
-        profiles = tuple(WaveProfile.from_csv(path) for path in paths)
+        profiles = _read_wave_csvs(paths)
         for path, prof in zip(paths[1:], profiles[1:]):
             if not np.array_equal(prof.x, profiles[0].x):
                 raise ValueError(f"snapshot {path} is not on the grid of {paths[0]}")
+            if prof.components != profiles[0].components:
+                raise ValueError(
+                    f"snapshot {path} carries {','.join(prof.components)}, "
+                    f"not the {','.join(profiles[0].components)} of {paths[0]}"
+                )
         try:
             return cls(times=np.array([float(t) for t in times]), profiles=profiles)
         except (TypeError, ValueError) as exc:

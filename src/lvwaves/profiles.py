@@ -5,6 +5,13 @@ delimiters, LF line endings, and floats at 17 significant digits, so a
 written profile reloads bit-identically.  I/O is per array, not per cell: a
 write checks finiteness once and formats the whole body in one call, and a
 read converts every cell in one call with the number syntax of ``float()``.
+
+Each 17-digit value costs one correctly rounded conversion each way, so the
+files of one snapshot directory convert their shared grid column once: the
+writer formats the grid into a row template that every file fills with its
+densities, and the reader parses a file's grid cells only when their text
+differs from the previous file's.  Equal text parses to equal bits, so the
+bytes written and the arrays read are those of one file at a time.
 """
 
 from __future__ import annotations
@@ -70,12 +77,11 @@ class WaveProfile:
         return ("u", "v") if self.w is None else ("u", "v", "w")
 
     def to_csv(self, path) -> None:
-        names = ["x", *self.components]
-        _write_csv(path, names, np.column_stack([getattr(self, name) for name in names]))
+        _write_wave_csvs([path], [self])
 
     @classmethod
     def from_csv(cls, path) -> "WaveProfile":
-        return _from_csv(path, cls, "x,u,v[,w]", ("x,u,v", "x,u,v,w"))
+        return _read_wave_csvs([path])[0]
 
 
 @dataclass(frozen=True)
@@ -110,22 +116,58 @@ def uniform_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
     return np.linspace(x_min, x_max, n)
 
 
-def _write_csv(path, names: list[str], rows) -> None:
+def _row_template(first: np.ndarray, n_rest: int) -> str:
+    """A CSV body whose rows hold ``first``'s values at 17 significant digits,
+    each followed by ``n_rest`` ``,%.17g`` slots.  A formatted finite float
+    holds no ``%``, so one ``%`` over the other columns fills every slot."""
+    row = "%" + FLOAT_SPEC + (",%%" + FLOAT_SPEC) * n_rest + "\n"
+    return "".join([row] * len(first)) % tuple(first.tolist())
+
+
+def _write_csv(path, names: list[str], rows, template: str | None = None) -> None:
     """Write ``rows`` (one row per sample, one column per name) under a
-    header line, every value at 17 significant digits."""
+    header line, every value at 17 significant digits.  ``template`` is
+    ``_row_template`` of the first column, for a caller that writes many
+    files on one grid; without it the writer builds its own."""
     data = np.asarray(rows, dtype=float).reshape(-1, len(names))
     bad = ~np.isfinite(data)
     if bad.any():
         raise ValueError(f"non-finite value in report: {float(data[bad][0])}")
-    row = ",".join(["%" + FLOAT_SPEC] * len(names)) + "\n"
-    body = "".join([row] * len(data)) % tuple(data.ravel().tolist())
+    if template is None:
+        template = _row_template(data[:, 0], len(names) - 1)
+    body = template % tuple(data[:, 1:].ravel().tolist())
     Path(path).write_text(",".join(names) + "\n" + body, newline="\n")
 
 
-def _from_csv(path, cls, expected: str, headers: tuple[str, ...]):
+def _write_wave_csvs(paths, profiles) -> None:
+    """``to_csv`` of each profile to its path, formatting the grid column only
+    when its bits or the number of densities differ from the previous
+    profile's (a grid equal in value but not in bits, -0.0 for 0.0, is
+    formatted again)."""
+    key = template = None
+    for path, prof in zip(paths, profiles, strict=True):
+        names = ["x", *prof.components]
+        grid = (prof.x.tobytes(), len(names))
+        if grid != key:
+            key, template = grid, _row_template(prof.x, len(names) - 1)
+        cols = np.column_stack([getattr(prof, name) for name in names])
+        _write_csv(path, names, cols, template)
+
+
+def _read_wave_csvs(paths) -> tuple[WaveProfile, ...]:
+    """``WaveProfile.from_csv`` of each path, parsing a file's grid column only
+    when its text differs from the previous file's."""
+    grid: dict = {}
+    return tuple(
+        _from_csv(path, WaveProfile, "x,u,v[,w]", ("x,u,v", "x,u,v,w"), grid) for path in paths
+    )
+
+
+def _from_csv(path, cls, expected: str, headers: tuple[str, ...], grid: dict | None = None):
     """``cls`` of the columns of the CSV file ``path``, whose header must be one
-    of ``headers``; the one place a profile file is read, so each refusal names it."""
-    names, cols = _read_csv(path)
+    of ``headers``; the one place a profile file is read, so each refusal names
+    it.  ``grid`` is passed on to ``_read_csv``."""
+    names, cols = _read_csv(path, grid)
     try:
         if ",".join(names) not in headers:
             raise ValueError(f"expected header {expected}, got {','.join(names)}")
@@ -134,7 +176,14 @@ def _from_csv(path, cls, expected: str, headers: tuple[str, ...]):
         raise ValueError(f"{exc} in CSV {path}") from None
 
 
-def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:
+def _read_csv(path, grid: dict | None = None) -> tuple[list[str], list[np.ndarray]]:
+    """The header names and columns of the CSV file ``path``.
+
+    ``grid`` carries the first column from file to file: a file whose
+    first-column cell texts equal ``grid["texts"]`` takes ``grid["x"]`` as
+    that column and converts only its other cells; any other file converts
+    every cell and leaves its own first-column texts and array in ``grid``.
+    """
     lines = read_text(path).strip().splitlines()
     if not lines:
         raise ValueError(f"empty CSV {path}")
@@ -144,11 +193,21 @@ def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:
     # before the cells are joined into one flat list
     if not body or any(line.count(",") != len(names) - 1 for line in body):
         raise ValueError(f"malformed CSV {path}")
+    cells = ",".join(body).split(",")
+    texts = cells[:: len(names)]
+    reuse = grid is not None and texts == grid.get("texts")
+    if reuse:
+        del cells[:: len(names)]
     try:
-        data = np.array(",".join(body).split(","), dtype=float)
+        data = np.array(cells, dtype=float)
     except ValueError as exc:
         raise ValueError(f"malformed CSV {path}: {exc}") from None
-    data = data.reshape(len(body), len(names))
+    data = data.reshape(len(body), len(names) - reuse)
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite value in CSV {path}")
-    return names, list(data.T)
+    cols = list(data.T)
+    if reuse:
+        cols.insert(0, grid["x"])
+    elif grid is not None:
+        grid.update(texts=texts, x=cols[0])
+    return names, cols

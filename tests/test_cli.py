@@ -463,6 +463,23 @@ class TestSimulationCommands:
         )
         assert code == 2
 
+    def test_speed_refuses_snapshot_of_other_components(self, tmp_path, demo_two_wave, capsys):
+        x = np.linspace(-40, 40, 801)
+        two = demo_two_wave.profile(x)
+        lv.Snapshots(times=np.array([0.0, 1.0]), profiles=(two, two)).to_dir(tmp_path / "s")
+        three = lv.WaveProfile(x=x, u=two.u, v=two.v, w=two.u)
+        three.to_csv(tmp_path / "s" / "snapshot_0001.csv")
+        code = main(
+            ["speed", "--snapshots", str(tmp_path / "s"), "--component", "w", "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        first, second = tmp_path / "s" / "snapshot_0000.csv", tmp_path / "s" / "snapshot_0001.csv"
+        assert capsys.readouterr().err == (
+            f"usage error: snapshot {second} carries u,v,w, not the u,v of {first}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("x2", [np.linspace(-34, 46, 801), np.linspace(-40, 40, 401)],
                              ids=["shifted", "coarser"])
     def test_speed_refuses_snapshot_off_the_first_grid(
@@ -764,6 +781,32 @@ class TestContract:
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("usage: lvwaves")
 
+    def test_readme_flow_runs_as_separate_processes(self, tmp_path):
+        # exact-wave, simulate and speed each in its own interpreter, so every
+        # file one command leaves is read back by a fresh process
+        src = Path(lv.__file__).resolve().parents[1]
+
+        def lvwaves(*argv):
+            run = subprocess.run(
+                [sys.executable, "-m", "lvwaves", *argv],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+            )
+            assert run.returncode == 0, run.stderr
+
+        lvwaves("exact-wave", "--params", write_json(tmp_path / "free.json", PAPER_FREE),
+                "--x-min", "-20", "--x-max", "20", "--n", "401", "--out", str(tmp_path / "w"))
+        three = {k: PAPER_FREE[k] for k in ("d1", "d2", "d3", "sigma1", "sigma2", "sigma3")}
+        for i, row in enumerate(report(tmp_path / "w")["c_exact"], start=1):
+            three.update({f"c{i}{j}": value for j, value in enumerate(row, start=1)})
+        lvwaves("simulate", "--params", write_json(tmp_path / "three.json", three),
+                "--init", str(tmp_path / "w" / "wave.csv"), "--t-end", "0.5",
+                "--n-snapshots", "5", "--boundary", "dirichlet", "--out", str(tmp_path / "run"))
+        lvwaves("speed", "--snapshots", str(tmp_path / "run" / "snapshots"), "--component", "u",
+                "--level", "0.4", "--out", str(tmp_path / "speed"))
+        assert report(tmp_path / "speed")["speed"] == pytest.approx(3.0, rel=0.02)
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
@@ -817,16 +860,24 @@ class TestContract:
                                  "theta": 1, "K_sub": 1}, [], "missing key 'K_super'"),
             ("check-nonexistence", {**NONEXIST, "c13": -1}, [],
              "c13 must be nonnegative and finite, got -1"),
+            ("check-nonexistence", {**NONEXIST, "c12": 0}, [],
+             "nonexistence audit needs positive c12, c21, c31, c32"),
             # the parameters are read before the (here missing) profile
             ("simulate", {**STRONG, "sigma2": "1/0"}, ["--init", "none.csv", "--t-end", "1"],
              "cannot parse number '1/0'"),
             ("fisher", {"d3": 2, "theta": 6, "sigma3": "x", "c31": 0.5, "c32": 0.01, "c33": 1,
                         "K_sub": 1, "K_super": 12}, ["--background", "none.csv"],
              "cannot parse number 'x'"),
+            ("fisher", {"d3": 0, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+                        "K_sub": 1, "K_super": 12}, ["--background", "none.csv"],
+             "d3 must be strictly positive and finite, got 0"),
+            ("fisher", {"d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 0,
+                        "K_sub": 1, "K_super": 12}, ["--background", "none.csv"],
+             "c33 must be strictly positive and finite, got 0"),
         ],
         ids=["bad-number", "bad-override", "classify-d1-0", "two-wave-d1-0", "exact-wave-theta",
-             "existence-c31", "existence-missing-key", "nonexistence-c13",
-             "simulate-zero-denominator", "fisher-sigma3"],
+             "existence-c31", "existence-missing-key", "nonexistence-c13", "nonexistence-c12-0",
+             "simulate-zero-denominator", "fisher-sigma3", "fisher-d3-0", "fisher-c33-0"],
     )
     def test_parameter_content_refusals_name_the_file(
         self, tmp_path, capsys, command, data, extra, refused

@@ -522,19 +522,19 @@ class TestSimulatePde:
         # negative samples stay allowed: a scalar solution need not be a density
         assert lv.ScalarProfile(x=[0.0, 1.0, 2.0], w=[0.0, -1.0, 1.0]).w[1] == -1.0
 
-    def test_snapshots_roundtrip(self, tmp_path, strong_params):
+    def test_snapshots_roundtrip(self, tmp_path, strong_params, paper_spec):
         grid = GridSpec(-5.0, 5.0, 51)
         x = grid.x()
-        init = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.ones_like(x))
-        snaps = lv.simulate_pde(
-            strong_params, init, SimConfig(grid=grid, t_end=0.1, n_snapshots=3)
-        )
-        snaps.to_dir(tmp_path / "snaps")
-        back = Snapshots.from_dir(tmp_path / "snaps")
-        assert np.array_equal(back.times, snaps.times)
-        for a, b in zip(back.profiles, snaps.profiles):
-            assert np.array_equal(a.u, b.u)
-            assert np.array_equal(a.v, b.v)
+        for params, w in ((strong_params, None), (paper_spec.params, np.ones_like(x))):
+            init = lv.WaveProfile(x=x, u=np.ones_like(x), v=np.ones_like(x), w=w)
+            snaps = lv.simulate_pde(params, init, SimConfig(grid=grid, t_end=0.1, n_snapshots=3))
+            snaps.to_dir(tmp_path / "snaps")
+            back = Snapshots.from_dir(tmp_path / "snaps")
+            assert np.array_equal(back.times, snaps.times)
+            for a, b in zip(back.profiles, snaps.profiles, strict=True):
+                assert a.components == b.components
+                for name in ("x", *b.components):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestFrontSpeed:
@@ -645,6 +645,13 @@ class TestFrontSpeed:
             moved = lv.WaveProfile(x=x, u=first.u[: x.size], v=first.v[: x.size])
             with pytest.raises(ValueError, match="not all on one grid"):
                 Snapshots(times=snaps.times, profiles=(first, moved))
+
+    def test_snapshots_refuse_profiles_of_other_components(self, paper_spec):
+        first = self._translated_snapshots(paper_spec, n_shots=1).profiles[0]
+        two = lv.WaveProfile(x=first.x, u=first.u, v=first.v)
+        for profiles in ((two, first), (first, two)):
+            with pytest.raises(ValueError, match="snapshots do not all carry the same components"):
+                Snapshots(times=np.array([0.0, 1.0]), profiles=profiles)
 
 
 class TestSubSuper:

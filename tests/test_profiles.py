@@ -1,5 +1,6 @@
 """The profile CSV codec against the per-cell writer and reader it replaced."""
 
+import json
 import math
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lvwaves import figures
+from lvwaves.numerics import Snapshots
 from lvwaves.profiles import ScalarProfile, WaveProfile, _read_csv, _write_csv, uniform_grid
 from lvwaves.report import format_float
 
@@ -178,6 +180,70 @@ def test_profiles_round_trip_bit_identically(tmp_path):
     scalar = ScalarProfile(x=x, w=np.array([-0.0, -1.5, 0.0, 2.0, -1e-310]))
     scalar.to_csv(tmp_path / "s.csv")
     assert same_bits(ScalarProfile.from_csv(tmp_path / "s.csv").w, scalar.w)
+
+
+# uniform grids that hold a signed zero, subnormals or 1e308 as nodes
+SNAPSHOT_GRIDS = {
+    "subnormal": [-0.0, 5e-324, 1e-323],
+    "huge": [-1e308, -0.0],
+    "huge-positive": [0.0, 1e308],
+    "plain": np.linspace(-1.0, 1.0, 9),
+}
+
+
+@pytest.mark.parametrize("species", [2, 3])
+@pytest.mark.parametrize("x", list(SNAPSHOT_GRIDS.values()), ids=list(SNAPSHOT_GRIDS))
+def test_snapshot_files_match_reference_writer(tmp_path, species, x):
+    # the middle file's grid has the same values with every zero positive, so
+    # the directory writer must not reuse the first file's "-0" text for it
+    x = np.array(x, dtype=float)
+    rng = np.random.default_rng(species)
+    densities = np.array([0.0, -0.0, 5e-324, 1e-310, 1e308, 1.7976931348623157e308, 0.1, 1 / 3])
+    profiles = tuple(
+        WaveProfile(grid, *rng.choice(densities, size=(species, x.size)))
+        for grid in (x, x + 0.0, x)
+    )
+    Snapshots(times=np.arange(3.0), profiles=profiles).to_dir(tmp_path / "snaps")
+    for idx, prof in enumerate(profiles):
+        names = ["x", *prof.components]
+        reference_write_csv(tmp_path / "ref.csv", names, [getattr(prof, n) for n in names])
+        written = (tmp_path / "snaps" / f"snapshot_{idx:04d}.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+    back = Snapshots.from_dir(tmp_path / "snaps")
+    for got, prof in zip(back.profiles, profiles, strict=True):
+        assert got.components == prof.components
+        assert all(same_bits(getattr(got, n), getattr(prof, n)) for n in ("x", *prof.components))
+
+
+def _snapshot_dir(path, grids):
+    """A snapshot directory of one file per grid spelling (three nodes each)."""
+    path.mkdir()
+    for idx, grid in enumerate(grids):
+        rows = [f"{node},1,{k}" for k, node in enumerate(grid)]
+        (path / f"snapshot_{idx:04d}.csv").write_text("x,u,v\n" + "\n".join(rows) + "\n")
+    files = [f"snapshot_{idx:04d}.csv" for idx in range(len(grids))]
+    (path / "manifest.json").write_text(
+        json.dumps({"files": files, "times": list(range(len(grids)))})
+    )
+    return [path / name for name in files]
+
+
+def test_snapshot_grid_spelt_another_way_reads_the_same_bits(tmp_path):
+    paths = _snapshot_dir(
+        tmp_path / "snaps", [["0", "0.5", "1"], ["0", "5e-1", "1"], ["0", "0.5", "1"]]
+    )
+    snaps = Snapshots.from_dir(tmp_path / "snaps")
+    for path, prof in zip(paths, snaps.profiles, strict=True):
+        _, ref_cols = reference_read_csv(path)
+        assert all(same_bits(getattr(prof, n), ref) for n, ref in zip("xuv", ref_cols))
+
+
+@pytest.mark.parametrize("node", ["0.50000000000000011", "0.49999999999999994"])
+def test_snapshot_grid_of_other_values_is_refused(tmp_path, node):
+    paths = _snapshot_dir(tmp_path / "snaps", [["0", "0.5", "1"], ["0", node, "1"]])
+    with pytest.raises(ValueError) as info:
+        Snapshots.from_dir(tmp_path / "snaps")
+    assert str(info.value) == f"snapshot {paths[1]} is not on the grid of {paths[0]}"
 
 
 def test_empty_point_set_is_header_only(tmp_path):
