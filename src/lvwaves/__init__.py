@@ -28,7 +28,6 @@ from .profiles import ScalarProfile, WaveProfile
 from .exactwaves import (
     ExactWaveSpec,
     FreeParams,
-    TwoSpeciesWave,
     evaluate_wave,
     induce_coefficients,
     residual,

@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +79,14 @@ def _weights(args: argparse.Namespace) -> tuple[Number, Number]:
     return parse_number(args.alpha), parse_number(args.beta)
 
 
-def _write_wave(args: argparse.Namespace, profile, residual) -> dict:
-    """Write ``profile`` sampled on the --x-min/--x-max/--n grid to wave.csv;
+def _write_wave(args: argparse.Namespace, wave: exactwaves.ExactWaveSpec) -> dict:
+    """Write ``wave`` sampled on the --x-min/--x-max/--n grid to wave.csv;
     return the report entries for it and the max residual of each equation
     on [-10, 10]."""
-    sampled = profile(uniform_grid(args.x_min, args.x_max, args.n))
+    sampled = exactwaves.wave_profile(wave, uniform_grid(args.x_min, args.x_max, args.n))
     args.out.mkdir(parents=True, exist_ok=True)
     sampled.to_csv(args.out / "wave.csv")
-    values = residual(uniform_grid(-10.0, 10.0, 2001))
+    values = exactwaves.residual(wave, uniform_grid(-10.0, 10.0, 2001))
     return {
         "residuals": {f"eq{i}": r for i, r in enumerate(values, start=1)},
         "wave_csv": "wave.csv",
@@ -137,16 +136,14 @@ def _cmd_exact_wave(args: argparse.Namespace) -> int:
     payload = {
         "c": [[float(v) for v in row] for row in matrix],
         **_exact(u_star=spec.u_star, v_star=spec.v_star),
-        **_write_wave(
-            args, partial(exactwaves.wave_profile, spec), partial(exactwaves.residual, spec)
-        ),
+        **_write_wave(args, spec),
     }
     if all_exact(*vars(free).values()):
         payload["c_exact"] = [[str(v) for v in row] for row in matrix]
     return _write_report(args, payload)
 
 
-def _two_wave(data: dict) -> tuple[dict, exactwaves.TwoSpeciesWave]:
+def _two_wave(data: dict) -> tuple[dict, exactwaves.ExactWaveSpec]:
     free = parse_fields(data, ("d1", "d2", "theta", "sigma1", "sigma2", "k1"))
     return free, exactwaves.two_species_exact_wave(**free)
 
@@ -156,7 +153,7 @@ def _cmd_two_wave(args: argparse.Namespace) -> int:
     payload = {
         "params": {k: float(v) for k, v in wave.params.to_dict().items()},
         **_exact(theta=wave.theta, u_star=wave.u_star, v_star=wave.v_star),
-        **_write_wave(args, wave.profile, wave.residual),
+        **_write_wave(args, wave),
     }
     if all_exact(*free.values()):
         payload["params_exact"] = {k: str(v) for k, v in wave.params.to_dict().items()}

@@ -48,6 +48,10 @@ sigma1 > 8 d1, and the induced system is always strongly competitive.  The
 derivation was performed by computer algebra (expand in powers of T, set
 each coefficient to zero, solve) and the resulting closed forms are
 hard-coded below.
+
+Both families are one record, :class:`ExactWaveSpec`, whose ``k2`` is None
+for the two-species wave, and :func:`evaluate_wave`, :func:`wave_profile`
+and :func:`residual` read either.
 """
 
 from __future__ import annotations
@@ -97,11 +101,15 @@ class FreeParams:
 
 @dataclass(frozen=True)
 class ExactWaveSpec:
-    """A feasible three-species tanh wave: free parameters, the induced
-    coefficient matrix, and the coexistence components."""
+    """A feasible tanh wave: the induced coefficients, the ansatz constants
+    k1 and k2, the speed theta, and the coexistence components.  ``params``
+    is a :class:`ThreeSpeciesParams`, or a :class:`TwoSpeciesParams` with
+    ``k2=None`` for the two-species family (w = 0)."""
 
-    free: FreeParams
-    params: ThreeSpeciesParams
+    params: ThreeSpeciesParams | TwoSpeciesParams
+    k1: Number
+    k2: Number | None
+    theta: Number
     u_star: Number
     v_star: Number
 
@@ -143,16 +151,16 @@ def induce_coefficients(free: FreeParams) -> ExactWaveSpec:
         raise ConsistencyError(
             f"induced coexistence v* = {eq.v} differs from 4*k1 = {4 * k1}"
         )
-    return ExactWaveSpec(free=free, params=params, u_star=eq.u, v_star=eq.v)
+    return ExactWaveSpec(params=params, k1=k1, k2=k2, theta=th, u_star=eq.u, v_star=eq.v)
 
 
-def _ansatz(u_star: Number, k1: Number, k2: Number | None, x):
+def _ansatz(spec: ExactWaveSpec, x):
     """(u, v[, w]) of the tanh ansatz at x; ``k2=None`` drops w (two species)."""
-    us = float(u_star)
+    us = float(spec.u_star)
     t = np.tanh(x)
-    fields = [0.5 * (us + 1.0) + 0.5 * (us - 1.0) * t, float(k1) * (1.0 + t) ** 2]
-    if k2 is not None:
-        fields.append(float(k2) * (1.0 - t * t))
+    fields = [0.5 * (us + 1.0) + 0.5 * (us - 1.0) * t, float(spec.k1) * (1.0 + t) ** 2]
+    if spec.k2 is not None:
+        fields.append(float(spec.k2) * (1.0 - t * t))
     if np.isscalar(x):
         return tuple(float(f) for f in fields)
     return tuple(fields)
@@ -164,16 +172,18 @@ def _tanh_pulse(k: float, t):
     return k * s, -2.0 * k * t * s, -2.0 * k * s * (1.0 - 3.0 * t * t)
 
 
-def _ansatz_residual(
-    p: TwoSpeciesParams | ThreeSpeciesParams,
-    u_star: Number,
-    k1: Number,
-    k2: Number | None,
-    theta: Number,
-    grid,
-) -> tuple[float, ...]:
-    """Max absolute residual of each traveling-wave equation of ``p`` for the
-    tanh ansatz on the grid; ``k2=None`` is the two-species wave (w = 0).
+def evaluate_wave(spec: ExactWaveSpec, x):
+    """Evaluate (u, v[, w]) of the exact wave at x (scalar or array)."""
+    return _ansatz(spec, x)
+
+
+def wave_profile(spec: ExactWaveSpec, x: np.ndarray) -> WaveProfile:
+    return WaveProfile(x, *evaluate_wave(spec, np.asarray(x, dtype=float)))
+
+
+def residual(spec: ExactWaveSpec, grid: np.ndarray) -> tuple[float, ...]:
+    """Max absolute residual of each traveling-wave equation on the grid, two
+    of them for the two-species wave.
 
     Derivatives of the ansatz are analytic (via d tanh/dx = 1 - tanh^2), so
     the result measures only algebraic correctness plus roundoff.
@@ -181,18 +191,18 @@ def _ansatz_residual(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("residual grid must be nonempty")
-    fields = _ansatz(u_star, k1, k2, grid)
+    fields = _ansatz(spec, grid)
     t = np.tanh(grid)
     s = 1.0 - t * t  # d tanh / dx
-    b = 0.5 * (float(u_star) - 1.0)
-    k1 = float(k1)
+    b = 0.5 * (float(spec.u_star) - 1.0)
+    k1 = float(spec.k1)
     derivs = [
         (b * s, -2.0 * b * t * s),
         (2.0 * k1 * (1.0 + t) * s, 2.0 * k1 * s * (1.0 - 2.0 * t - 3.0 * t * t)),
     ]
-    if k2 is not None:
-        derivs.append(_tanh_pulse(float(k2), t)[1:])
-    th = float(theta)
+    if spec.k2 is not None:
+        derivs.append(_tanh_pulse(float(spec.k2), t)[1:])
+    p, th = spec.params, float(spec.theta)
     out = []
     for i, (f, (df, d2f)) in enumerate(zip(fields, derivs), start=1):
         growth = float(getattr(p, f"sigma{i}"))
@@ -203,44 +213,9 @@ def _ansatz_residual(
     return tuple(out)
 
 
-def evaluate_wave(spec: ExactWaveSpec, x):
-    """Evaluate (u, v, w) of the exact wave at x (scalar or array)."""
-    return _ansatz(spec.u_star, spec.free.k1, spec.free.k2, x)
-
-
-def wave_profile(spec: ExactWaveSpec, x: np.ndarray) -> WaveProfile:
-    return WaveProfile(x, *evaluate_wave(spec, np.asarray(x, dtype=float)))
-
-
-def residual(spec: ExactWaveSpec, grid: np.ndarray) -> tuple[float, float, float]:
-    """Max absolute residual of each traveling-wave equation on the grid."""
-    free = spec.free
-    return _ansatz_residual(spec.params, spec.u_star, free.k1, free.k2, free.theta, grid)
-
-
-@dataclass(frozen=True)
-class TwoSpeciesWave:
-    """The two-species tanh wave and its induced coefficient constraints."""
-
-    params: TwoSpeciesParams
-    k1: Number
-    theta: Number
-    u_star: Number
-    v_star: Number
-
-    def evaluate(self, x):
-        return _ansatz(self.u_star, self.k1, None, x)
-
-    def profile(self, x: np.ndarray) -> WaveProfile:
-        return WaveProfile(x, *self.evaluate(np.asarray(x, dtype=float)))
-
-    def residual(self, grid: np.ndarray) -> tuple[float, float]:
-        return _ansatz_residual(self.params, self.u_star, self.k1, None, self.theta, grid)
-
-
 def two_species_wave_family(
     d1: Number, d2: Number, sigma1: Number, k1: Number
-) -> TwoSpeciesWave:
+) -> ExactWaveSpec:
     """The unique two-species tanh wave for the genuinely free parameters.
 
     Requires sigma1 > 8 d1 (equivalently u* > 0).  The wave speed and the
@@ -265,9 +240,7 @@ def two_species_wave_family(
         c21=sigma1 * (20 * d2 + sigma1 - 4 * d1) / (4 * d1),
         c22=6 * d2 / k1,
     )
-    return TwoSpeciesWave(
-        params=params, k1=k1, theta=theta, u_star=u_star, v_star=4 * k1
-    )
+    return ExactWaveSpec(params=params, k1=k1, k2=None, theta=theta, u_star=u_star, v_star=4 * k1)
 
 
 def two_species_exact_wave(
@@ -277,7 +250,7 @@ def two_species_exact_wave(
     sigma1: Number,
     sigma2: Number,
     k1: Number,
-) -> TwoSpeciesWave:
+) -> ExactWaveSpec:
     """Two-species tanh wave for the requested parameter set.
 
     The seven coefficient equations over-determine the four induced

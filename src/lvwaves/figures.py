@@ -82,24 +82,23 @@ def _grid_line_roots(a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def implicit_curve_points(
-    p: TwoSpeciesParams, alpha, beta, u_max: float, v_max: float
+    p: TwoSpeciesParams, alpha, beta, window: float
 ) -> list[tuple[float, float]]:
     """Points of F(u, v) = 0 on the lines of a square grid of
-    :data:`CURVE_GRID_LINES` lines per axis over the window.
+    :data:`CURVE_GRID_LINES` lines per axis over [0, window]^2.
 
     On each line u = const, F is a quadratic in v with leading coefficient
     -beta c22; on each line v = const, a quadratic in u with leading
     coefficient -alpha c11.  Both are strictly negative, so each line meets
-    the curve at the real roots of a true quadratic.  Returns the roots strictly inside (0, v_max) on the
-    u-lines, then those strictly inside (0, u_max) on the v-lines, ascending
-    along each line.
+    the curve at the real roots of a true quadratic.  Returns the roots
+    strictly inside (0, window) on the u-lines, then those on the v-lines,
+    ascending along each line.
     """
     alpha, beta = float(alpha), float(beta)
     s1, s2, c11, c12, c21, c22 = (
         float(x) for x in (p.sigma1, p.sigma2, p.c11, p.c12, p.c21, p.c22)
     )
-    us = np.linspace(0.0, u_max, CURVE_GRID_LINES)
-    vs = np.linspace(0.0, v_max, CURVE_GRID_LINES)
+    us = vs = np.linspace(0.0, window, CURVE_GRID_LINES)
     cross = beta * c21 + alpha * c12
     v_roots = _grid_line_roots(
         -beta * c22, beta * s2 - cross * us, alpha * us * (s1 - c11 * us)
@@ -108,10 +107,10 @@ def implicit_curve_points(
         -alpha * c11, alpha * s1 - cross * vs, beta * vs * (s2 - c22 * vs)
     )
     pts = [
-        (float(u), float(v)) for u, row in zip(us, v_roots) for v in row if 0.0 < v < v_max
+        (float(u), float(v)) for u, row in zip(us, v_roots) for v in row if 0.0 < v < window
     ]
     pts += [
-        (float(u), float(v)) for v, row in zip(vs, u_roots) for u in row if 0.0 < u < u_max
+        (float(u), float(v)) for v, row in zip(vs, u_roots) for u in row if 0.0 < u < window
     ]
     return pts
 
@@ -141,9 +140,7 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
     uv = ["u", "v"]
     _write_csv(out / "line1.csv", uv, _line_points(p.c11, p.c12, p.sigma1, float(window)))
     _write_csv(out / "line2.csv", uv, _line_points(p.c21, p.c22, p.sigma2, float(window)))
-    _write_csv(
-        out / "conic.csv", uv, implicit_curve_points(p, alpha, beta, float(window), float(window))
-    )
+    _write_csv(out / "conic.csv", uv, implicit_curve_points(p, alpha, beta, float(window)))
     conic = conic_classify(p, alpha, beta)
 
     manifest = {

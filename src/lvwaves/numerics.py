@@ -605,6 +605,14 @@ class Candidate:
     amplitude: float | None = None
     values: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "tanh_pulse", "sampled"):
+            raise ValueError(f"unknown candidate kind {self.kind!r}")
+        if self.kind != "sampled":
+            _require_finite(amplitude=self.amplitude)
+        elif not np.isfinite(np.asarray(self.values, dtype=float)).all():
+            raise ValueError("sampled candidate values must be finite")
+
     def sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "sampled":
             return self.fields(x)[0]

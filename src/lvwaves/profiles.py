@@ -42,11 +42,14 @@ def _check_grid(x: np.ndarray) -> None:
 
 
 def _set_samples(obj, fields: tuple[str, ...], nonneg: bool) -> None:
-    """Store the grid ``x`` and the named fields of ``obj`` as float arrays,
+    """Store the grid ``x`` and the named fields of ``obj`` as read-only float
+    views (sharing the caller's memory, which stays writable to the caller),
     then check the grid, then each field in turn: its shape, its samples
     finite, and with ``nonneg`` none negative."""
     for name in ("x", *fields):
-        object.__setattr__(obj, name, np.asarray(getattr(obj, name), dtype=float))
+        a = np.asarray(getattr(obj, name), dtype=float).view()
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
     _check_grid(obj.x)
     for name in fields:
         a = getattr(obj, name)

@@ -233,7 +233,7 @@ def test_criterion_08_existence_lattice_search(demo_two_wave):
         ctx = lv.FisherContext(
             d3=inputs.d3, theta=theta, sigma3=inputs.sigma3,
             c31=inputs.c31, c32=inputs.c32, c33=inputs.c33,
-            background=demo_two_wave.profile(x),
+            background=lv.wave_profile(demo_two_wave, x),
         )
         sol = lv.solve_fisher_bvp(
             ctx,
@@ -347,7 +347,7 @@ def test_criterion_10_randomized_invariant_suite(demo_two_wave):
 
         # monotone iteration: bracket ordering for randomized amplitudes
         x = np.linspace(-40.0, 40.0, 401)
-        bg = demo_two_wave.profile(x)
+        bg = lv.wave_profile(demo_two_wave, x)
         solver_cases = 0
         while solver_cases < 10:
             sigma3 = 9.0 + rng.random() * 2.0

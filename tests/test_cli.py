@@ -396,7 +396,7 @@ class TestSimulationCommands:
 
     def test_fisher_command(self, tmp_path, demo_two_wave):
         x = np.linspace(-40, 40, 801)
-        demo_two_wave.profile(x).to_csv(tmp_path / "bg.csv")
+        lv.wave_profile(demo_two_wave, x).to_csv(tmp_path / "bg.csv")
         cfgd = {
             "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
             "K_sub": 1, "K_super": 12,
@@ -415,7 +415,7 @@ class TestSimulationCommands:
         assert (out / "w.csv").exists()
 
     def test_fisher_zero_max_iter_is_usage_error(self, tmp_path, demo_two_wave, capsys):
-        demo_two_wave.profile(np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
         cfgd = {
             "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
             "K_sub": 1, "K_super": 12,
@@ -433,10 +433,10 @@ class TestSimulationCommands:
         self, tmp_path, demo_two_wave, capsys, level
     ):
         x = np.linspace(-40, 40, 801)
-        ahead = demo_two_wave.profile(x - 3.0)
+        ahead = lv.wave_profile(demo_two_wave, x - 3.0)
         snaps = lv.Snapshots(
             times=np.array([0.0, 1.0]),
-            profiles=(demo_two_wave.profile(x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v)),
+            profiles=(lv.wave_profile(demo_two_wave, x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v)),
         )
         snaps.to_dir(tmp_path / "snapshots")
         code = main(
@@ -449,10 +449,10 @@ class TestSimulationCommands:
 
     def test_speed_of_missing_component_is_usage_error(self, tmp_path, demo_two_wave):
         x = np.linspace(-40, 40, 801)
-        ahead = demo_two_wave.profile(x - 6.0)
+        ahead = lv.wave_profile(demo_two_wave, x - 6.0)
         snaps = lv.Snapshots(
             times=np.array([0.0, 1.0]),
-            profiles=(demo_two_wave.profile(x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v)),
+            profiles=(lv.wave_profile(demo_two_wave, x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v)),
         )
         with pytest.raises(ValueError, match="'w'"):
             lv.estimate_front_speed(snaps, "w", 0.4)
@@ -465,7 +465,7 @@ class TestSimulationCommands:
 
     def test_speed_refuses_snapshot_of_other_components(self, tmp_path, demo_two_wave, capsys):
         x = np.linspace(-40, 40, 801)
-        two = demo_two_wave.profile(x)
+        two = lv.wave_profile(demo_two_wave, x)
         lv.Snapshots(times=np.array([0.0, 1.0]), profiles=(two, two)).to_dir(tmp_path / "s")
         three = lv.WaveProfile(x=x, u=two.u, v=two.v, w=two.u)
         three.to_csv(tmp_path / "s" / "snapshot_0001.csv")
@@ -489,10 +489,10 @@ class TestSimulationCommands:
         x = np.linspace(-40, 40, 801)
         snaps = lv.Snapshots(
             times=np.array([0.0, 1.0]),
-            profiles=(demo_two_wave.profile(x), demo_two_wave.profile(x)),
+            profiles=(lv.wave_profile(demo_two_wave, x), lv.wave_profile(demo_two_wave, x)),
         )
         snaps.to_dir(tmp_path / "snapshots")
-        demo_two_wave.profile(x2).to_csv(tmp_path / "snapshots" / "snapshot_0001.csv")
+        lv.wave_profile(demo_two_wave, x2).to_csv(tmp_path / "snapshots" / "snapshot_0001.csv")
         code = main(
             ["speed", "--snapshots", str(tmp_path / "snapshots"), "--level", "0.4",
              "--out", str(tmp_path / "out")]
@@ -507,7 +507,7 @@ class TestSimulationCommands:
         x = np.linspace(-40, 40, 801)
         snaps = lv.Snapshots(
             times=np.array([0.0, 1.0]),
-            profiles=(demo_two_wave.profile(x), demo_two_wave.profile(x)),
+            profiles=(lv.wave_profile(demo_two_wave, x), lv.wave_profile(demo_two_wave, x)),
         )
         snaps.to_dir(tmp_path / "snapshots")
         manifest = tmp_path / "snapshots" / "manifest.json"
@@ -546,7 +546,7 @@ class TestSimulationCommands:
         self, tmp_path, demo_two_wave, capsys, manifest
     ):
         snapshots = tmp_path / "snapshots"
-        profile = demo_two_wave.profile(np.linspace(-40, 40, 81))
+        profile = lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 81))
         lv.Snapshots(times=np.array([0.0]), profiles=(profile,)).to_dir(snapshots)
         (snapshots / "manifest.json").write_text(json.dumps(manifest))
         code = main(
@@ -559,7 +559,7 @@ class TestSimulationCommands:
 
     def test_speed_refuses_a_manifest_that_is_not_json(self, tmp_path, demo_two_wave, capsys):
         snapshots = tmp_path / "snapshots"
-        profile = demo_two_wave.profile(np.linspace(-40, 40, 81))
+        profile = lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 81))
         lv.Snapshots(times=np.array([0.0]), profiles=(profile,)).to_dir(snapshots)
         (snapshots / "manifest.json").write_text("not json")
         code = main(
@@ -574,7 +574,7 @@ class TestSimulationCommands:
 
     def test_speed_refuses_a_manifest_that_is_not_utf8(self, tmp_path, demo_two_wave, capsys):
         snapshots = tmp_path / "snapshots"
-        profile = demo_two_wave.profile(np.linspace(-40, 40, 81))
+        profile = lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 81))
         lv.Snapshots(times=np.array([0.0]), profiles=(profile,)).to_dir(snapshots)
         (snapshots / "manifest.json").write_bytes(b"\x80")
         code = main(
@@ -592,8 +592,8 @@ class TestSimulationCommands:
         self, tmp_path, demo_two_wave, capsys, times
     ):
         x = np.linspace(-40, 40, 801)
-        ahead = demo_two_wave.profile(x - 6.0)
-        profiles = (demo_two_wave.profile(x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v))
+        ahead = lv.wave_profile(demo_two_wave, x - 6.0)
+        profiles = (lv.wave_profile(demo_two_wave, x), lv.WaveProfile(x=x, u=ahead.u, v=ahead.v))
         values = np.array([float(t) for t in times])
         with pytest.raises(ValueError, match="must be finite and strictly increasing"):
             lv.Snapshots(times=values, profiles=profiles)
@@ -642,7 +642,7 @@ class TestSimulationCommands:
         assert times == pytest.approx(np.arange(11) * 0.001, abs=1e-15)
 
     def test_fisher_failing_candidates_exit_1(self, tmp_path, demo_two_wave):
-        demo_two_wave.profile(np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
         # K_super = 1 lies below the carrying level sigma3/c33, so it is no supersolution
         cfgd = {
             "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
@@ -661,7 +661,7 @@ class TestSimulationCommands:
         assert not (out / "w.csv").exists()
 
     def test_fisher_peclet_above_one_exits_1(self, tmp_path, demo_two_wave, capsys):
-        demo_two_wave.profile(np.linspace(-40, 40, 401)).to_csv(tmp_path / "bg.csv")
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 401)).to_csv(tmp_path / "bg.csv")
         cfgd = {
             "d3": 0.2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
             "K_sub": 0, "K_super": 12,
@@ -686,7 +686,7 @@ class TestSimulationCommands:
     def test_fisher_bad_input_is_usage_error(
         self, tmp_path, demo_two_wave, capsys, n, flags, message
     ):
-        demo_two_wave.profile(np.linspace(-40, 40, n)).to_csv(tmp_path / "bg.csv")
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, n)).to_csv(tmp_path / "bg.csv")
         cfgd = {
             "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
             "K_sub": 1, "K_super": 12,
@@ -946,7 +946,7 @@ class TestContract:
                       "k1": 1}
             flags = ["--params", write_json(tmp_path / "p.json", params), *flags]
         elif command == "fisher":
-            demo_two_wave.profile(np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+            lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
             params = {
                 "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
                 "K_sub": 1, "K_super": 12,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -106,8 +108,8 @@ class TestInduceCoefficients:
             lv.induce_coefficients(free)
         assert "c13" in err.value.entries
 
-    def test_closed_form_u_star(self, paper_spec):
-        free = paper_spec.free
+    def test_closed_form_u_star(self, paper_free, paper_spec):
+        free = paper_free
         assert paper_spec.u_star == (free.theta - 2 * free.d1) / (free.theta + 2 * free.d1)
 
 
@@ -139,12 +141,7 @@ class TestResidual:
         perturbed = lv.ThreeSpeciesParams(
             **{**p.to_dict(), "c11": float(p.c11) + 1e-3}
         )
-        spec = lv.ExactWaveSpec(
-            free=paper_spec.free,
-            params=perturbed,
-            u_star=paper_spec.u_star,
-            v_star=paper_spec.v_star,
-        )
+        spec = dataclasses.replace(paper_spec, params=perturbed)
         r1, _, _ = lv.residual(spec, np.linspace(-10, 10, 2001))
         assert r1 >= 1e-4
 
@@ -174,7 +171,7 @@ class TestTwoSpeciesWave:
 
     def test_family_residual_tiny(self):
         wave = lv.two_species_wave_family(F(1), F(1), F(41), F(1))
-        assert max(wave.residual(np.linspace(-10, 10, 2001))) < 1e-10
+        assert max(lv.residual(wave, np.linspace(-10, 10, 2001))) < 1e-10
 
     def test_family_is_coexistence_consistent(self, demo_two_wave):
         eq = lv.coexistence_equilibrium(demo_two_wave.params)
@@ -185,9 +182,9 @@ class TestTwoSpeciesWave:
         assert lv.classify_regime(demo_two_wave.params) is Regime.STRONG
 
     def test_boundary_values(self, demo_two_wave):
-        u, v = demo_two_wave.evaluate(-40.0)
+        u, v = lv.evaluate_wave(demo_two_wave, -40.0)
         assert (u, v) == pytest.approx((1.0, 0.0), abs=1e-12)
-        u, v = demo_two_wave.evaluate(40.0)
+        u, v = lv.evaluate_wave(demo_two_wave, 40.0)
         assert u == pytest.approx(float(demo_two_wave.u_star), abs=1e-12)
         assert v == pytest.approx(float(4 * demo_two_wave.k1), abs=1e-12)
 
@@ -201,6 +198,28 @@ class TestTwoSpeciesWave:
             lv.two_species_exact_wave(F(1), F(1), F(3), F(41), F(1977, 4), F(1))
         with pytest.raises(InfeasibleError, match="sigma2"):
             lv.two_species_exact_wave(F(1), F(1), F(37, 2), F(41), F(41), F(1))
+
+    def test_module_functions_read_the_two_species_record(self, demo_two_wave):
+        x = np.linspace(-20.0, 20.0, 81)
+        prof = lv.wave_profile(demo_two_wave, x)
+        assert prof.components == ("u", "v") and prof.w is None
+        assert prof.u[0] == pytest.approx(1.0, abs=1e-12)
+        at_zero = lv.evaluate_wave(demo_two_wave, 0.0)
+        assert len(at_zero) == 2 and all(type(f) is float for f in at_zero)
+        r = lv.residual(demo_two_wave, np.linspace(-10, 10, 2001))
+        assert len(r) == 2 and max(r) < 1e-10
+
+    def test_requested_member_is_the_family_record(self, demo_two_wave):
+        assert demo_two_wave.k2 is None
+        member = lv.two_species_exact_wave(
+            F(2), F(1), demo_two_wave.theta, F(20), demo_two_wave.params.sigma2, F(1)
+        )
+        assert member == demo_two_wave
+
+    def test_record_pickles(self, demo_two_wave, paper_spec):
+        for spec in (demo_two_wave, paper_spec):
+            back = pickle.loads(pickle.dumps(spec))
+            assert back == spec and type(back) is lv.ExactWaveSpec
 
     def test_infeasible_when_growth_too_small(self):
         with pytest.raises(InfeasibleError, match="sigma1"):
@@ -303,7 +322,7 @@ def test_pulse_shape_and_monotonicity(spec):
     t = np.tanh(x)
     du_sign = np.sign(float(spec.u_star) - 1.0)
     du = 0.5 * (float(spec.u_star) - 1.0) * (1 - t * t)
-    dv = 2.0 * float(spec.free.k1) * (1 + t) * (1 - t * t)
+    dv = 2.0 * float(spec.k1) * (1 + t) * (1 - t * t)
     if spec.u_star < 1:
         assert np.all(np.sign(du) == du_sign)
     assert np.all(dv > 0)

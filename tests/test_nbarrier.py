@@ -778,7 +778,7 @@ def test_pde_settled_front_within_bounds(c12, c21, regime, margins):
 
 def test_profile_audit_reads_the_pairs_weights(demo_two_wave):
     p = demo_two_wave.params
-    prof = demo_two_wave.profile(np.linspace(-40.0, 40.0, 801))
+    prof = lv.wave_profile(demo_two_wave, np.linspace(-40.0, 40.0, 801))
     # the audit weighs the profile with the pair's own weights (10, 10)
     report = lv.verify_bounds_on_profile(prof, lv.bounds(p, 10, 10))
     assert report.passed

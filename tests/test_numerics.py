@@ -119,7 +119,7 @@ def reference_simulate(p, init, cfg):
 @pytest.fixture(scope="module")
 def fisher_ctx(demo_two_wave):
     x = np.linspace(-40.0, 40.0, 801)
-    background = demo_two_wave.profile(x)
+    background = lv.wave_profile(demo_two_wave, x)
     return FisherContext(
         d3=2.0, theta=6.0, sigma3=10.0, c31=0.5, c32=0.01, c33=1.0,
         background=background,
@@ -367,7 +367,7 @@ class TestSimulatePde:
         if three:
             p, init = paper_spec.params, lv.wave_profile(paper_spec, x)
         else:
-            p, init = demo_two_wave.params, demo_two_wave.profile(x)
+            p, init = demo_two_wave.params, lv.wave_profile(demo_two_wave, x)
         before = [c.copy() for c in (init.u, init.v, init.w) if c is not None]
         cfg = SimConfig(
             grid=grid, t_end=0.3, scheme=scheme, space_order=space_order, n_snapshots=4
@@ -422,10 +422,12 @@ class TestSimulatePde:
         )
         with pytest.raises(NegativeDensityError, match="at t=0.00143084.*; reduce dt"):
             lv.simulate_pde(stiff, init, cfg)
-        # a profile refuses NaN samples, so the NaN is written in after
-        # construction and the start is not recorded as a snapshot
-        nan = lv.WaveProfile(x=x, u=init.u.copy(), v=init.v)
-        nan.u[:] = np.nan
+        # a profile refuses NaN samples and its arrays are read-only, so the
+        # NaN is written after construction through the array passed in, and
+        # the start is not recorded as a snapshot
+        u = init.u.copy()
+        nan = lv.WaveProfile(x=x, u=u, v=init.v)
+        u[:] = np.nan
         final_only = SimConfig(grid=grid, t_end=0.1, n_snapshots=1)
         with pytest.raises(BlowupDetectedError, match="admissible range at t=0.1"):
             lv.simulate_pde(strong_params, nan, final_only)
@@ -579,7 +581,7 @@ class TestFrontSpeed:
         # the grid crosses 0.4 at x = 0.4 in every snapshot; read as a density
         # it gave a speed of about 1e-16
         x = np.linspace(-40.0, 40.0, 801)
-        profiles = tuple(lv.WaveProfile(x, *demo_two_wave.evaluate(x - 3.0 * t)) for t in range(3))
+        profiles = tuple(lv.WaveProfile(x, *lv.evaluate_wave(demo_two_wave, x - 3.0 * t)) for t in range(3))
         snaps = Snapshots(times=np.arange(3.0), profiles=profiles)
         assert lv.estimate_front_speed(snaps, "u", 0.4).speed == pytest.approx(3.0, rel=1e-6)
         with pytest.raises(ValueError, match="snapshots carry no component 'x'"):
@@ -689,11 +691,25 @@ class TestSubSuper:
         with pytest.raises(ValueError, match="sampled candidate does not match the grid"):
             lv.check_sub_super(fisher_ctx, lv.sampled_candidate(np.ones(5)), Side.SUB)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: lv.constant_candidate(np.nan), "amplitude must be finite, got nan"),
+            (lambda: lv.tanh_pulse_candidate(np.inf), "amplitude must be finite, got inf"),
+            (lambda: lv.sampled_candidate([0.0, np.nan]), "sampled candidate values must be finite"),
+            (lambda: lv.numerics.Candidate(kind="bogus"), "unknown candidate kind 'bogus'"),
+        ],
+        ids=["constant-nan", "tanh_pulse-inf", "sampled-nan", "unknown-kind"],
+    )
+    def test_candidate_refuses_what_cannot_be_audited(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
 
 class TestSolveFisher:
     def test_lvwaves_loads_no_scipy(self, tmp_path, demo_two_wave):
         # a fresh interpreter: this one loads scipy for the solve's oracle
-        demo_two_wave.profile(np.linspace(-40.0, 40.0, 801)).to_csv(tmp_path / "bg.csv")
+        lv.wave_profile(demo_two_wave, np.linspace(-40.0, 40.0, 801)).to_csv(tmp_path / "bg.csv")
         (tmp_path / "p.json").write_text(json.dumps({
             "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
             "K_sub": 1, "K_super": 12,
@@ -779,7 +795,7 @@ assert not loaded, f"lvwaves loaded {loaded}"
         x = np.linspace(-40.0, 40.0, 801)
         ctx = FisherContext(
             d3=2.0, theta=6.0, sigma3=0.05, c31=0.5, c32=0.01, c33=1.0,
-            background=demo_two_wave.profile(x),
+            background=lv.wave_profile(demo_two_wave, x),
         )
         sol = lv.solve_fisher_bvp(
             ctx, lv.constant_candidate(0.0), lv.constant_candidate(0.2),
@@ -851,7 +867,7 @@ assert not loaded, f"lvwaves loaded {loaded}"
         # their ordering at the first sweep, which does not name the cause
         ctx = FisherContext(
             d3=0.2, theta=theta, sigma3=10.0, c31=0.5, c32=0.01, c33=1.0,
-            background=demo_two_wave.profile(np.linspace(-40.0, 40.0, 401)),
+            background=lv.wave_profile(demo_two_wave, np.linspace(-40.0, 40.0, 401)),
         )
         match = (
             r"cell Peclet number .* = 3\.0\d* exceeds 1 for h=0\.2\d*, d3=0\.2, "

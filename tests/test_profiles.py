@@ -335,6 +335,25 @@ def test_uniform_grid_refusals(x_min, x_max, n, message):
         uniform_grid(x_min, x_max, n)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda x: WaveProfile(x, np.ones(5), np.ones(5)), "x"),
+        (lambda x: WaveProfile(x, np.ones(5), np.ones(5)), "u"),
+        (lambda x: ScalarProfile(x, np.ones(5)), "w"),
+    ],
+    ids=["WaveProfile.x", "WaveProfile.u", "ScalarProfile.w"],
+)
+def test_checked_samples_are_read_only(make, name):
+    x = np.linspace(0.0, 1.0, 5)
+    profile = make(x)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(profile, name)[2] = 0.9
+    # the record shares the caller's memory, and the caller's array stays writable
+    x[2] = 0.5
+    assert profile.x[2] == 0.5
+
+
 def test_scalar_profile_field_off_the_grid_shape():
     with pytest.raises(ValueError, match=re.escape("w must match the grid shape")):
         ScalarProfile(x=np.linspace(0.0, 1.0, 4), w=np.ones((4, 1)))

@@ -1,11 +1,13 @@
-"""The package names the benchmark harness uses, the README's CLI examples, the
-declared runtime dependencies, and the contract of the package's records.
+"""The package names the benchmark harness uses, the README's CLI examples and
+API names, the declared runtime dependencies, and the contract of the
+package's records.
 
 The harness files are read as source, not imported: importing the worker
 pins thread pools and loads the tracer.
 """
 
 import ast
+import builtins
 import dataclasses
 import importlib
 import json
@@ -99,6 +101,17 @@ def test_readme_free_json_example_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["exact-wave", "--params", str(params), "--out", str(out)]) == 0
     assert "c_exact" in json.loads((out / "report.json").read_text())
+
+
+def test_readme_api_names_resolve():
+    # every backticked call `name(` the README shows, bar one-letter
+    # shorthands such as `F(u, v)` and builtins, is an attribute of lvwaves
+    text = (ROOT / "README.md").read_text()
+    names = {name for name in re.findall(r"`(\w+)\(", text) if len(name) > 1}
+    names -= set(dir(builtins))
+    assert names
+    for name in sorted(names):
+        assert hasattr(lvwaves, name), name
 
 
 def _third_party_imports() -> set[str]:
