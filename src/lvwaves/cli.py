@@ -1,12 +1,21 @@
 """Command-line surface.
 
-Every subcommand reads a JSON parameter file (field names match the type
-definitions; rational strings like "41/5" are accepted), applies any
-``--set key=value`` overrides of keys the file holds, and writes a
-deterministic ``report.json`` plus CSV artifacts into the output directory.
-Exit codes: 0 on success or a passing check, 1 on a failed check or domain
-error, 2 on usage or parse errors.  The environment variable ``LVWAVES_OUT``
-provides the default output directory.
+Each subcommand is one declaration in :func:`build_parser`: its arguments,
+the parser of its JSON parameter file if it takes one, and a handler that
+takes the arguments and the file's record (None without a file) and returns
+the report payload and whether the command's check passed.  A parameter
+file's field names match the type definitions, rational strings like "41/5"
+are accepted, and ``--set key=value`` overrides a key the file holds.
+:func:`main` applies three policies to every command:
+
+* the parameter file is read, and any refusal of it names the file, before
+  the handler reads a profile or snapshot directory the command names;
+* ``report.json`` is written into the output directory for every completed
+  command, failed checks included, and never on a refusal or domain error;
+* the exit code is 0 on success or a passing check, 1 on a failed check or
+  domain error, 2 on a usage or parse error.
+
+The environment variable ``LVWAVES_OUT`` provides the default output directory.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .model import (
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
 from .rational import Number, all_exact, parse_fields, parse_number
-from .report import read_json, write_json
+from .report import CheckReport, read_json, write_json
 
 
 def _exact(**values: Number) -> dict:
@@ -69,14 +78,16 @@ def _load_params(args: argparse.Namespace, parse):
         raise ValueError(f"{exc} in the parameter file {args.params}") from None
 
 
-def _write_report(args: argparse.Namespace, payload: dict) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_json(args.out / "report.json", {"command": args.command, **payload})
-    return 0
-
-
 def _weights(args: argparse.Namespace) -> tuple[Number, Number]:
     return parse_number(args.alpha), parse_number(args.beta)
+
+
+def _float_or_text(text: str) -> float | str:
+    """``text`` as a float when it is one, else as it is: ``SimConfig`` judges --dt."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _write_wave(args: argparse.Namespace, wave: exactwaves.ExactWaveSpec) -> dict:
@@ -93,44 +104,33 @@ def _write_wave(args: argparse.Namespace, wave: exactwaves.ExactWaveSpec) -> dic
     }
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    p = _load_params(args, TwoSpeciesParams.from_dict)
-    return _write_report(args, {"regime": classify_regime(p).value})
+def _cmd_classify(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
+    return {"regime": classify_regime(p).value}, True
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    p = _load_params(args, TwoSpeciesParams.from_dict)
+def _cmd_bounds(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
     alpha, beta = _weights(args)
     pair = bounds(p, alpha, beta)
-    return _write_report(
-        args, _exact(q_lower=pair.q_lower, q_upper=pair.q_upper, alpha=alpha, beta=beta)
-    )
+    return _exact(q_lower=pair.q_lower, q_upper=pair.q_upper, alpha=alpha, beta=beta), True
 
 
-def _cmd_barrier(args: argparse.Namespace) -> int:
-    p = _load_params(args, TwoSpeciesParams.from_dict)
+def _cmd_barrier(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
     alpha, beta = _weights(args)
     side = BoundSide.LOWER if args.side == "lower" else BoundSide.UPPER
     lines = construct_barrier(p, alpha, beta, side)
-    payload = {
+    return {
         "side": lines.side.value,
         "case_id": lines.case_id,
         **_exact(lambda1=lines.lambda1, lambda2=lines.lambda2, eta=lines.eta),
-    }
-    return _write_report(args, payload)
+    }, True
 
 
-def _cmd_conic(args: argparse.Namespace) -> int:
-    p = _load_params(args, TwoSpeciesParams.from_dict)
-    alpha, beta = _weights(args)
-    conic = conic_classify(p, alpha, beta)
-    return _write_report(
-        args, {"kind": conic.kind.value, **_exact(discriminant=conic.discriminant)}
-    )
+def _cmd_conic(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
+    conic = conic_classify(p, *_weights(args))
+    return {"kind": conic.kind.value, **_exact(discriminant=conic.discriminant)}, True
 
 
-def _cmd_exact_wave(args: argparse.Namespace) -> int:
-    free = _load_params(args, exactwaves.FreeParams.from_dict)
+def _cmd_exact_wave(args: argparse.Namespace, free: exactwaves.FreeParams) -> tuple[dict, bool]:
     spec = exactwaves.induce_coefficients(free)
     matrix = spec.params.competition_matrix()
     payload = {
@@ -140,7 +140,7 @@ def _cmd_exact_wave(args: argparse.Namespace) -> int:
     }
     if all_exact(*vars(free).values()):
         payload["c_exact"] = [[str(v) for v in row] for row in matrix]
-    return _write_report(args, payload)
+    return payload, True
 
 
 def _two_wave(data: dict) -> tuple[dict, exactwaves.ExactWaveSpec]:
@@ -148,8 +148,8 @@ def _two_wave(data: dict) -> tuple[dict, exactwaves.ExactWaveSpec]:
     return free, exactwaves.two_species_exact_wave(**free)
 
 
-def _cmd_two_wave(args: argparse.Namespace) -> int:
-    free, wave = _load_params(args, _two_wave)
+def _cmd_two_wave(args: argparse.Namespace, params: tuple) -> tuple[dict, bool]:
+    free, wave = params
     payload = {
         "params": {k: float(v) for k, v in wave.params.to_dict().items()},
         **_exact(theta=wave.theta, u_star=wave.u_star, v_star=wave.v_star),
@@ -157,7 +157,7 @@ def _cmd_two_wave(args: argparse.Namespace) -> int:
     }
     if all_exact(*free.values()):
         payload["params_exact"] = {k: str(v) for k, v in wave.params.to_dict().items()}
-    return _write_report(args, payload)
+    return payload, True
 
 
 def _simulate_params(data: dict) -> TwoSpeciesParams | ThreeSpeciesParams:
@@ -165,8 +165,9 @@ def _simulate_params(data: dict) -> TwoSpeciesParams | ThreeSpeciesParams:
     return (ThreeSpeciesParams if three else TwoSpeciesParams).from_dict(data)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    p = _load_params(args, _simulate_params)
+def _cmd_simulate(
+    args: argparse.Namespace, p: TwoSpeciesParams | ThreeSpeciesParams
+) -> tuple[dict, bool]:
     init = WaveProfile.from_csv(args.init)
     boundary = (
         numerics.BoundaryKind.DIRICHLET_FROM_PROFILE
@@ -179,7 +180,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sim = numerics.SimConfig(
         grid=grid,
         t_end=args.t_end,
-        dt="auto" if args.dt == "auto" else float(args.dt),
+        dt=args.dt,
         scheme=(
             numerics.Scheme.EXPLICIT_EULER if args.scheme == "euler" else numerics.Scheme.RK4MOL
         ),
@@ -195,22 +196,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "space_order": sim.space_order,
     }
     snaps.to_dir(args.out / "snapshots", config=run_config)
-    return _write_report(
-        args, {"snapshots_dir": "snapshots", "n_snapshots": len(snaps.profiles), **run_config}
-    )
+    return {"snapshots_dir": "snapshots", "n_snapshots": len(snaps.profiles), **run_config}, True
 
 
-def _cmd_speed(args: argparse.Namespace) -> int:
+def _cmd_speed(args: argparse.Namespace, _: None) -> tuple[dict, bool]:
     snaps = numerics.Snapshots.from_dir(args.snapshots)
     est = numerics.estimate_front_speed(snaps, args.component, args.level)
-    payload = {
+    return {
         "speed": est.speed,
         "intercept": est.intercept,
         "fit_residual": est.fit_residual,
         "positions": [float(v) for v in est.positions],
         "times": [float(t) for t in est.times],
-    }
-    return _write_report(args, payload)
+    }, True
 
 
 def _invader(data: dict) -> tuple[numerics.FisherContext, float, float]:
@@ -222,8 +220,8 @@ def _invader(data: dict) -> tuple[numerics.FisherContext, float, float]:
     return numerics.FisherContext(**values, background=stand_in), k_sub, k_super
 
 
-def _cmd_fisher(args: argparse.Namespace) -> int:
-    invader, k_sub, k_super = _load_params(args, _invader)
+def _cmd_fisher(args: argparse.Namespace, params: tuple) -> tuple[dict, bool]:
+    invader, k_sub, k_super = params
     ctx = replace(invader, background=WaveProfile.from_csv(args.background))
     w_sub = numerics.tanh_pulse_candidate(k_sub)
     w_super = numerics.constant_candidate(k_super)
@@ -234,9 +232,7 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         "super_check": super_rep.to_json_dict(),
     }
     if not (sub_rep.passed and super_rep.passed):
-        payload["solved"] = False
-        _write_report(args, payload)
-        return 1
+        return {**payload, "solved": False}, False
     solution = numerics.solve_fisher_bvp(
         ctx, w_sub, w_super, tol=args.tol, max_iter=args.max_iter, relaxation=args.relaxation
     )
@@ -253,43 +249,28 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
             "w_csv": "w.csv",
         }
     )
-    return _write_report(args, payload)
+    return payload, True
 
 
-def _cmd_check_existence(args: argparse.Namespace) -> int:
-    report = existence_report(_load_params(args, ExistenceInputs.from_dict))
-    _write_report(args, report.to_json_dict())
-    return 0 if report.passed else 1
+def _cmd_audit(args: argparse.Namespace, report: CheckReport) -> tuple[dict, bool]:
+    return report.to_json_dict(), report.passed
 
 
-def _cmd_check_nonexistence(args: argparse.Namespace) -> int:
-    # the audit's own refusal of a zero coupling names the file too
-    report = _load_params(
-        args, lambda data: nonexistence_report(ThreeSpeciesParams.from_dict(data))
-    )
-    _write_report(args, report.to_json_dict())
-    return 0 if report.passed else 1
-
-
-def _cmd_verify_profile(args: argparse.Namespace) -> int:
-    p = _load_params(args, TwoSpeciesParams.from_dict)
+def _cmd_verify_profile(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
     profile = WaveProfile.from_csv(args.profile)
     pair = bounds(p, *_weights(args))
     report = verify_bounds_on_profile(profile, pair)
-    _write_report(
-        args, {**report.to_json_dict(), **_exact(q_lower=pair.q_lower, q_upper=pair.q_upper)}
-    )
-    return 0 if report.passed else 1
+    payload = {**report.to_json_dict(), **_exact(q_lower=pair.q_lower, q_upper=pair.q_upper)}
+    return payload, report.passed
 
 
-def _cmd_evenness(args: argparse.Namespace) -> int:
+def _cmd_evenness(args: argparse.Namespace, _: None) -> tuple[dict, bool]:
     u, v = parse_number(args.u), parse_number(args.v)
-    return _write_report(args, {"J": evenness_index(u, v), **_exact(u=u, v=v)})
+    return {"J": evenness_index(u, v), **_exact(u=u, v=v)}, True
 
 
-def _cmd_figure_data(args: argparse.Namespace) -> int:
-    manifest = figures.emit_figure_data(args.which, args.case, args.out)
-    return _write_report(args, {"manifest": manifest})
+def _cmd_figure_data(args: argparse.Namespace, _: None) -> tuple[dict, bool]:
+    return {"manifest": figures.emit_figure_data(args.which, args.case, args.out)}, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, params=True, weights=False, grid=False):
+    def command(name, handler, help, parse=None, weights=False, grid=False):
+        """A subcommand; it takes --params and --set exactly when it has a ``parse``."""
         sub = subs.add_parser(name, help=help)
-        sub.set_defaults(handler=handler)
-        if params:
+        sub.set_defaults(handler=handler, parse=parse)
+        if parse is not None:
             sub.add_argument("--params", help="JSON parameter file")
             sub.add_argument(
                 "--set",
@@ -322,50 +304,52 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--n", type=int, default=1601)
         return sub
 
-    command("classify", _cmd_classify, "classify the competition regime")
-    command("bounds", _cmd_bounds, "two-sided bound on alpha*u + beta*v", weights=True)
+    two = TwoSpeciesParams.from_dict
+    command("classify", _cmd_classify, "classify the competition regime", two)
+    command("bounds", _cmd_bounds, "two-sided bound on alpha*u + beta*v", two, weights=True)
     sub = command("barrier", _cmd_barrier, "explicit barrier-line levels (strong competition)",
-                  weights=True)
+                  two, weights=True)
     sub.add_argument("--side", choices=("lower", "upper"), required=True)
-    command("conic", _cmd_conic, "classify the weighted kinetics curve F=0", weights=True)
+    command("conic", _cmd_conic, "classify the weighted kinetics curve F=0", two, weights=True)
     command("exact-wave", _cmd_exact_wave, "three-species tanh wave from free parameters",
-            grid=True)
-    command("two-wave", _cmd_two_wave, "two-species tanh wave", grid=True)
+            exactwaves.FreeParams.from_dict, grid=True)
+    command("two-wave", _cmd_two_wave, "two-species tanh wave", _two_wave, grid=True)
 
-    sub = command("simulate", _cmd_simulate, "method-of-lines reaction-diffusion run")
+    sub = command("simulate", _cmd_simulate, "method-of-lines reaction-diffusion run",
+                  _simulate_params)
     sub.add_argument("--init", required=True, help="initial profile CSV")
     sub.add_argument("--t-end", dest="t_end", type=float, required=True)
-    sub.add_argument("--dt", default="auto")
+    sub.add_argument("--dt", type=_float_or_text, default="auto")
     sub.add_argument("--scheme", choices=("euler", "rk4"), default="rk4")
     sub.add_argument("--boundary", choices=("neumann", "dirichlet"), default="neumann")
     sub.add_argument("--n-snapshots", dest="n_snapshots", type=int, default=11)
     sub.add_argument("--space-order", dest="space_order", type=int, choices=(2, 4), default=4)
 
-    sub = command("speed", _cmd_speed, "front speed from simulation snapshots", params=False)
+    sub = command("speed", _cmd_speed, "front speed from simulation snapshots")
     sub.add_argument("--snapshots", required=True, help="snapshot directory")
     sub.add_argument("--component", choices=("u", "v", "w"), default="u")
     sub.add_argument("--level", type=float, required=True)
 
-    sub = command("fisher", _cmd_fisher, "monotone iteration for the invader equation")
+    sub = command("fisher", _cmd_fisher, "monotone iteration for the invader equation", _invader)
     sub.add_argument("--background", required=True, help="background (u, v) profile CSV")
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", dest="max_iter", type=int, default=200)
     sub.add_argument("--relaxation", type=float, default=None)
 
-    command("check-existence", _cmd_check_existence, "audit the existence hypotheses H1-H4")
-    command("check-nonexistence", _cmd_check_nonexistence,
-            "audit the nonexistence hypotheses A1-A3")
+    # an audit runs in its parser, so its refusal of an input names the file too
+    command("check-existence", _cmd_audit, "audit the existence hypotheses H1-H4",
+            lambda data: existence_report(ExistenceInputs.from_dict(data)))
+    command("check-nonexistence", _cmd_audit, "audit the nonexistence hypotheses A1-A3",
+            lambda data: nonexistence_report(ThreeSpeciesParams.from_dict(data)))
     sub = command("verify-profile", _cmd_verify_profile, "audit bounds on a sampled profile",
-                  weights=True)
+                  two, weights=True)
     sub.add_argument("--profile", required=True, help="profile CSV to audit")
 
-    sub = command("evenness", _cmd_evenness, "species evenness index of two densities",
-                  params=False)
+    sub = command("evenness", _cmd_evenness, "species evenness index of two densities")
     sub.add_argument("--u", required=True)
     sub.add_argument("--v", required=True)
 
-    sub = command("figure-data", _cmd_figure_data, "emit point sets for the illustration cases",
-                  params=False)
+    sub = command("figure-data", _cmd_figure_data, "emit point sets for the illustration cases")
     sub.add_argument("--which", choices=("fig1", "fig2", "fig3"), required=True)
     sub.add_argument("--case", required=True)
 
@@ -376,13 +360,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.out = Path(args.out or os.environ.get("LVWAVES_OUT") or "lvwaves-out")
     try:
-        return args.handler(args)
+        params = None if args.parse is None else _load_params(args, args.parse)
+        payload, passed = args.handler(args, params)
+        args.out.mkdir(parents=True, exist_ok=True)
+        write_json(args.out / "report.json", {"command": args.command, **payload})
     except LVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -64,6 +64,7 @@ from .model import ThreeSpeciesParams, TwoSpeciesParams
 from .profiles import (
     ScalarProfile,
     WaveProfile,
+    _read_only,
     _read_wave_csvs,
     _write_wave_csvs,
     check_grid_bounds,
@@ -251,17 +252,19 @@ def integrate_ode(
 
 @dataclass(frozen=True)
 class Snapshots:
-    """Solution snapshots of a run at finite, strictly increasing times, all on one grid."""
+    """Solution snapshots of a run at finite, strictly increasing times, all on one grid;
+    ``times`` is kept as a read-only float view."""
 
     times: np.ndarray
     profiles: tuple[WaveProfile, ...]
 
     def __post_init__(self):
+        t = _read_only(self.times)
+        object.__setattr__(self, "times", t)
         if not self.profiles:
             raise ValueError("snapshots need at least one profile")
-        if len(self.times) != len(self.profiles):
-            raise ValueError(f"{len(self.times)} times for {len(self.profiles)} snapshots")
-        t = np.asarray(self.times, dtype=float)
+        if len(t) != len(self.profiles):
+            raise ValueError(f"{len(t)} times for {len(self.profiles)} snapshots")
         if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
             raise ValueError(f"snapshot times must be finite and strictly increasing: {t.tolist()}")
         if any(not np.array_equal(prof.x, self.x) for prof in self.profiles[1:]):
@@ -300,6 +303,8 @@ class Snapshots:
         named = isinstance(files, list) and all(isinstance(f, str) for f in files)
         if not (named and isinstance(times, list)):
             raise ValueError(f"{manifest_path} needs a 'files' list of names and a 'times' list")
+        if any(isinstance(t, bool) for t in times):
+            raise ValueError(f"snapshot times must be numbers, got {times} in {manifest_path}")
         paths = [out / f for f in files]
         profiles = _read_wave_csvs(paths)
         for path, prof in zip(paths[1:], profiles[1:]):
@@ -311,7 +316,7 @@ class Snapshots:
                     f"not the {','.join(profiles[0].components)} of {paths[0]}"
                 )
         try:
-            return cls(times=np.array([float(t) for t in times]), profiles=profiles)
+            return cls(times=[float(t) for t in times], profiles=profiles)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{exc} in {manifest_path}") from None
 
@@ -499,7 +504,7 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
                 )
         if step in snap_steps:
             record(step)
-    return Snapshots(times=np.array(times), profiles=tuple(profiles))
+    return Snapshots(times=times, profiles=tuple(profiles))
 
 
 @dataclass(frozen=True)
@@ -513,7 +518,8 @@ class FrontSpeedEstimate:
 
 def _crossing_position(x: np.ndarray, f: np.ndarray, level: float) -> float:
     s = f - level
-    hits = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    # signs, not the product, which can underflow to -0.0 across a crossing
+    hits = np.nonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0)[0]
     exact = np.nonzero(s == 0)[0]
     n_events = len(hits) + len(exact)
     if n_events == 0:

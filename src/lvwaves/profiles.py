@@ -41,15 +41,20 @@ def _check_grid(x: np.ndarray) -> None:
         raise ValueError("grid spacing is not uniform")
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float view; a float array's memory is shared,
+    not copied, and stays writable to its owner."""
+    a = np.asarray(values, dtype=float).view()
+    a.flags.writeable = False
+    return a
+
+
 def _set_samples(obj, fields: tuple[str, ...], nonneg: bool) -> None:
     """Store the grid ``x`` and the named fields of ``obj`` as read-only float
-    views (sharing the caller's memory, which stays writable to the caller),
-    then check the grid, then each field in turn: its shape, its samples
-    finite, and with ``nonneg`` none negative."""
+    views (:func:`_read_only`), then check the grid, then each field in turn:
+    its shape, its samples finite, and with ``nonneg`` none negative."""
     for name in ("x", *fields):
-        a = np.asarray(getattr(obj, name), dtype=float).view()
-        a.flags.writeable = False
-        object.__setattr__(obj, name, a)
+        object.__setattr__(obj, name, _read_only(getattr(obj, name)))
     _check_grid(obj.x)
     for name in fields:
         a = getattr(obj, name)

@@ -372,12 +372,13 @@ class TestSimulationCommands:
             (["--t-end", "inf"], "t_end"),
             (["--t-end", "nan"], "t_end"),
             (["--t-end", "0.5", "--dt", "nan"], "dt"),
+            (["--t-end", "0.5", "--dt", "abc"], "dt must be a number or 'auto', got 'abc'"),
             (["--t-end", "0.5", "--n-snapshots", "0"], "n_snapshots"),
             (["--t-end", "0.5", "--n-snapshots", "-3"], "n_snapshots"),
             (["--t-end", "0.001", "--n-snapshots", "3"], "n_snapshots=3 exceeds the 2"),
         ],
         ids=[
-            "t_end-inf", "t_end-nan", "dt-nan", "n_snapshots-0", "n_snapshots-negative",
+            "t_end-inf", "t_end-nan", "dt-nan", "dt-text", "n_snapshots-0", "n_snapshots-negative",
             "n_snapshots-beyond-steps",
         ],
     )

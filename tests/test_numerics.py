@@ -33,6 +33,7 @@ from lvwaves.numerics import (
     Side,
     SimConfig,
     Snapshots,
+    _crossing_position,
     _tridiagonal_factors,
     _tridiagonal_solve,
 )
@@ -619,6 +620,14 @@ class TestFrontSpeed:
             chords.append(x[i] + (x[i + 1] - x[i]) * s[i] / (s[i] - s[i + 1]))
         assert est.positions.tolist() == chords
 
+    def test_crossing_of_underflowing_product_is_found(self):
+        # s[1] * s[2] = -5e-401 rounds to -0.0; the signs still differ
+        x = np.linspace(0.0, 4.0, 5)
+        f = np.array([3.0, 2.0, 0.5, 0.2, 0.1])
+        position = _crossing_position(x, f * 1e-200, 1e-200)
+        assert 1.0 < position < 2.0
+        assert position == pytest.approx(_crossing_position(x, f, 1.0), rel=1e-12)
+
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
     def test_non_finite_level_refused(self, paper_spec, level):
         snaps = self._translated_snapshots(paper_spec, n_shots=2)
@@ -635,6 +644,26 @@ class TestFrontSpeed:
         snaps = self._translated_snapshots(paper_spec, n_shots=2)
         with pytest.raises(ValueError, match="1 times for 2 snapshots"):
             Snapshots(times=snaps.times[:1], profiles=snaps.profiles)
+
+    def test_snapshots_keep_their_times_read_only(self, paper_spec):
+        profiles = self._translated_snapshots(paper_spec, n_shots=2).profiles
+        times = np.array([0.0, 1.0])
+        snaps = Snapshots(times=times, profiles=profiles)
+        assert snaps.times is not times and np.shares_memory(snaps.times, times)
+        with pytest.raises(ValueError, match="read-only"):
+            snaps.times[1] = -5.0
+        listed = Snapshots(times=[0.0, 1.0], profiles=profiles)
+        assert isinstance(listed.times, np.ndarray) and not listed.times.flags.writeable
+        assert listed.times.tolist() == [0.0, 1.0]
+
+    def test_from_dir_refuses_boolean_times(self, paper_spec, tmp_path):
+        self._translated_snapshots(paper_spec, n_shots=2).to_dir(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        data = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**data, "times": [False, True]}))
+        with pytest.raises(ValueError) as info:
+            Snapshots.from_dir(tmp_path)
+        assert str(info.value) == f"snapshot times must be numbers, got [False, True] in {manifest}"
 
     def test_snapshots_refuse_an_empty_run(self):
         with pytest.raises(ValueError, match="snapshots need at least one profile"):

@@ -53,6 +53,15 @@ def test_worker_span_names_resolve():
     assert names
     for name in sorted(names):
         assert callable(_resolve(name)), name
+        # the tracer names a span after the module that defines the function,
+        # or the class that owns the method; a re-exported name would read 0
+        module, *attrs = name.split(".")
+        if len(attrs) == 1:
+            assert _resolve(name).__module__ == f"lvwaves.{module}", name
+        else:
+            owner = _resolve(".".join([module, *attrs[:-1]]))
+            assert owner.__module__ == f"lvwaves.{module}", name
+            assert attrs[-1] in vars(owner), name
 
 
 def test_workload_imports_and_lv_attributes_resolve():
