@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, SingularLinesError
@@ -255,10 +256,11 @@ def evenness_index(u: Number, v: Number) -> float:
     if u < 0 or v < 0:
         raise DomainError(f"densities must be nonnegative, got u={u}, v={v}")
     _require_finite(u=u, v=v)
-    total = u + v
-    if total == 0:
+    if u == 0 and v == 0:
         raise DomainError("evenness index undefined for u + v == 0")
-    pu = float(u / total)
+    # the share u / (u + v) in exact arithmetic: a float u + v can overflow
+    eu, ev = (x if isinstance(x, (int, Fraction)) else Fraction(float(x)) for x in (u, v))
+    pu = float(eu / (eu + ev))
     pv = 1.0 - pu
     h = 0.0
     if pu > 0:

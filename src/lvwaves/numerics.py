@@ -65,8 +65,9 @@ from .profiles import (
     ScalarProfile,
     WaveProfile,
     _read_only,
-    _read_wave_csvs,
-    _write_wave_csvs,
+    _read_wave_npy,
+    _reduce_by_init,
+    _write_wave_npy,
     check_grid_bounds,
     uniform_grid,
 )
@@ -113,6 +114,9 @@ class GridSpec:
         if self.n < 3:
             raise ValueError("grid needs at least three nodes")
         check_grid_bounds(self.x_min, self.x_max)
+        h2 = self.h * self.h  # every time step bound divides by h**2
+        if not (0 < h2 and 1 / h2 < math.inf):
+            raise ValueError(f"grid step h={self.h} has no finite 1/h**2 (h**2 = {h2})")
 
     @property
     def h(self) -> float:
@@ -253,7 +257,9 @@ def integrate_ode(
 @dataclass(frozen=True)
 class Snapshots:
     """Solution snapshots of a run at finite, strictly increasing times, all on one grid;
-    ``times`` is kept as a read-only float view."""
+    ``times`` is kept as a read-only float view.  On disk: ``snapshots.npy``, the profiles
+    as one float64 array (see :mod:`lvwaves.profiles`), and ``manifest.json``, which holds
+    the times, a grid summary and the run config, and names the array file."""
 
     times: np.ndarray
     profiles: tuple[WaveProfile, ...]
@@ -272,6 +278,8 @@ class Snapshots:
         if any(prof.components != self.profiles[0].components for prof in self.profiles[1:]):
             raise ValueError("snapshots do not all carry the same components")
 
+    __reduce__ = _reduce_by_init
+
     @property
     def x(self) -> np.ndarray:
         return self.profiles[0].x
@@ -279,11 +287,11 @@ class Snapshots:
     def to_dir(self, out_dir, config: dict | None = None) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        files = [f"snapshot_{idx:04d}.csv" for idx in range(len(self.profiles))]
-        _write_wave_csvs([out / name for name in files], self.profiles)
+        array = "snapshots.npy"
+        _write_wave_npy(out / array, self.profiles)
         manifest = {
             "times": [format_float(t) for t in self.times],
-            "files": files,
+            "array": array,
             "grid": {
                 "n": int(self.x.size),
                 "x_min": format_float(self.x[0]),
@@ -299,26 +307,17 @@ class Snapshots:
         manifest_path = out / "manifest.json"
         manifest = read_json(manifest_path)
         entries = manifest if isinstance(manifest, dict) else {}
-        files, times = entries.get("files"), entries.get("times")
-        named = isinstance(files, list) and all(isinstance(f, str) for f in files)
-        if not (named and isinstance(times, list)):
-            raise ValueError(f"{manifest_path} needs a 'files' list of names and a 'times' list")
+        array, times = entries.get("array"), entries.get("times")
+        if not (isinstance(array, str) and isinstance(times, list)):
+            raise ValueError(f"{manifest_path} needs an 'array' file name and a 'times' list")
         if any(isinstance(t, bool) for t in times):
             raise ValueError(f"snapshot times must be numbers, got {times} in {manifest_path}")
-        paths = [out / f for f in files]
-        profiles = _read_wave_csvs(paths)
-        for path, prof in zip(paths[1:], profiles[1:]):
-            if not np.array_equal(prof.x, profiles[0].x):
-                raise ValueError(f"snapshot {path} is not on the grid of {paths[0]}")
-            if prof.components != profiles[0].components:
-                raise ValueError(
-                    f"snapshot {path} carries {','.join(prof.components)}, "
-                    f"not the {','.join(profiles[0].components)} of {paths[0]}"
-                )
+        path = out / array
+        profiles = _read_wave_npy(path)
         try:
             return cls(times=[float(t) for t in times], profiles=profiles)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{exc} in {manifest_path}") from None
+            raise ValueError(f"{exc} in {manifest_path} and {path}") from None
 
 
 def _kinetics(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Sampled wave profiles on uniform grids, with CSV round-tripping.
+"""Sampled wave profiles on uniform grids: CSV files for single profiles,
+one float64 array for a run's snapshots.
 
 CSV files carry a header row (``x,u,v`` or ``x,u,v,w`` or ``x,w``), comma
 delimiters, LF line endings, and floats at 17 significant digits, so a
@@ -6,17 +7,19 @@ written profile reloads bit-identically.  I/O is per array, not per cell: a
 write checks finiteness once and formats the whole body in one call, and a
 read converts every cell in one call with the number syntax of ``float()``.
 
-Each 17-digit value costs one correctly rounded conversion each way, so the
-files of one snapshot directory convert their shared grid column once: the
-writer formats the grid into a row template that every file fills with its
-densities, and the reader parses a file's grid cells only when their text
-differs from the previous file's.  Equal text parses to equal bits, so the
-bytes written and the arrays read are those of one file at a time.
+A run's snapshots are one ``.npy`` file (format 1.0, little-endian float64,
+C order) of shape (snapshots, 1 + species, n): row 0 of each snapshot is its
+grid, the rows after it u, v[, w].  The array holds the bits themselves, so
+it is as exact as the CSV text and costs no conversion.  The writer streams
+each profile's rows after one header, so no stacked copy of the run is made;
+the reader refuses any other dtype, memory order or shape, and builds each
+profile from read-only row views of the one array it loads, through every
+``WaveProfile`` check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +70,12 @@ def _set_samples(obj, fields: tuple[str, ...], nonneg: bool) -> None:
             raise ValueError(f"{name} samples must be nonnegative (min {float(np.min(a))})")
 
 
+def _reduce_by_init(self):
+    """Pickle and copy a record as a call of its constructor, so the copy
+    passes the same checks and keeps its arrays read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class WaveProfile:
     """Densities (u, v[, w]) sampled on a uniform grid."""
@@ -79,17 +88,20 @@ class WaveProfile:
     def __post_init__(self):
         _set_samples(self, self.components, nonneg=True)
 
+    __reduce__ = _reduce_by_init
+
     @property
     def components(self) -> tuple[str, ...]:
         """Names of the densities in order: ("u", "v"), plus "w" for three species."""
         return ("u", "v") if self.w is None else ("u", "v", "w")
 
     def to_csv(self, path) -> None:
-        _write_wave_csvs([path], [self])
+        names = ["x", *self.components]
+        _write_csv(path, names, np.column_stack([getattr(self, name) for name in names]))
 
     @classmethod
     def from_csv(cls, path) -> "WaveProfile":
-        return _read_wave_csvs([path])[0]
+        return _from_csv(path, cls, "x,u,v[,w]", ("x,u,v", "x,u,v,w"))
 
 
 @dataclass(frozen=True)
@@ -101,6 +113,8 @@ class ScalarProfile:
 
     def __post_init__(self):
         _set_samples(self, ("w",), nonneg=False)
+
+    __reduce__ = _reduce_by_init
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["x", "w"], np.column_stack([self.x, self.w]))
@@ -124,58 +138,58 @@ def uniform_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
     return np.linspace(x_min, x_max, n)
 
 
-def _row_template(first: np.ndarray, n_rest: int) -> str:
-    """A CSV body whose rows hold ``first``'s values at 17 significant digits,
-    each followed by ``n_rest`` ``,%.17g`` slots.  A formatted finite float
-    holds no ``%``, so one ``%`` over the other columns fills every slot."""
-    row = "%" + FLOAT_SPEC + (",%%" + FLOAT_SPEC) * n_rest + "\n"
-    return "".join([row] * len(first)) % tuple(first.tolist())
-
-
-def _write_csv(path, names: list[str], rows, template: str | None = None) -> None:
+def _write_csv(path, names: list[str], rows) -> None:
     """Write ``rows`` (one row per sample, one column per name) under a
-    header line, every value at 17 significant digits.  ``template`` is
-    ``_row_template`` of the first column, for a caller that writes many
-    files on one grid; without it the writer builds its own."""
+    header line, every value at 17 significant digits."""
     data = np.asarray(rows, dtype=float).reshape(-1, len(names))
     bad = ~np.isfinite(data)
     if bad.any():
         raise ValueError(f"non-finite value in report: {float(data[bad][0])}")
-    if template is None:
-        template = _row_template(data[:, 0], len(names) - 1)
-    body = template % tuple(data[:, 1:].ravel().tolist())
+    row = ",".join(["%" + FLOAT_SPEC] * len(names)) + "\n"
+    body = "".join([row] * len(data)) % tuple(data.ravel().tolist())
     Path(path).write_text(",".join(names) + "\n" + body, newline="\n")
 
 
-def _write_wave_csvs(paths, profiles) -> None:
-    """``to_csv`` of each profile to its path, formatting the grid column only
-    when its bits or the number of densities differ from the previous
-    profile's (a grid equal in value but not in bits, -0.0 for 0.0, is
-    formatted again)."""
-    key = template = None
-    for path, prof in zip(paths, profiles, strict=True):
-        names = ["x", *prof.components]
-        grid = (prof.x.tobytes(), len(names))
-        if grid != key:
-            key, template = grid, _row_template(prof.x, len(names) - 1)
-        cols = np.column_stack([getattr(prof, name) for name in names])
-        _write_csv(path, names, cols, template)
+def _write_wave_npy(path, profiles) -> None:
+    """Stream ``profiles`` (one grid size, one set of components) into the
+    ``.npy`` file ``path``: the header, then each profile's x, u, v[, w]."""
+    rows = ("x", *profiles[0].components)
+    shape = (len(profiles), len(rows), profiles[0].x.size)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape}
+        )
+        for prof in profiles:
+            for name in rows:
+                np.asarray(getattr(prof, name), dtype="<f8").tofile(fh)
 
 
-def _read_wave_csvs(paths) -> tuple[WaveProfile, ...]:
-    """``WaveProfile.from_csv`` of each path, parsing a file's grid column only
-    when its text differs from the previous file's."""
-    grid: dict = {}
-    return tuple(
-        _from_csv(path, WaveProfile, "x,u,v[,w]", ("x,u,v", "x,u,v,w"), grid) for path in paths
-    )
+def _read_wave_npy(path) -> tuple[WaveProfile, ...]:
+    """The profiles of the snapshot array in ``path``, each on read-only row
+    views of the loaded array; every refusal names the file."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.ndarray):
+                raise ValueError("expected a .npy array, got an .npz archive")
+            if fh.read(1):
+                raise ValueError("expected the file to end after the array")
+        order = "C" if data.flags.c_contiguous else "Fortran"
+        if (order, data.dtype.str) != ("C", "<f8"):
+            raise ValueError(f"expected C-order <f8 data, got {order}-order {data.dtype.str}")
+        if data.ndim != 3 or data.shape[1] not in (3, 4) or data.shape[2] < 2:
+            raise ValueError(f"expected shape (snapshots, 3 or 4, n >= 2), got {data.shape}")
+        data.flags.writeable = False
+        return tuple(WaveProfile(*snap) for snap in data)
+    except (EOFError, ValueError) as exc:
+        raise ValueError(f"{exc} in snapshot array {path}") from None
 
 
-def _from_csv(path, cls, expected: str, headers: tuple[str, ...], grid: dict | None = None):
+def _from_csv(path, cls, expected: str, headers: tuple[str, ...]):
     """``cls`` of the columns of the CSV file ``path``, whose header must be one
     of ``headers``; the one place a profile file is read, so each refusal names
-    it.  ``grid`` is passed on to ``_read_csv``."""
-    names, cols = _read_csv(path, grid)
+    it."""
+    names, cols = _read_csv(path)
     try:
         if ",".join(names) not in headers:
             raise ValueError(f"expected header {expected}, got {','.join(names)}")
@@ -184,14 +198,8 @@ def _from_csv(path, cls, expected: str, headers: tuple[str, ...], grid: dict | N
         raise ValueError(f"{exc} in CSV {path}") from None
 
 
-def _read_csv(path, grid: dict | None = None) -> tuple[list[str], list[np.ndarray]]:
-    """The header names and columns of the CSV file ``path``.
-
-    ``grid`` carries the first column from file to file: a file whose
-    first-column cell texts equal ``grid["texts"]`` takes ``grid["x"]`` as
-    that column and converts only its other cells; any other file converts
-    every cell and leaves its own first-column texts and array in ``grid``.
-    """
+def _read_csv(path) -> tuple[list[str], list[np.ndarray]]:
+    """The header names and columns of the CSV file ``path``."""
     lines = read_text(path).strip().splitlines()
     if not lines:
         raise ValueError(f"empty CSV {path}")
@@ -201,21 +209,11 @@ def _read_csv(path, grid: dict | None = None) -> tuple[list[str], list[np.ndarra
     # before the cells are joined into one flat list
     if not body or any(line.count(",") != len(names) - 1 for line in body):
         raise ValueError(f"malformed CSV {path}")
-    cells = ",".join(body).split(",")
-    texts = cells[:: len(names)]
-    reuse = grid is not None and texts == grid.get("texts")
-    if reuse:
-        del cells[:: len(names)]
     try:
-        data = np.array(cells, dtype=float)
+        data = np.array(",".join(body).split(","), dtype=float)
     except ValueError as exc:
         raise ValueError(f"malformed CSV {path}: {exc}") from None
-    data = data.reshape(len(body), len(names) - reuse)
+    data = data.reshape(len(body), len(names))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite value in CSV {path}")
-    cols = list(data.T)
-    if reuse:
-        cols.insert(0, grid["x"])
-    elif grid is not None:
-        grid.update(texts=texts, x=cols[0])
-    return names, cols
+    return names, list(data.T)

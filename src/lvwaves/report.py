@@ -143,10 +143,10 @@ def read_text(path) -> str:
 
 
 def read_json(path) -> Any:
-    """The value in the JSON file ``path``; a file that is not UTF-8 or does
-    not parse is a ``ValueError`` naming the file (and the decoder's
-    position)."""
+    """The value in the JSON file ``path``; a file that is not UTF-8, does not
+    parse, or nests deeper than the decoder recurses is a ``ValueError``
+    naming the file (and the decoder's position or depth error)."""
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None

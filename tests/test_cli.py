@@ -57,6 +57,61 @@ def report(out_dir: Path) -> dict:
     return json.loads((out_dir / "report.json").read_text())
 
 
+def _save_changed(path, data, index, value):
+    data = data.copy()
+    data[index] = value
+    np.save(path, data)
+
+
+def _save_truncated(path, data):
+    np.save(path, data)
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _save_npz(path, data):
+    with open(path, "wb") as fh:  # under its own name: np.savez appends .npz to a path
+        np.savez(fh, data)
+
+
+def _csv_era_manifest(path, data):
+    """The manifest of the per-snapshot CSV files that came before the array."""
+    manifest = path.parent / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    del entries["array"]
+    entries["files"] = ["snapshot_0000.csv", "snapshot_0001.csv"]
+    manifest.write_text(json.dumps(entries))
+
+
+# damage done to a good two-snapshot array of shape (2, 3, 81), and the
+# reason its refusal gives
+BAD_SNAPSHOT_ARRAYS = {
+    "object": (lambda path, d: np.save(path, d.astype(object), allow_pickle=True),
+               "Object arrays cannot be loaded"),
+    "big-endian": (lambda path, d: np.save(path, d.astype(">f8")), "got C-order >f8"),
+    "float32": (lambda path, d: np.save(path, d.astype("<f4")), "got C-order <f4"),
+    "fortran-order": (lambda path, d: np.save(path, np.asfortranarray(d)),
+                      "got Fortran-order <f8"),
+    "two-rows": (lambda path, d: np.save(path, d[:, :2]), "got (2, 2, 81)"),
+    "five-rows": (lambda path, d: np.save(path, np.concatenate([d, d[:, 1:]], axis=1)),
+                  "got (2, 5, 81)"),
+    "one-node": (lambda path, d: np.save(path, d[:, :, :1]), "got (2, 3, 1)"),
+    "flat": (lambda path, d: np.save(path, d.ravel()), "got (486,)"),
+    "truncated": (_save_truncated, "Failed to read all data"),
+    "trailing-bytes": (lambda path, d: path.write_bytes(path.read_bytes() + bytes(8)),
+                       "expected the file to end after the array"),
+    "npz-archive": (_save_npz, "got an .npz archive"),
+    "one-snapshot-for-two-times": (lambda path, d: np.save(path, d[:1]),
+                                   "2 times for 1 snapshots"),
+    "non-uniform-grid": (lambda path, d: _save_changed(path, d, (1, 0, 3), d[1, 0, 3] + 0.01),
+                         "grid spacing is not uniform"),
+    "negative-density": (lambda path, d: _save_changed(path, d, (1, 1, 5), -1.0),
+                         "u samples must be nonnegative"),
+    "nan-density": (lambda path, d: _save_changed(path, d, (0, 2, 5), np.nan),
+                    "v samples must be finite, got nan"),
+    "csv-era-manifest": (_csv_era_manifest, "needs an 'array' file name"),
+}
+
+
 class TestExactWaveCommand:
     def test_paper_example(self, tmp_path):
         params = write_json(tmp_path / "free.json", PAPER_FREE)
@@ -324,6 +379,23 @@ class TestProfileCommands:
             f"usage error: u samples must be nonnegative (min -0.5) in CSV {wave}\n"
         )
 
+    def test_grid_whose_step_squares_to_zero(self, tmp_path, capsys):
+        # a uniform three-node grid that verify-profile reads, but whose
+        # h**2 underflows, so no time step bound can be formed to simulate on it
+        wave = tmp_path / "wave.csv"
+        wave.write_text("x,u,v\n0,1,0\n1e-300,1,0\n2e-300,1,0\n")
+        params = write_json(tmp_path / "p.json", STRONG)
+        argv = ["verify-profile", "--params", params, "--profile", str(wave),
+                "--out", str(tmp_path / "verify")]
+        assert main(argv) in (0, 1)
+        argv = ["simulate", "--params", params, "--init", str(wave), "--t-end", "0.1",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: grid step h=1e-300 has no finite 1/h**2 (h**2 = 0.0)\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_profile_not_utf8_is_usage_error(self, tmp_path, capsys):
         params = write_json(tmp_path / "p.json", STRONG)
         bad = tmp_path / "wave.csv"
@@ -465,41 +537,48 @@ class TestSimulationCommands:
         assert code == 2
 
     def test_speed_refuses_snapshot_of_other_components(self, tmp_path, demo_two_wave, capsys):
+        # a grid row and four density rows: no species count of the model
         x = np.linspace(-40, 40, 801)
         two = lv.wave_profile(demo_two_wave, x)
         lv.Snapshots(times=np.array([0.0, 1.0]), profiles=(two, two)).to_dir(tmp_path / "s")
-        three = lv.WaveProfile(x=x, u=two.u, v=two.v, w=two.u)
-        three.to_csv(tmp_path / "s" / "snapshot_0001.csv")
+        array = tmp_path / "s" / "snapshots.npy"
+        np.save(array, np.stack([[x, two.u, two.v, two.u, two.v]] * 2))
         code = main(
             ["speed", "--snapshots", str(tmp_path / "s"), "--component", "w", "--level", "0.4",
              "--out", str(tmp_path / "out")]
         )
         assert code == 2
-        first, second = tmp_path / "s" / "snapshot_0000.csv", tmp_path / "s" / "snapshot_0001.csv"
         assert capsys.readouterr().err == (
-            f"usage error: snapshot {second} carries u,v,w, not the u,v of {first}\n"
+            "usage error: expected shape (snapshots, 3 or 4, n >= 2), got (2, 5, 801) "
+            f"in snapshot array {array}\n"
         )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("x2", [np.linspace(-34, 46, 801), np.linspace(-40, 40, 401)],
+    @pytest.mark.parametrize("x2", [np.linspace(-34, 46, 801), np.linspace(-80, 80, 801)],
                              ids=["shifted", "coarser"])
     def test_speed_refuses_snapshot_off_the_first_grid(
         self, tmp_path, demo_two_wave, capsys, x2
     ):
-        # a standing front whose second file is resampled on another grid
+        # a standing front whose second snapshot is resampled on another grid
         x = np.linspace(-40, 40, 801)
         snaps = lv.Snapshots(
             times=np.array([0.0, 1.0]),
             profiles=(lv.wave_profile(demo_two_wave, x), lv.wave_profile(demo_two_wave, x)),
         )
         snaps.to_dir(tmp_path / "snapshots")
-        lv.wave_profile(demo_two_wave, x2).to_csv(tmp_path / "snapshots" / "snapshot_0001.csv")
+        moved = lv.wave_profile(demo_two_wave, x2)
+        array = tmp_path / "snapshots" / "snapshots.npy"
+        first = snaps.profiles[0]
+        np.save(array, np.stack([[first.x, first.u, first.v], [moved.x, moved.u, moved.v]]))
         code = main(
             ["speed", "--snapshots", str(tmp_path / "snapshots"), "--level", "0.4",
              "--out", str(tmp_path / "out")]
         )
         assert code == 2
-        assert "snapshot_0001.csv is not on the grid of" in capsys.readouterr().err
+        manifest = tmp_path / "snapshots" / "manifest.json"
+        assert capsys.readouterr().err == (
+            f"usage error: snapshots are not all on one grid in {manifest} and {array}\n"
+        )
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_speed_refuses_times_that_do_not_match_the_files(
@@ -524,24 +603,27 @@ class TestSimulationCommands:
     def test_speed_refuses_an_empty_manifest(self, tmp_path, capsys):
         snapshots = tmp_path / "snapshots"
         snapshots.mkdir()
-        write_json(snapshots / "manifest.json", {"times": [], "files": []})
+        np.save(snapshots / "snapshots.npy", np.zeros((0, 3, 5)))
+        write_json(snapshots / "manifest.json", {"times": [], "array": "snapshots.npy"})
         code = main(
             ["speed", "--snapshots", str(snapshots), "--level", "0.4",
              "--out", str(tmp_path / "out")]
         )
         assert code == 2
-        assert "snapshots need at least one profile" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "snapshots need at least one profile" in err
+        assert str(snapshots / "manifest.json") in err
 
     @pytest.mark.parametrize(
         "manifest",
         [
-            ["snapshot_0000.csv"],
-            {"times": ["0", "1"], "files": [5, 6]},
-            {"times": None, "files": ["snapshot_0000.csv"]},
-            {"files": ["snapshot_0000.csv"]},
-            {"times": ["0"], "files": "snapshot_0000.csv"},
+            ["snapshots.npy"],
+            {"times": ["0", "1"], "array": 5},
+            {"times": None, "array": "snapshots.npy"},
+            {"array": "snapshots.npy"},
+            {"times": ["0"], "array": ["snapshots.npy"]},
         ],
-        ids=["array", "numeric-files", "null-times", "no-times", "files-string"],
+        ids=["json-array", "numeric-name", "null-times", "no-times", "name-list"],
     )
     def test_speed_refuses_a_manifest_of_the_wrong_shape(
         self, tmp_path, demo_two_wave, capsys, manifest
@@ -556,7 +638,10 @@ class TestSimulationCommands:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {snapshots / 'manifest.json'} needs a 'files' list")
+        assert err == (
+            f"usage error: {snapshots / 'manifest.json'} needs an 'array' file name "
+            "and a 'times' list\n"
+        )
 
     def test_speed_refuses_a_manifest_that_is_not_json(self, tmp_path, demo_two_wave, capsys):
         snapshots = tmp_path / "snapshots"
@@ -586,6 +671,26 @@ class TestSimulationCommands:
         assert capsys.readouterr().err == (
             f"usage error: {snapshots / 'manifest.json'}" + NOT_UTF8
         )
+
+    @pytest.mark.parametrize("case", list(BAD_SNAPSHOT_ARRAYS), ids=list(BAD_SNAPSHOT_ARRAYS))
+    def test_speed_refuses_a_bad_snapshot_array(self, tmp_path, demo_two_wave, capsys, case):
+        profile = lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 81))
+        snapshots = tmp_path / "snapshots"
+        lv.Snapshots(times=np.array([0.0, 1.0]), profiles=(profile, profile)).to_dir(snapshots)
+        damage, reason = BAD_SNAPSHOT_ARRAYS[case]
+        array = snapshots / "snapshots.npy"
+        damage(array, np.load(array))
+        named = snapshots / "manifest.json" if case == "csv-era-manifest" else array
+        with pytest.raises(ValueError, match=re.escape(reason)) as info:
+            lv.Snapshots.from_dir(snapshots)
+        assert str(named) in str(info.value)
+        code = main(
+            ["speed", "--snapshots", str(snapshots), "--level", "0.4",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {info.value}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("times", [["1", "0"], ["1", "1"], ["0", "nan"]],
                              ids=["swapped", "equal", "nan"])
@@ -899,6 +1004,26 @@ class TestContract:
             f"usage error: {bad} is not valid JSON: Expecting property name enclosed in "
             "double quotes: line 1 column 2 (char 1)\n"
         )
+
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, demo_two_wave, capsys):
+        # deeper than the decoder recurses: refused as invalid JSON, not a traceback
+        deep = "[" * 100_000 + "]" * 100_000
+        params = tmp_path / "p.json"
+        params.write_text(deep)
+        assert main(["classify", "--params", str(params), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {params} is not valid JSON: maximum recursion depth")
+        snapshots = tmp_path / "snapshots"
+        profile = lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 81))
+        lv.Snapshots(times=np.array([0.0]), profiles=(profile,)).to_dir(snapshots)
+        (snapshots / "manifest.json").write_text(deep)
+        argv = ["speed", "--snapshots", str(snapshots), "--level", "0.4",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        manifest = snapshots / "manifest.json"
+        assert err.startswith(f"usage error: {manifest} is not valid JSON: maximum recursion depth")
+        assert not (tmp_path / "o").exists()
 
     def test_params_not_utf8_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "p.json"

@@ -130,6 +130,12 @@ class TestEvenness:
         assert abs(float(expected) - frozen) < 1e-15
         assert lv.evenness_index(1, 3) == pytest.approx(frozen, abs=1e-12)
 
+    def test_shares_of_a_sum_beyond_the_largest_float(self):
+        # u + v overflows in floats; the shares do not
+        assert lv.evenness_index(1e308, 1e308) == 1.0
+        assert lv.evenness_index(1e308, 5e307) == lv.evenness_index(2, 1)
+        assert lv.evenness_index(F(10) ** 400, 2 * F(10) ** 400) == lv.evenness_index(1, 2)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             lv.evenness_index(0, 0)

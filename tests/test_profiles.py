@@ -1,7 +1,11 @@
-"""The profile CSV codec against the per-cell writer and reader it replaced."""
+"""The profile CSV codec against the per-cell writer and reader it replaced, and the
+snapshot array against ``np.save`` of the stacked run."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -194,8 +198,8 @@ SNAPSHOT_GRIDS = {
 @pytest.mark.parametrize("species", [2, 3])
 @pytest.mark.parametrize("x", list(SNAPSHOT_GRIDS.values()), ids=list(SNAPSHOT_GRIDS))
 def test_snapshot_files_match_reference_writer(tmp_path, species, x):
-    # the middle file's grid has the same values with every zero positive, so
-    # the directory writer must not reuse the first file's "-0" text for it
+    # the middle profile's grid has the same values with every zero positive,
+    # so each snapshot's grid row must keep its own bits
     x = np.array(x, dtype=float)
     rng = np.random.default_rng(species)
     densities = np.array([0.0, -0.0, 5e-324, 1e-310, 1e308, 1.7976931348623157e308, 0.1, 1 / 3])
@@ -204,11 +208,10 @@ def test_snapshot_files_match_reference_writer(tmp_path, species, x):
         for grid in (x, x + 0.0, x)
     )
     Snapshots(times=np.arange(3.0), profiles=profiles).to_dir(tmp_path / "snaps")
-    for idx, prof in enumerate(profiles):
-        names = ["x", *prof.components]
-        reference_write_csv(tmp_path / "ref.csv", names, [getattr(prof, n) for n in names])
-        written = (tmp_path / "snaps" / f"snapshot_{idx:04d}.csv").read_bytes()
-        assert written == (tmp_path / "ref.csv").read_bytes()
+    stacked = np.stack([[getattr(p, n) for n in ("x", *p.components)] for p in profiles])
+    np.save(tmp_path / "ref.npy", stacked)
+    written = (tmp_path / "snaps" / "snapshots.npy").read_bytes()
+    assert written == (tmp_path / "ref.npy").read_bytes()
     back = Snapshots.from_dir(tmp_path / "snaps")
     for got, prof in zip(back.profiles, profiles, strict=True):
         assert got.components == prof.components
@@ -216,34 +219,57 @@ def test_snapshot_files_match_reference_writer(tmp_path, species, x):
 
 
 def _snapshot_dir(path, grids):
-    """A snapshot directory of one file per grid spelling (three nodes each)."""
+    """A snapshot directory of one three-node (x, u, v) snapshot per grid."""
     path.mkdir()
-    for idx, grid in enumerate(grids):
-        rows = [f"{node},1,{k}" for k, node in enumerate(grid)]
-        (path / f"snapshot_{idx:04d}.csv").write_text("x,u,v\n" + "\n".join(rows) + "\n")
-    files = [f"snapshot_{idx:04d}.csv" for idx in range(len(grids))]
+    data = np.array([[grid, [1.0] * 3, [0.0, 1.0, 2.0]] for grid in grids], dtype=float)
+    np.save(path / "snapshots.npy", data)
     (path / "manifest.json").write_text(
-        json.dumps({"files": files, "times": list(range(len(grids)))})
+        json.dumps({"array": "snapshots.npy", "times": list(range(len(grids)))})
     )
-    return [path / name for name in files]
+    return path / "snapshots.npy"
 
 
 def test_snapshot_grid_spelt_another_way_reads_the_same_bits(tmp_path):
-    paths = _snapshot_dir(
-        tmp_path / "snaps", [["0", "0.5", "1"], ["0", "5e-1", "1"], ["0", "0.5", "1"]]
-    )
+    # grids equal in value but not in bits: each snapshot keeps its own row
+    grids = [[-0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [-0.0, 0.5, 1.0]]
+    _snapshot_dir(tmp_path / "snaps", grids)
     snaps = Snapshots.from_dir(tmp_path / "snaps")
-    for path, prof in zip(paths, snaps.profiles, strict=True):
-        _, ref_cols = reference_read_csv(path)
-        assert all(same_bits(getattr(prof, n), ref) for n, ref in zip("xuv", ref_cols))
+    for grid, prof in zip(grids, snaps.profiles, strict=True):
+        assert same_bits(prof.x, np.array(grid))
+        assert not prof.x.flags.writeable and not prof.u.flags.writeable
 
 
 @pytest.mark.parametrize("node", ["0.50000000000000011", "0.49999999999999994"])
 def test_snapshot_grid_of_other_values_is_refused(tmp_path, node):
-    paths = _snapshot_dir(tmp_path / "snaps", [["0", "0.5", "1"], ["0", node, "1"]])
+    path = _snapshot_dir(tmp_path / "snaps", [[0.0, 0.5, 1.0], [0.0, float(node), 1.0]])
     with pytest.raises(ValueError) as info:
         Snapshots.from_dir(tmp_path / "snaps")
-    assert str(info.value) == f"snapshot {paths[1]} is not on the grid of {paths[0]}"
+    manifest = tmp_path / "snaps" / "manifest.json"
+    assert str(info.value) == f"snapshots are not all on one grid in {manifest} and {path}"
+
+
+def test_records_rebuilt_by_pickle_and_copy_keep_their_checks():
+    x = np.linspace(0.0, 1.0, 5)
+    wave = WaveProfile(x, np.ones(5), np.zeros(5), np.full(5, 3.0))
+    records = [
+        wave,
+        ScalarProfile(x, -x),
+        Snapshots(times=[0.0, 1.0], profiles=(wave, WaveProfile(x, x, x, x))),
+    ]
+    for record in records:
+        for rebuilt in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(rebuilt) is type(record)
+            arrays = [getattr(rebuilt, f.name) for f in dataclasses.fields(rebuilt)]
+            if isinstance(rebuilt, Snapshots):
+                arrays = [rebuilt.times] + [
+                    getattr(p, n) for p in rebuilt.profiles for n in ("x", *p.components)
+                ]
+            for got in arrays:
+                assert isinstance(got, np.ndarray) and not got.flags.writeable
+    # a record that fails its checks cannot be smuggled in through pickle
+    bad = pickle.dumps(wave).replace(np.float64(3.0).tobytes(), np.float64(-3.0).tobytes())
+    with pytest.raises(ValueError, match="w samples must be nonnegative"):
+        pickle.loads(bad)
 
 
 def test_empty_point_set_is_header_only(tmp_path):
