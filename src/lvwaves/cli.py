@@ -15,12 +15,19 @@ are accepted, and ``--set key=value`` overrides a key the file holds.
 * the exit code is 0 on success or a passing check, 1 on a failed check or
   domain error, 2 on a usage or parse error.
 
+:func:`main` builds its parser once per process, on its first call, and
+parses every later command line with the same parser: parsing leaves a
+parser unchanged, so in-process callers (scripts, notebooks, the tests) pay
+for the subcommand declarations once.  :func:`build_parser` returns a new
+parser on each call.
+
 The environment variable ``LVWAVES_OUT`` provides the default output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -356,8 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first ``main`` call, not at import, so importing ``lvwaves.cli``
+# costs no parser.  Sharing it is safe: ``parse_args`` does not change the
+# parser, the append action copies --set's default list before appending, and
+# ``main`` writes only to the namespace it gets back.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.out = Path(args.out or os.environ.get("LVWAVES_OUT") or "lvwaves-out")
     try:
         params = None if args.parse is None else _load_params(args, args.parse)

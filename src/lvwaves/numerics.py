@@ -337,9 +337,10 @@ def _kinetics(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     """Method-of-lines run of the reaction-diffusion system.
 
-    ``init`` must be sampled on ``cfg.grid``; the species count follows the
-    parameter type (``w`` samples required exactly for three species).  The
-    scheme must keep densities nonnegative: any sample below
+    ``init`` must be sampled on ``cfg.grid`` and stay at or below
+    ``BLOWUP_LIMIT`` (``ValueError`` before any step); the species count
+    follows the parameter type (``w`` samples required exactly for three
+    species).  The scheme must keep densities nonnegative: any sample below
     ``-NEGATIVITY_FLOOR * scale`` aborts the run, while roundoff-scale
     negatives (the fourth-order stencil can shave underflowed tails by
     ~1e-19) are snapped back to zero.
@@ -352,6 +353,14 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     if len(init.components) != n_species:
         raise ValueError("initial profile components do not match the parameter type")
     state = np.stack([getattr(init, name) for name in init.components])
+    # a start above the limit would overflow the reaction bound into numpy
+    # warnings and a step near zero before the loop's range check saw it
+    peak = float(state.max())
+    if peak > BLOWUP_LIMIT:
+        raise ValueError(
+            f"initial state reaches {peak}, above the admissible limit "
+            f"BLOWUP_LIMIT = {BLOWUP_LIMIT:g}"
+        )
 
     h = cfg.grid.h
     dt = cfg.resolve_dt(float(np.max(diff)), reaction_bound(sigma, comp, state))
@@ -515,16 +524,20 @@ class FrontSpeedEstimate:
     positions: np.ndarray
 
 
-def _crossing_position(x: np.ndarray, f: np.ndarray, level: float) -> float:
+def _crossing_position(x: np.ndarray, f: np.ndarray, level: float, t: float) -> float:
+    """Where the snapshot ``f`` at time ``t`` crosses ``level``, which it must
+    do exactly once."""
     s = f - level
     # signs, not the product, which can underflow to -0.0 across a crossing
     hits = np.nonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0)[0]
     exact = np.nonzero(s == 0)[0]
     n_events = len(hits) + len(exact)
-    if n_events == 0:
-        raise LevelNotCrossedError(f"level {level} is not crossed")
-    if n_events > 1:
-        raise LevelNotCrossedError(f"level {level} is crossed more than once")
+    if n_events != 1:
+        raise LevelNotCrossedError(
+            f"level {level} is crossed {n_events} times in the snapshot at t={t}, not once: "
+            "the component must be a monotone front, and a pulse (such as the paper's w) "
+            "has no single level-set front"
+        )
     if len(exact):
         return float(x[exact[0]])
     i = int(hits[0])
@@ -547,8 +560,10 @@ def estimate_front_speed(
 ) -> FrontSpeedEstimate:
     """Linear fit of the level-set position against time.
 
-    Each snapshot must cross ``level`` exactly once in x.  Positions are
-    refined with a local cubic interpolant around the bracketing cell.
+    Each snapshot must cross ``level`` exactly once in x, so the component
+    must be a monotone front: a pulse crosses a level twice or not at all.
+    Positions are refined with a local cubic interpolant around the
+    bracketing cell.
     """
     _require_finite(level=level)
     if len(snapshots.profiles) < 2:
@@ -556,7 +571,9 @@ def estimate_front_speed(
     if any(component not in prof.components for prof in snapshots.profiles):
         raise ValueError(f"snapshots carry no component {component!r}")
     fields = [getattr(prof, component) for prof in snapshots.profiles]
-    positions = np.array([_crossing_position(snapshots.x, f, level) for f in fields])
+    positions = np.array(
+        [_crossing_position(snapshots.x, f, level, t) for f, t in zip(fields, snapshots.times)]
+    )
     slope, intercept = np.polyfit(snapshots.times, positions, 1)
     fit = slope * snapshots.times + intercept
     rms = float(np.sqrt(np.mean((fit - positions) ** 2)))

@@ -10,6 +10,7 @@ number refusals live here, once each: :func:`_require_positive`, :func:`_require
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -20,32 +21,47 @@ def parse_number(value: object) -> Number:
 
     Accepts ints, floats, Fractions, and strings of the forms ``"41/5"``,
     ``"-3"``, ``"0.25"``.  Integers and slash/integer strings become exact
-    Fractions (so closed-form results stay exact end to end); decimal
-    strings and floats stay floats, and must be finite.
+    Fractions (so closed-form results stay exact end to end), and their
+    magnitude must not exceed the largest float, since every result is also
+    reported as a float; decimal strings and floats stay floats, and must be
+    finite.
     """
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         try:
             if "/" in text:
-                return Fraction(text)
-            if text.lstrip("+-").isdigit():
-                return Fraction(int(text))
-            number = float(text)
+                number = Fraction(text)
+            elif text.lstrip("+-").isdigit():
+                number = Fraction(int(text))
+            else:
+                number = float(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse number {value!r}") from exc
-    elif isinstance(value, float):
+    elif isinstance(value, int):
+        number = Fraction(value)
+    elif isinstance(value, (float, Fraction)):
         number = value
     else:
         raise ValueError(f"expected a number, got {value!r}")
+    if isinstance(number, Fraction):
+        return _in_float_range(number)
     if not math.isfinite(number):
         raise ValueError(f"cannot parse number {value!r}: not finite")
     return number
+
+
+def _in_float_range(exact: Fraction) -> Fraction:
+    """``exact``, refused when its magnitude is above the largest float, where
+    ``float()`` of it overflows (the value itself is not printed: it may have
+    thousands of digits)."""
+    if abs(exact) > sys.float_info.max:
+        digits = math.log10(abs(exact.numerator)) - math.log10(exact.denominator)
+        raise ValueError(
+            f"number of magnitude 1e{math.floor(digits)} is above the float range"
+        )
+    return exact
 
 
 def parse_fields(data: dict, names: tuple[str, ...]) -> dict[str, Number]:

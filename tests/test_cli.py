@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lvwaves as lv
+from lvwaves import cli
 from lvwaves.cli import main
 from lvwaves.profiles import WaveProfile
 from lvwaves.rational import parse_number
@@ -396,6 +397,23 @@ class TestProfileCommands:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_initial_state_above_the_blowup_limit_is_refused_before_stepping(
+        self, tmp_path, capsys
+    ):
+        # the reaction bound of this start overflowed into numpy warnings and
+        # a step of 5.6e-201, then the run stopped at t=5.57e-201
+        x = np.linspace(-10.0, 10.0, 41)
+        WaveProfile(x, np.full(41, 1e200), np.full(41, 0.5)).to_csv(tmp_path / "big.csv")
+        params = write_json(tmp_path / "p.json", STRONG)
+        argv = ["simulate", "--params", params, "--init", str(tmp_path / "big.csv"),
+                "--t-end", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "usage error: initial state reaches 1e+200, above the admissible limit "
+            "BLOWUP_LIMIT = 1e+12\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_profile_not_utf8_is_usage_error(self, tmp_path, capsys):
         params = write_json(tmp_path / "p.json", STRONG)
         bad = tmp_path / "wave.csv"
@@ -535,6 +553,29 @@ class TestSimulationCommands:
              "--level", "0.4", "--out", str(tmp_path / "out")]
         )
         assert code == 2
+
+    def test_speed_of_a_pulse_names_the_snapshot_and_the_crossings(
+        self, tmp_path, paper_spec, capsys
+    ):
+        # w is a pulse: each level below its peak is crossed twice, and a
+        # level above it not at all
+        x = np.linspace(-20.0, 20.0, 401)
+        profiles = tuple(
+            lv.WaveProfile(x, *lv.evaluate_wave(paper_spec, x - 3.0 * t)) for t in (0.0, 0.5)
+        )
+        snaps = lv.Snapshots(times=np.array([0.0, 0.5]), profiles=profiles)
+        snaps.to_dir(tmp_path / "snapshots")
+        peak = float(np.max(snaps.profiles[0].w))
+        for level, count in ((0.4 * peak, 2), (2.0 * peak, 0)):
+            argv = ["speed", "--snapshots", str(tmp_path / "snapshots"), "--component", "w",
+                    "--level", str(level), "--out", str(tmp_path / "out")]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: level {level} is crossed {count} times in the snapshot at t=0.0, "
+                "not once: the component must be a monotone front, and a pulse (such as "
+                "the paper's w) has no single level-set front\n"
+            )
+        assert not (tmp_path / "out").exists()
 
     def test_speed_refuses_snapshot_of_other_components(self, tmp_path, demo_two_wave, capsys):
         # a grid row and four density rows: no species count of the model
@@ -996,6 +1037,24 @@ class TestContract:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("classify", []), ("bounds", []), ("conic", []), ("barrier", ["--side", "lower"])],
+    )
+    def test_exact_integer_above_the_float_range_is_usage_error(
+        self, tmp_path, capsys, command, extra
+    ):
+        # exact values stay exact, but every report gives them as floats too;
+        # float() of this one raised an uncaught OverflowError
+        params = write_json(tmp_path / "p.json", {**STRONG, "c22": 10**400})
+        out = tmp_path / "o"
+        assert main([command, "--params", params, *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: number of magnitude 1e400 is above the float range "
+            f"in the parameter file {params}\n"
+        )
+        assert not out.exists()
+
     def test_malformed_params_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -1082,3 +1141,42 @@ class TestContract:
         assert main([command, *flags, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestSharedParser:
+    """``main`` parses every command line of a process with one parser, built
+    on its first call."""
+
+    def test_an_override_does_not_reach_the_next_call(self, tmp_path):
+        params = write_json(tmp_path / "p.json", STRONG)
+        runs = {}
+        for name, extra in (("before", []), ("override", ["--set", "c21=1/2"]), ("after", [])):
+            out = tmp_path / name
+            assert main(["classify", "--params", params, *extra, "--out", str(out)]) == 0
+            runs[name] = report(out)["regime"]
+        assert runs == {"before": "Strong", "override": "ExclusionVWins", "after": "Strong"}
+        assert cli._parser().parse_args(["classify"]).set == []
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        params = write_json(tmp_path / "p.json", STRONG)
+        good = ["bounds", "--params", params, "--alpha", "2"]
+        assert main([*good, "--out", str(tmp_path / "first")]) == 0
+        assert main(["bounds", "--params", params, "--alpha", "0",
+                     "--out", str(tmp_path / "refused")]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", "--params", params, "--no-such-flag"])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["barrier", "--params", params])  # --side is required
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main([*good, "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "report.json").read_bytes() == (
+            tmp_path / "first" / "report.json"
+        ).read_bytes()
+        assert not (tmp_path / "refused").exists()
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+        assert cli._parser() is not cli.build_parser()

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 from dataclasses import replace
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -214,6 +215,11 @@ def test_parse_number_rejects_non_finite(value):
         (True, "expected a number, got True"),
         ("1/0", "cannot parse number '1/0'"),
         ([1], "expected a number, got [1]"),
+        # exact values above the largest float, whose digits are not printed
+        (-(10**400), "number of magnitude 1e400 is above the float range"),
+        ("1" + "0" * 400, "number of magnitude 1e400 is above the float range"),
+        (f"{10**401}/7", "number of magnitude 1e400 is above the float range"),
+        (F(10**309, 3), "number of magnitude 1e308 is above the float range"),
     ],
 )
 def test_parse_number_refusals(value, message):
@@ -225,6 +231,9 @@ def test_parse_number_refusals(value, message):
 def test_parse_number_returns_a_fraction_itself():
     value = F(41, 5)
     assert parse_number(value) is value
+    # the largest float, exact, is in range; so is a value that reads as 0.0
+    for value in (F(sys.float_info.max), F(1, 10**400)):
+        assert parse_number(value) is value
 
 
 @pytest.mark.parametrize("value", [np.float32("inf"), np.float16("inf"), np.float32("nan"),

@@ -575,7 +575,7 @@ class TestFrontSpeed:
 
     def test_level_never_crossed(self, paper_spec):
         snaps = self._translated_snapshots(paper_spec, n_shots=2)
-        with pytest.raises(LevelNotCrossedError):
+        with pytest.raises(LevelNotCrossedError, match="crossed 0 times in the snapshot at t=0.0"):
             lv.estimate_front_speed(snaps, "u", 2.0)
 
     def test_speed_refuses_the_grid_column(self, demo_two_wave):
@@ -590,7 +590,7 @@ class TestFrontSpeed:
 
     def test_pulse_crosses_twice(self, paper_spec):
         snaps = self._translated_snapshots(paper_spec, n_shots=2)
-        with pytest.raises(LevelNotCrossedError):
+        with pytest.raises(LevelNotCrossedError, match="crossed 2 times .* a pulse"):
             lv.estimate_front_speed(snaps, "w", 0.5)
 
     def test_level_on_a_node_is_read_off_the_node(self):
@@ -624,9 +624,9 @@ class TestFrontSpeed:
         # s[1] * s[2] = -5e-401 rounds to -0.0; the signs still differ
         x = np.linspace(0.0, 4.0, 5)
         f = np.array([3.0, 2.0, 0.5, 0.2, 0.1])
-        position = _crossing_position(x, f * 1e-200, 1e-200)
+        position = _crossing_position(x, f * 1e-200, 1e-200, 0.0)
         assert 1.0 < position < 2.0
-        assert position == pytest.approx(_crossing_position(x, f, 1.0), rel=1e-12)
+        assert position == pytest.approx(_crossing_position(x, f, 1.0, 0.0), rel=1e-12)
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
     def test_non_finite_level_refused(self, paper_spec, level):

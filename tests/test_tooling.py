@@ -1,6 +1,6 @@
 """The package names the benchmark harness uses, the README's CLI examples and
-API names, the declared runtime dependencies, and the contract of the
-package's records.
+API names, the declared runtime dependencies, the contract of the package's
+records, and the one parser ``cli.main`` builds per process.
 
 The harness files are read as source, not imported: importing the worker
 pins thread pools and loads the tracer.
@@ -11,10 +11,12 @@ import builtins
 import dataclasses
 import importlib
 import json
+import os
 import pickle
 import pkgutil
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ import pytest
 
 import lvwaves
 from lvwaves.cli import build_parser, main
+from lvwaves.profiles import uniform_grid
 from lvwaves.report import CheckItem, CheckReport
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +95,13 @@ def _readme_commands() -> list[str]:
     return [line for line in lines if line.startswith("lvwaves ")]
 
 
+def _readme_free_json() -> str:
+    """The README's one JSON block, its example ``free.json``."""
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```json\n(.*?)^```", text, flags=re.M | re.S)
+    return block
+
+
 def test_readme_examples_parse():
     commands = _readme_commands()
     assert commands
@@ -101,12 +111,110 @@ def test_readme_examples_parse():
         assert callable(args.handler), line
 
 
+def _readme_inputs(folder: Path, paper_spec, demo_two_wave) -> None:
+    """The files the README's CLI examples read, written into ``folder``."""
+    two = {"d1": 1, "d2": 1, "sigma1": 1, "sigma2": 1, "c11": 1, "c12": 2, "c21": 3, "c22": 1}
+    files = {
+        "two_species.json": two,
+        "three_species.json": {k: str(v) for k, v in paper_spec.params.to_dict().items()},
+        "existence.json": {**two, "d3": 1, "sigma3": 1, "c31": 1, "c32": 1, "c33": 1,
+                           "theta": 1, "K_sub": 1, "K_super": 2},
+        "fisher.json": {"d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+                        "K_sub": 1, "K_super": 12},
+    }
+    folder.mkdir()
+    (folder / "free.json").write_text(_readme_free_json())
+    for name, data in files.items():
+        (folder / name).write_text(json.dumps(data))
+    lvwaves.wave_profile(paper_spec, uniform_grid(-20.0, 20.0, 401)).to_csv(
+        folder / "wave.csv"
+    )
+    lvwaves.wave_profile(demo_two_wave, uniform_grid(-40.0, 40.0, 801)).to_csv(
+        folder / "background.csv"
+    )
+
+
+def test_readme_examples_write_the_same_bytes_in_one_process_and_in_fresh_ones(
+    tmp_path, monkeypatch, paper_spec, demo_two_wave
+):
+    """The README's CLI examples run twice through one process's ``main``,
+    which parses with one parser, and once as a ``python -m lvwaves`` process
+    each; every run leaves the same exit codes and the same files."""
+    commands = [shlex.split(line, comments=True)[1:] for line in _readme_commands()]
+    # a command without --out writes ./lvwaves-out, where the next one would overwrite it
+    commands = [
+        argv if "--out" in argv else [*argv, "--out", f"out-{i}"]
+        for i, argv in enumerate(commands)
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = {}
+    for name in ("first", "second", "fresh"):
+        folder = tmp_path / name
+        _readme_inputs(folder, paper_spec, demo_two_wave)
+        monkeypatch.chdir(folder)
+        if name == "fresh":
+            codes = [
+                subprocess.run([sys.executable, "-m", "lvwaves", *argv], env=env,
+                               capture_output=True).returncode
+                for argv in commands
+            ]
+        else:
+            codes = [main(argv) for argv in commands]
+        files = {
+            str(path.relative_to(folder)): path.read_bytes()
+            for path in sorted(folder.rglob("*")) if path.is_file()
+        }
+        runs[name] = codes, files
+    codes, files = runs["first"]
+    assert set(codes) <= {0, 1}, codes
+    reports = [name for name in files if name.endswith("report.json")]
+    assert len(reports) == len(commands)
+    for name in ("second", "fresh"):
+        assert runs[name][0] == codes, name
+        assert runs[name][1].keys() == files.keys(), name
+        for path, data in files.items():
+            assert runs[name][1][path] == data, (name, path)
+
+
+def test_main_builds_its_parser_on_the_first_call_only(tmp_path):
+    # a fresh interpreter, since this one's main has already built its parser
+    script = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+
+def count(step):
+    before = len(built)
+    step()
+    return len(built) - before
+
+at_import = count(lambda: __import__("lvwaves.cli"))  # imports lvwaves first
+import lvwaves.cli
+argv = ["evenness", "--u", "1", "--v", "3", "--out", sys.argv[1]]
+first, second = (count(lambda: lvwaves.cli.main(argv)) for _ in range(2))
+print(at_import, first, second, count(lvwaves.cli.build_parser))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    at_import, first, second, one_parser = map(int, run.stdout.split())
+    # a parser is the top-level parser and one subparser per command
+    assert one_parser > 1
+    assert (at_import, first, second) == (0, one_parser, 0)
+
+
 def test_readme_free_json_example_runs(tmp_path):
     # the README says all coefficients of this example come out rational
-    text = (ROOT / "README.md").read_text()
-    (block,) = re.findall(r"^```json\n(.*?)^```", text, flags=re.M | re.S)
     params = tmp_path / "free.json"
-    params.write_text(block)
+    params.write_text(_readme_free_json())
     out = tmp_path / "out"
     assert main(["exact-wave", "--params", str(params), "--out", str(out)]) == 0
     assert "c_exact" in json.loads((out / "report.json").read_text())
