@@ -46,17 +46,24 @@ from .model import (
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
-from .rational import Number, all_exact, parse_fields, parse_number
+from .rational import Number, _in_float_range, all_exact, parse_fields, parse_number
 from .report import CheckReport, read_json, write_json
 
 
 def _exact(**values: Number) -> dict:
-    """Each value as a float under its name, plus ``<name>_exact`` when it is exact."""
+    """Each value as a float under its name, plus ``<name>_exact`` when it is
+    exact; an exact value above the float range is refused by name (in-range
+    inputs can give one: sigma1/c11 with c11 = 1/10**400)."""
     out = {}
     for name, value in values.items():
-        out[name] = float(value)
         if all_exact(value):
+            try:
+                out[name] = float(_in_float_range(value))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
             out[name + "_exact"] = str(value)
+        else:
+            out[name] = float(value)
     return out
 
 

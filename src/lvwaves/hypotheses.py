@@ -41,13 +41,21 @@ from fractions import Fraction
 
 from .model import _TWO_FIELDS, ThreeSpeciesParams, TwoSpeciesParams, _ratios
 from .nbarrier import _lower_bound_at, bounds
-from .rational import Number, _require_finite, _require_positive, all_exact, parse_fields
+from .rational import (
+    Number,
+    _reduce_by_init,
+    _require_finite,
+    _require_positive,
+    all_exact,
+    parse_fields,
+)
 from .report import CheckItem, CheckReport
 
 _INVADER_FIELDS = ("d3", "sigma3", "c31", "c32", "c33", "theta", "K_sub", "K_super")
 
 
-@dataclass(frozen=True)
+# slotted: a lattice search holds tens of thousands of these, and none caches anything
+@dataclass(frozen=True, slots=True)
 class ExistenceInputs:
     """Two-species background block, third-species data, and the candidate
     sub/super amplitudes.  K_super >= K_sub > 0 is hypothesis H4: it is
@@ -67,6 +75,8 @@ class ExistenceInputs:
         _require_positive(d3=self.d3, sigma3=self.sigma3, c31=self.c31, c32=self.c32, c33=self.c33)
         # their signs are H4's to audit
         _require_finite(theta=self.theta, K_sub=self.K_sub, K_super=self.K_super)
+
+    __reduce__ = _reduce_by_init
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExistenceInputs":

@@ -27,7 +27,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, SingularLinesError
-from .rational import Number, _compare, _is_finite, _require_finite, _require_positive, parse_fields
+from .rational import (
+    Number,
+    _compare,
+    _reduce_by_init,
+    _require_finite,
+    _require_nonnegative,
+    _require_positive,
+    parse_fields,
+)
 
 #: Relative tolerance on the cross products sigma1*c21 vs sigma2*c11 and
 #: sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a tie.
@@ -58,8 +66,7 @@ class TwoSpeciesParams:
         _require_positive(d1=self.d1, d2=self.d2, sigma1=self.sigma1, sigma2=self.sigma2,
                           c11=self.c11, c12=self.c12, c21=self.c21, c22=self.c22)
 
-    def __getstate__(self):  # pickle the fields, not the cached kernel
-        return self.to_dict()
+    __reduce__ = _reduce_by_init  # pickles the fields, not the cached kernel
 
     @cached_property
     def kernel(self) -> "BlockKernel":
@@ -119,10 +126,10 @@ class ThreeSpeciesParams:
         _require_positive(d1=self.d1, d2=self.d2, d3=self.d3, sigma1=self.sigma1,
                           sigma2=self.sigma2, sigma3=self.sigma3, c11=self.c11, c22=self.c22,
                           c33=self.c33)
-        for name in ("c12", "c13", "c21", "c23", "c31", "c32"):
-            value = getattr(self, name)
-            if not (value >= 0 and _is_finite(value)):
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        _require_nonnegative(c12=self.c12, c13=self.c13, c21=self.c21, c23=self.c23,
+                             c31=self.c31, c32=self.c32)
+
+    __reduce__ = _reduce_by_init
 
     @classmethod
     def from_dict(cls, data: dict) -> "ThreeSpeciesParams":

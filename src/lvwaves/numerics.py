@@ -66,12 +66,17 @@ from .profiles import (
     WaveProfile,
     _read_only,
     _read_wave_npy,
-    _reduce_by_init,
     _write_wave_npy,
     check_grid_bounds,
     uniform_grid,
 )
-from .rational import Number, _require_finite, _require_positive
+from .rational import (
+    Number,
+    _reduce_by_init,
+    _require_finite,
+    _require_nonnegative,
+    _require_positive,
+)
 from .report import CheckItem, CheckReport, format_float, read_json, write_json
 
 BLOWUP_LIMIT = 1e12
@@ -211,9 +216,7 @@ def integrate_ode(
     """
     if not isinstance(p, TwoSpeciesParams):
         raise TypeError(f"integrate_ode takes TwoSpeciesParams, got {type(p).__name__}")
-    if u0 < 0 or v0 < 0:
-        raise ValueError("initial densities must be nonnegative")
-    _require_finite(u0=u0, v0=v0)
+    _require_nonnegative(u0=u0, v0=v0)
     _require_positive(t_end=t_end, dt=dt)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end={t_end} and dt={dt} give too many steps to count")

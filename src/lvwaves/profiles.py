@@ -19,12 +19,12 @@ profile from read-only row views of the one array it loads, through every
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .rational import _require_finite
+from .rational import _reduce_by_init, _require_finite
 from .report import FLOAT_SPEC, read_text
 
 #: Relative tolerance on grid-spacing uniformity.
@@ -68,12 +68,6 @@ def _set_samples(obj, fields: tuple[str, ...], nonneg: bool) -> None:
             raise ValueError(f"{name} samples must be finite, got {bad}")
         if nonneg and np.any(a < 0):
             raise ValueError(f"{name} samples must be nonnegative (min {float(np.min(a))})")
-
-
-def _reduce_by_init(self):
-    """Pickle and copy a record as a call of its constructor, so the copy
-    passes the same checks and keeps its arrays read-only."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,20 @@ All closed-form operations in this package are written against plain Python
 arithmetic, so they stay exact whenever every input is an ``int`` or a
 :class:`fractions.Fraction` and fall back to ordinary float arithmetic
 otherwise.  Config files may spell rationals as strings like ``"41/5"``.  The
-number refusals live here, once each: :func:`_require_positive`, :func:`_require_finite`.
+number refusals live here, once each: :func:`_require_positive`,
+:func:`_require_nonnegative`, :func:`_require_finite`.  The two sign rules read
+an exact value's sign from its numerator (a ``Fraction``'s denominator is
+positive): ``Fraction > 0`` goes through ``numbers.Rational`` dispatch, about 15
+times the cost of the slot read, and every exact record construction makes
+several such checks.  :func:`_reduce_by_init` pickles and copies a checked
+record as a call of its constructor.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 Number = int | float | Fraction
@@ -52,7 +59,7 @@ def parse_number(value: object) -> Number:
     return number
 
 
-def _in_float_range(exact: Fraction) -> Fraction:
+def _in_float_range(exact: int | Fraction) -> int | Fraction:
     """``exact``, refused when its magnitude is above the largest float, where
     ``float()`` of it overflows (the value itself is not printed: it may have
     thousands of digits)."""
@@ -66,12 +73,19 @@ def _in_float_range(exact: Fraction) -> Fraction:
 
 def parse_fields(data: dict, names: tuple[str, ...]) -> dict[str, Number]:
     """:func:`parse_number` of each named entry of a config mapping; the
-    ``ValueError`` for a mapping that lacks names lists every one of them."""
+    ``ValueError`` for a mapping that lacks names lists every one of them, and
+    one for an entry :func:`parse_number` refuses starts with its key."""
     missing = [name for name in names if name not in data]
     if missing:
         plural = "s" if len(missing) > 1 else ""
         raise ValueError(f"missing key{plural} " + ", ".join(map(repr, missing)))
-    return {name: parse_number(data[name]) for name in names}
+    values = {}
+    for name in names:
+        try:
+            values[name] = parse_number(data[name])
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return values
 
 
 def all_exact(*values: Number) -> bool:
@@ -101,8 +115,26 @@ def _require_positive(**values: Number) -> None:
     """Raise ``ValueError`` naming the first keyword whose value is not
     strictly positive and finite (NaN and infinities of any real type)."""
     for name, value in values.items():
-        if not (value > 0 and _is_finite(value)):
+        # _numerator is the slot behind Fraction.numerator; subclasses take the generic test
+        if not (value._numerator > 0 if type(value) is Fraction
+                else value > 0 and _is_finite(value)):
             raise ValueError(f"{name} must be strictly positive and finite, got {value}")
+
+
+def _require_nonnegative(**values: Number) -> None:
+    """Raise ``ValueError`` naming the first keyword whose value is negative,
+    NaN or infinite."""
+    for name, value in values.items():
+        if not (value._numerator >= 0 if type(value) is Fraction
+                else value >= 0 and _is_finite(value)):
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _reduce_by_init(self):
+    """Pickle and copy a record as a call of its constructor, so the copy
+    passes the same checks and derives the rest anew (read-only arrays, a
+    cached kernel)."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _compare(lhs: Number, rhs: Number, tol: float) -> int:

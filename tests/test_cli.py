@@ -993,8 +993,12 @@ class TestContract:
     @pytest.mark.parametrize(
         "command, data, extra, refused",
         [
-            ("classify", {**STRONG, "c12": "abc"}, [], "cannot parse number 'abc'"),
-            ("classify", STRONG, ["--set", "c12=abc"], "cannot parse number 'abc'"),
+            # a number refusal starts with its key, for each kind of refusal
+            ("classify", {**STRONG, "c12": "abc"}, [], "c12: cannot parse number 'abc'"),
+            ("classify", STRONG, ["--set", "c12=abc"], "c12: cannot parse number 'abc'"),
+            ("classify", {**STRONG, "c21": "-inf"}, [],
+             "c21: cannot parse number '-inf': not finite"),
+            ("classify", {**STRONG, "c22": True}, [], "c22: expected a number, got True"),
             ("classify", {**STRONG, "d1": 0}, [],
              "d1 must be strictly positive and finite, got 0"),
             ("two-wave", {"d1": 0, "d2": 1, "theta": 1, "sigma1": 41, "sigma2": 1, "k1": 1}, [],
@@ -1011,10 +1015,10 @@ class TestContract:
              "nonexistence audit needs positive c12, c21, c31, c32"),
             # the parameters are read before the (here missing) profile
             ("simulate", {**STRONG, "sigma2": "1/0"}, ["--init", "none.csv", "--t-end", "1"],
-             "cannot parse number '1/0'"),
+             "sigma2: cannot parse number '1/0'"),
             ("fisher", {"d3": 2, "theta": 6, "sigma3": "x", "c31": 0.5, "c32": 0.01, "c33": 1,
                         "K_sub": 1, "K_super": 12}, ["--background", "none.csv"],
-             "cannot parse number 'x'"),
+             "sigma3: cannot parse number 'x'"),
             ("fisher", {"d3": 0, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
                         "K_sub": 1, "K_super": 12}, ["--background", "none.csv"],
              "d3 must be strictly positive and finite, got 0"),
@@ -1022,7 +1026,8 @@ class TestContract:
                         "K_sub": 1, "K_super": 12}, ["--background", "none.csv"],
              "c33 must be strictly positive and finite, got 0"),
         ],
-        ids=["bad-number", "bad-override", "classify-d1-0", "two-wave-d1-0", "exact-wave-theta",
+        ids=["bad-number", "bad-override", "non-finite", "not-a-number", "classify-d1-0",
+             "two-wave-d1-0", "exact-wave-theta",
              "existence-c31", "existence-missing-key", "nonexistence-c13", "nonexistence-c12-0",
              "simulate-zero-denominator", "fisher-sigma3", "fisher-d3-0", "fisher-c33-0"],
     )
@@ -1050,10 +1055,25 @@ class TestContract:
         out = tmp_path / "o"
         assert main([command, "--params", params, *extra, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "usage error: number of magnitude 1e400 is above the float range "
+            "usage error: c22: number of magnitude 1e400 is above the float range "
             f"in the parameter file {params}\n"
         )
         assert not out.exists()
+
+    def test_exact_result_above_the_float_range_is_usage_error(self, tmp_path, capsys):
+        # every input is in range, but sigma1/c11 = 10**400 and so is q_upper:
+        # float() of it raised an uncaught OverflowError
+        params = write_json(tmp_path / "p.json", {**STRONG, "c11": "1/1" + "0" * 400})
+        weights = ["--alpha", "1", "--beta", "1"]
+        out = tmp_path / "o"
+        assert main(["bounds", "--params", params, *weights, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: q_upper: number of magnitude 1e400 is above the float range\n"
+        )
+        assert not out.exists()
+        for command, extra in [("classify", []), ("conic", weights),
+                               ("barrier", [*weights, "--side", "lower"])]:
+            assert main([command, "--params", params, *extra, "--out", str(out)]) == 0
 
     def test_malformed_params_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -313,3 +314,16 @@ def test_existence_inputs_leave_amplitude_signs_to_h4(demo_inputs):
     fields = {k: getattr(demo_inputs, k) for k in ExistenceInputs.__dataclass_fields__}
     report = lv.existence_report(ExistenceInputs(**{**fields, "K_sub": F(-1)}))
     assert not report.item("H4").passed
+
+
+def test_slotted_existence_inputs_keep_replace_equality_hash_and_pickle(demo_inputs):
+    # the lattice holds tens of thousands of these: slots, and no instance dict
+    assert not hasattr(demo_inputs, "__dict__")
+    same = replace(demo_inputs)
+    assert same == demo_inputs and same is not demo_inputs
+    assert hash(same) == hash(demo_inputs)
+    other = replace(demo_inputs, K_super=demo_inputs.K_super + 1)
+    assert other != demo_inputs and other.K_super == demo_inputs.K_super + 1
+    back = pickle.loads(pickle.dumps(demo_inputs))
+    assert back == demo_inputs and hash(back) == hash(demo_inputs)
+    assert lv.existence_report(back) == lv.existence_report(demo_inputs)

@@ -1,5 +1,7 @@
+import copy
 import math
 import pickle
+import struct
 import sys
 from dataclasses import replace
 from decimal import Decimal, getcontext
@@ -7,14 +9,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lvwaves as lv
 from lvwaves.errors import DomainError, RegimeError, SingularLinesError
+from lvwaves.hypotheses import ExistenceInputs
 from lvwaves.model import Regime
 from lvwaves.numerics import GridSpec, SimConfig
-from lvwaves.rational import _is_finite, parse_number
+from lvwaves.rational import (
+    _is_finite,
+    _require_nonnegative,
+    _require_positive,
+    parse_number,
+)
 
 from conftest import as_float, positive_rationals, two_species_params
 
@@ -254,6 +262,65 @@ def test_exact_values_stay_finite_without_a_float_conversion():
     assert _is_finite(huge) and _is_finite(10**400)
     p = lv.TwoSpeciesParams(**{**_BLOCK, "d1": huge, "c12": 10**400})
     assert p.d1 == huge
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+# every real type a record field or argument may hold, with the edge values
+_SIGNED_REALS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    st.sampled_from([F(0), F(-1, 3), F(10**400, 3), F(-(10**400), 7)]),
+    st.fractions().map(_FractionSubclass),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+)
+
+
+@seed(2015)
+@settings(max_examples=400)
+@given(_SIGNED_REALS)
+def test_sign_rules_match_the_generic_test(value):
+    """The sign rules read an exact Fraction's sign from its numerator; every
+    value is accepted or refused as the generic comparison decides, in the
+    same words."""
+    for rule, holds, wording in (
+        (_require_positive, value > 0, "strictly positive and finite"),
+        (_require_nonnegative, value >= 0, "nonnegative and finite"),
+    ):
+        if holds and _is_finite(value):
+            rule(x=value)
+        else:
+            with pytest.raises(ValueError) as info:
+                rule(x=value)
+            assert str(info.value) == f"x must be {wording}, got {value}"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: lv.TwoSpeciesParams(**{**_BLOCK, "c11": 7.0}),
+     "c11 must be strictly positive and finite, got -7.0"),
+    (lambda: ExistenceInputs(lv.TwoSpeciesParams(**_BLOCK), d3=1, sigma3=1, c31=1, c32=7.0,
+                             c33=1, theta=1, K_sub=1, K_super=2),
+     "c32 must be strictly positive and finite, got -7.0"),
+    (lambda: lv.ThreeSpeciesParams(**{**_BLOCK, "c12": 7.0}, d3=1, sigma3=1, c13=0, c23=0,
+                                   c31=1, c32=1, c33=1),
+     "c12 must be nonnegative and finite, got -7.0"),
+], ids=["two-species", "existence-inputs", "three-species"])
+def test_parameter_records_rebuilt_by_pickle_and_copy_keep_their_checks(make, message):
+    record = make()
+    for rebuilt in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert rebuilt == record and type(rebuilt) is type(record)
+    # a record that fails its checks cannot be smuggled in through pickle
+    data = pickle.dumps(record)
+    assert data.count(struct.pack(">d", 7.0)) == 1
+    with pytest.raises(ValueError) as info:
+        pickle.loads(data.replace(struct.pack(">d", 7.0), struct.pack(">d", -7.0)))
+    assert str(info.value) == message
 
 
 class TestBlockKernel:

@@ -195,14 +195,14 @@ class TestIntegrateOde:
 
     @pytest.mark.parametrize("name, value", [
         ("u0", np.nan), ("u0", np.inf), ("v0", np.nan), ("t_end", np.inf), ("t_end", np.nan),
-        ("dt", np.nan),
+        ("dt", np.nan), ("u0", -0.1), ("v0", -np.inf),
     ])
     def test_non_finite_argument_rejected(self, strong_params, name, value):
         kwargs = {"u0": 0.5, "v0": 0.5, "t_end": 1.0, "dt": 0.05, name: value}
         with pytest.raises(ValueError) as info:
             lv.integrate_ode(strong_params, **kwargs)
-        # the start only has to be finite; the time and the step are positive too
-        rule = "finite" if name in ("u0", "v0") else "strictly positive and finite"
+        # the start may sit on an axis; the time and the step are positive
+        rule = "nonnegative and finite" if name in ("u0", "v0") else "strictly positive and finite"
         assert str(info.value) == f"{name} must be {rule}, got {value}"
 
 

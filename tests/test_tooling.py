@@ -254,6 +254,29 @@ def test_runtime_dependencies_are_the_imports():
     assert _third_party_imports() == declared
 
 
+def _names_used(path: Path) -> set[str]:
+    """Every name, attribute and imported name the module at ``path`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_number_refusals_go_through_the_rules_in_rational():
+    # a module that tests _is_finite itself writes a refusal of its own; the
+    # rules (_require_positive, _require_nonnegative, _require_finite) are the one home
+    users = [
+        path.name for path in sorted((ROOT / "src" / "lvwaves").rglob("*.py"))
+        if path.name != "rational.py" and "_is_finite" in _names_used(path)
+    ]
+    assert users == []
+
+
 def _package_dataclasses() -> list[type]:
     """Every dataclass defined in a module of ``lvwaves`` (``__main__`` runs
     the CLI on import, and defines none)."""
