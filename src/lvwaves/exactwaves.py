@@ -63,9 +63,7 @@ import numpy as np
 from .errors import ConsistencyError, InfeasibleError, NonPositiveCoefficientError
 from .model import ThreeSpeciesParams, TwoSpeciesParams, coexistence_equilibrium
 from .profiles import WaveProfile
-from .rational import Number, _compare, _require_finite, _require_positive, all_exact, parse_fields
-
-_FREE_FIELDS = ("k1", "k2", "d1", "d2", "d3", "theta", "sigma1", "sigma2", "sigma3")
+from .rational import Number, _compare, _from_dict, _require_finite, _require_positive, all_exact
 
 #: Relative tolerance for runtime identity checks (v* = 4 k1, input matching).
 IDENTITY_TOL = 1e-12
@@ -94,9 +92,7 @@ class FreeParams:
         if 2 * self.d1 + self.theta == 0:
             raise ValueError("2*d1 + theta must be nonzero")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FreeParams":
-        return cls(**parse_fields(data, _FREE_FIELDS))
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)
@@ -154,8 +150,9 @@ def induce_coefficients(free: FreeParams) -> ExactWaveSpec:
     return ExactWaveSpec(params=params, k1=k1, k2=k2, theta=th, u_star=eq.u, v_star=eq.v)
 
 
-def _ansatz(spec: ExactWaveSpec, x):
-    """(u, v[, w]) of the tanh ansatz at x; ``k2=None`` drops w (two species)."""
+def evaluate_wave(spec: ExactWaveSpec, x):
+    """(u, v[, w]) of the exact wave at x (scalar or array); ``k2=None``
+    drops w (two species)."""
     us = float(spec.u_star)
     t = np.tanh(x)
     fields = [0.5 * (us + 1.0) + 0.5 * (us - 1.0) * t, float(spec.k1) * (1.0 + t) ** 2]
@@ -172,11 +169,6 @@ def _tanh_pulse(k: float, t):
     return k * s, -2.0 * k * t * s, -2.0 * k * s * (1.0 - 3.0 * t * t)
 
 
-def evaluate_wave(spec: ExactWaveSpec, x):
-    """Evaluate (u, v[, w]) of the exact wave at x (scalar or array)."""
-    return _ansatz(spec, x)
-
-
 def wave_profile(spec: ExactWaveSpec, x: np.ndarray) -> WaveProfile:
     return WaveProfile(x, *evaluate_wave(spec, np.asarray(x, dtype=float)))
 
@@ -191,7 +183,7 @@ def residual(spec: ExactWaveSpec, grid: np.ndarray) -> tuple[float, ...]:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("residual grid must be nonempty")
-    fields = _ansatz(spec, grid)
+    fields = evaluate_wave(spec, grid)
     t = np.tanh(grid)
     s = 1.0 - t * t  # d tanh / dx
     b = 0.5 * (float(spec.u_star) - 1.0)

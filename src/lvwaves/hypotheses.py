@@ -36,10 +36,10 @@ expressions.  The two give the same floats bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .model import _TWO_FIELDS, ThreeSpeciesParams, TwoSpeciesParams, _ratios
+from .model import ThreeSpeciesParams, TwoSpeciesParams, _ratios
 from .nbarrier import _lower_bound_at, bounds
 from .rational import (
     Number,
@@ -50,8 +50,6 @@ from .rational import (
     parse_fields,
 )
 from .report import CheckItem, CheckReport
-
-_INVADER_FIELDS = ("d3", "sigma3", "c31", "c32", "c33", "theta", "K_sub", "K_super")
 
 
 # slotted: a lattice search holds tens of thousands of these, and none caches anything
@@ -80,9 +78,14 @@ class ExistenceInputs:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExistenceInputs":
-        values = parse_fields(data, _TWO_FIELDS + _INVADER_FIELDS)
-        block = TwoSpeciesParams(**{k: values.pop(k) for k in _TWO_FIELDS})
+        block_names = tuple(f.name for f in fields(TwoSpeciesParams))
+        values = parse_fields(data, block_names + _INVADER_FIELDS)
+        block = TwoSpeciesParams(**{k: values.pop(k) for k in block_names})
         return cls(two_species=block, **values)
+
+
+#: The invader's keys, after the block's in a parameter file: every other field.
+_INVADER_FIELDS = tuple(f.name for f in fields(ExistenceInputs) if f.name != "two_species")
 
 
 @dataclass(frozen=True)

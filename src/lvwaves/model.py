@@ -21,7 +21,7 @@ and (u*, v*) are derived once per instance (:attr:`TwoSpeciesParams.kernel`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -30,23 +30,18 @@ from .errors import DomainError, SingularLinesError
 from .rational import (
     Number,
     _compare,
+    _from_dict,
     _reduce_by_init,
     _require_finite,
     _require_nonnegative,
     _require_positive,
-    parse_fields,
+    _to_dict,
 )
 
 #: Relative tolerance on the cross products sigma1*c21 vs sigma2*c11 and
 #: sigma2*c12 vs sigma1*c22 below which a regime comparison counts as a tie.
 #: Products avoid divisions, so exact inputs compare exactly.
 DEGENERACY_TOL = 1e-9
-
-_TWO_FIELDS = ("d1", "d2", "sigma1", "sigma2", "c11", "c12", "c21", "c22")
-_THREE_FIELDS = (
-    "d1", "d2", "d3", "sigma1", "sigma2", "sigma3",
-    "c11", "c12", "c13", "c21", "c22", "c23", "c31", "c32", "c33",
-)
 
 
 @dataclass(frozen=True)
@@ -67,6 +62,8 @@ class TwoSpeciesParams:
                           c11=self.c11, c12=self.c12, c21=self.c21, c22=self.c22)
 
     __reduce__ = _reduce_by_init  # pickles the fields, not the cached kernel
+    from_dict = classmethod(_from_dict)
+    to_dict = _to_dict
 
     @cached_property
     def kernel(self) -> "BlockKernel":
@@ -78,13 +75,6 @@ class TwoSpeciesParams:
             state = exc
         return BlockKernel(classify_regime(self), min(u_side), max(u_side), min(v_side),
                            max(v_side), min(d_side), max(d_side), state)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TwoSpeciesParams":
-        return cls(**parse_fields(data, _TWO_FIELDS))
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _TWO_FIELDS}
 
     def swapped(self) -> "TwoSpeciesParams":
         """Relabel the species (u <-> v)."""
@@ -130,13 +120,8 @@ class ThreeSpeciesParams:
                              c31=self.c31, c32=self.c32)
 
     __reduce__ = _reduce_by_init
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ThreeSpeciesParams":
-        return cls(**parse_fields(data, _THREE_FIELDS))
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _THREE_FIELDS}
+    from_dict = classmethod(_from_dict)
+    to_dict = _to_dict
 
     def c(self, i: int, j: int) -> Number:
         return getattr(self, f"c{i}{j}")
@@ -146,10 +131,7 @@ class ThreeSpeciesParams:
 
     def two_species_block(self) -> TwoSpeciesParams:
         """The (u, v) subsystem obtained by deleting the third row and column."""
-        return TwoSpeciesParams(
-            d1=self.d1, d2=self.d2, sigma1=self.sigma1, sigma2=self.sigma2,
-            c11=self.c11, c12=self.c12, c21=self.c21, c22=self.c22,
-        )
+        return TwoSpeciesParams(**{f.name: getattr(self, f.name) for f in fields(TwoSpeciesParams)})
 
 
 @dataclass(frozen=True)
@@ -260,9 +242,8 @@ def evenness_index(u: Number, v: Number) -> float:
     J = -[u ln(u/(u+v)) + v ln(v/(u+v))] / (ln(2) (u+v)), with 0 ln 0 := 0.
     J lies in [0, 1] and equals 1 exactly when u == v > 0.
     """
-    if u < 0 or v < 0:
-        raise DomainError(f"densities must be nonnegative, got u={u}, v={v}")
-    _require_finite(u=u, v=v)
+    _require_finite(u=u, v=v)  # NaN and infinities keep the finite rule's wording
+    _require_nonnegative(u=u, v=v)
     if u == 0 and v == 0:
         raise DomainError("evenness index undefined for u + v == 0")
     # the share u / (u + v) in exact arithmetic: a float u + v can overflow

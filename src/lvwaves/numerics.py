@@ -324,16 +324,13 @@ class Snapshots:
 
 
 def _kinetics(p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(p, ThreeSpeciesParams):
-        sigma = np.array([p.sigma1, p.sigma2, p.sigma3], dtype=float)
-        comp = np.array(p.competition_matrix(), dtype=float)
-        diff = np.array([p.d1, p.d2, p.d3], dtype=float)
-    elif isinstance(p, TwoSpeciesParams):
-        sigma = np.array([p.sigma1, p.sigma2], dtype=float)
-        comp = np.array([[p.c11, p.c12], [p.c21, p.c22]], dtype=float)
-        diff = np.array([p.d1, p.d2], dtype=float)
-    else:
+    """Float diffusions, growth rates and competition matrix, read as d{i}, sigma{i}, c{i}{j}."""
+    if not isinstance(p, (TwoSpeciesParams, ThreeSpeciesParams)):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
+    species = range(1, 3 if isinstance(p, TwoSpeciesParams) else 4)
+    diff = np.array([getattr(p, f"d{i}") for i in species], dtype=float)
+    sigma = np.array([getattr(p, f"sigma{i}") for i in species], dtype=float)
+    comp = np.array([[getattr(p, f"c{i}{j}") for j in species] for i in species], dtype=float)
     return diff, sigma, comp
 
 
@@ -367,6 +364,8 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
 
     h = cfg.grid.h
     dt = cfg.resolve_dt(float(np.max(diff)), reaction_bound(sigma, comp, state))
+    if not math.isfinite(cfg.t_end / dt):
+        raise ValueError(f"t_end={cfg.t_end} and dt={dt} give too many steps to count")
     n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
     dt = cfg.t_end / n_steps
     if cfg.n_snapshots > n_steps + 1:
@@ -624,7 +623,7 @@ class Side(Enum):
 @dataclass(frozen=True)
 class Candidate:
     """Sub/supersolution candidate: a constant, the tanh pulse K (1 - tanh^2 x),
-    or an arbitrary sampled field."""
+    or an arbitrary sampled field, at most ``BLOWUP_LIMIT`` in magnitude."""
 
     kind: str
     amplitude: float | None = None
@@ -635,8 +634,17 @@ class Candidate:
             raise ValueError(f"unknown candidate kind {self.kind!r}")
         if self.kind != "sampled":
             _require_finite(amplitude=self.amplitude)
-        elif not np.isfinite(np.asarray(self.values, dtype=float)).all():
-            raise ValueError("sampled candidate values must be finite")
+            name, peak = "|amplitude|", abs(self.amplitude)
+        else:
+            values = np.asarray(self.values, dtype=float)
+            if not np.isfinite(values).all():
+                raise ValueError("sampled candidate values must be finite")
+            name, peak = "max |values|", float(np.max(np.abs(values), initial=0.0))
+        # beyond it the audit's w (g - c33 w) overflows
+        if peak > BLOWUP_LIMIT:
+            raise ValueError(
+                f"{name} = {peak} is above the admissible limit BLOWUP_LIMIT = {BLOWUP_LIMIT:g}"
+            )
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "sampled":

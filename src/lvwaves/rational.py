@@ -10,7 +10,9 @@ an exact value's sign from its numerator (a ``Fraction``'s denominator is
 positive): ``Fraction > 0`` goes through ``numbers.Rational`` dispatch, about 15
 times the cost of the slot read, and every exact record construction makes
 several such checks.  :func:`_reduce_by_init` pickles and copies a checked
-record as a call of its constructor.
+record as a call of its constructor, and :func:`_from_dict` and
+:func:`_to_dict` read and write a flat parameter record by its own field
+names, so each record's dataclass is the one list of its fields.
 """
 
 from __future__ import annotations
@@ -135,6 +137,16 @@ def _reduce_by_init(self):
     passes the same checks and derives the rest anew (read-only arrays, a
     cached kernel)."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _from_dict(cls, data: dict):
+    """A record's ``from_dict``: :func:`parse_fields` over its field names, in order."""
+    return cls(**parse_fields(data, tuple(f.name for f in fields(cls))))
+
+
+def _to_dict(self) -> dict:
+    """A record's ``to_dict``: its fields by name, in order."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _compare(lhs: Number, rhs: Number, tol: float) -> int:

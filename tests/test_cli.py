@@ -466,10 +466,16 @@ class TestSimulationCommands:
             (["--t-end", "0.5", "--n-snapshots", "0"], "n_snapshots"),
             (["--t-end", "0.5", "--n-snapshots", "-3"], "n_snapshots"),
             (["--t-end", "0.001", "--n-snapshots", "3"], "n_snapshots=3 exceeds the 2"),
+            # t_end / dt overflowed to inf, and counting its steps raised OverflowError
+            (["--t-end", "1e308"],
+             "t_end=1e+308 and dt=0.002487347424828819 give too many steps to count"),
+            (["--t-end", "0.01", "--dt", "1e-320"],
+             "t_end=0.01 and dt=1e-320 give too many steps to count"),
         ],
         ids=[
             "t_end-inf", "t_end-nan", "dt-nan", "dt-text", "n_snapshots-0", "n_snapshots-negative",
-            "n_snapshots-beyond-steps",
+            "n_snapshots-beyond-steps", "steps-beyond-the-float-range-t_end",
+            "steps-beyond-the-float-range-dt",
         ],
     )
     def test_bad_time_or_snapshot_count_is_usage_error(
@@ -806,6 +812,29 @@ class TestSimulationCommands:
         assert data["solved"] is False
         assert data["sub_check"]["pass"] and not data["super_check"]["pass"]
         assert not (out / "w.csv").exists()
+
+    @pytest.mark.parametrize("k_super", ["1e300", "1e200"])
+    def test_fisher_amplitude_above_the_blowup_limit_is_usage_error(
+        self, tmp_path, demo_two_wave, capsys, k_super
+    ):
+        # the super audit passed on an overflowed residual, with numpy
+        # warnings, and the sweeps ran on NaN until "no convergence"
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+        cfgd = {
+            "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+            "K_sub": 1, "K_super": k_super,
+        }
+        params = write_json(tmp_path / "p.json", cfgd)
+        code = main(
+            ["fisher", "--params", params, "--background", str(tmp_path / "bg.csv"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: |amplitude| = {float(k_super)} is above the admissible limit "
+            "BLOWUP_LIMIT = 1e+12\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_fisher_peclet_above_one_exits_1(self, tmp_path, demo_two_wave, capsys):
         lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 401)).to_csv(tmp_path / "bg.csv")

@@ -148,7 +148,7 @@ class TestEvenness:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             lv.evenness_index(0, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="u must be nonnegative and finite, got -1"):
             lv.evenness_index(-1, 2)
 
 

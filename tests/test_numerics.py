@@ -727,8 +727,14 @@ class TestSubSuper:
             (lambda: lv.tanh_pulse_candidate(np.inf), "amplitude must be finite, got inf"),
             (lambda: lv.sampled_candidate([0.0, np.nan]), "sampled candidate values must be finite"),
             (lambda: lv.numerics.Candidate(kind="bogus"), "unknown candidate kind 'bogus'"),
+            # beyond BLOWUP_LIMIT the audit's residual overflowed into numpy warnings
+            (lambda: lv.constant_candidate(1e300), "|amplitude| = 1e+300 is above the admissible "
+             "limit BLOWUP_LIMIT = 1e+12"),
+            (lambda: lv.tanh_pulse_candidate(-2e12), "|amplitude| = 2000000000000.0 is above"),
+            (lambda: lv.sampled_candidate([0.0, 1e200]), "max |values| = 1e+200 is above"),
         ],
-        ids=["constant-nan", "tanh_pulse-inf", "sampled-nan", "unknown-kind"],
+        ids=["constant-nan", "tanh_pulse-inf", "sampled-nan", "unknown-kind", "constant-1e300",
+             "tanh_pulse-negative-2e12", "sampled-1e200"],
     )
     def test_candidate_refuses_what_cannot_be_audited(self, make, message):
         with pytest.raises(ValueError, match=re.escape(message)):

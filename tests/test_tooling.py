@@ -18,11 +18,13 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lvwaves
+from lvwaves import rational
 from lvwaves.cli import build_parser, main
 from lvwaves.profiles import uniform_grid
 from lvwaves.report import CheckItem, CheckReport
@@ -275,6 +277,79 @@ def test_number_refusals_go_through_the_rules_in_rational():
         if path.name != "rational.py" and "_is_finite" in _names_used(path)
     ]
     assert users == []
+
+
+def _example(cls) -> object:
+    """An exact instance of a parameter record a parameter file is read into."""
+    free = lvwaves.FreeParams(*map(Fraction, (1, 1, 1, 1, 1, 3, 41, 41, 41)))
+    three = lvwaves.induce_coefficients(free).params
+    return {
+        lvwaves.FreeParams: free,
+        lvwaves.ThreeSpeciesParams: three,
+        lvwaves.TwoSpeciesParams: three.two_species_block(),
+        lvwaves.ExistenceInputs: lvwaves.ExistenceInputs(
+            three.two_species_block(), three.d3, three.sigma3, three.c31, three.c32,
+            three.c33, free.theta, Fraction(1, 3), Fraction(5, 2),
+        ),
+    }[cls]
+
+
+def _flat(record) -> dict:
+    """A record's parameter-file mapping: its fields in order, with a nested
+    block's fields in its place."""
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    block = values.pop("two_species", None)
+    return values if block is None else {**block.to_dict(), **values}
+
+
+_PARAMETER_RECORDS = (
+    lvwaves.TwoSpeciesParams, lvwaves.ThreeSpeciesParams, lvwaves.FreeParams,
+    lvwaves.ExistenceInputs,
+)
+
+
+@pytest.mark.parametrize("cls", _PARAMETER_RECORDS, ids=lambda cls: cls.__name__)
+def test_an_empty_parameter_file_is_refused_naming_every_field_in_order(cls):
+    names = [f.name for f in dataclasses.fields(cls) if f.name != "two_species"]
+    if cls is lvwaves.ExistenceInputs:
+        names = [f.name for f in dataclasses.fields(lvwaves.TwoSpeciesParams)] + names
+    assert list(_flat(_example(cls))) == names
+    with pytest.raises(ValueError) as refusal:
+        cls.from_dict({})
+    assert str(refusal.value) == "missing keys " + ", ".join(map(repr, names))
+
+
+@pytest.mark.parametrize("cls", _PARAMETER_RECORDS, ids=lambda cls: cls.__name__)
+def test_from_dict_of_the_written_fields_round_trips(cls):
+    record = _example(cls)
+    exact = cls.from_dict({k: str(v) for k, v in _flat(record).items()})
+    assert exact == record
+    assert all(type(v) is Fraction for v in _flat(exact).values())
+    floats = cls.from_dict({k: str(float(v)) for k, v in _flat(record).items()})
+    assert _flat(floats) == {k: float(v) for k, v in _flat(record).items()}
+
+
+@pytest.mark.parametrize("cls", _PARAMETER_RECORDS[:3], ids=lambda cls: cls.__name__)
+def test_flat_records_read_and_write_through_the_rules_in_rational(cls):
+    # a from_dict or to_dict of a record's own restates its field list
+    assert cls.from_dict.__func__ is rational._from_dict
+    assert getattr(cls, "to_dict", rational._to_dict) is rational._to_dict
+
+
+def test_no_module_writes_out_a_field_list():
+    # a tuple of field names beside a dataclass drifts from it; read the dataclass
+    written = [
+        f"{path.name}: {target.id}"
+        for path in sorted((ROOT / "src" / "lvwaves").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        and node.value.elts and all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.value.elts
+        )
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_FIELDS")
+    ]
+    assert written == []
 
 
 def _package_dataclasses() -> list[type]:
