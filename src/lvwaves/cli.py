@@ -383,7 +383,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = None if args.parse is None else _load_params(args, args.parse)
         payload, passed = args.handler(args, params)
-        args.out.mkdir(parents=True, exist_ok=True)
         write_json(args.out / "report.json", {"command": args.command, **payload})
     except LVError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,30 +112,36 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
     every number the margins read is exact, they are evaluated on integer
     numerators over positive denominators, with one correctly rounded
     division per reported float; float or mixed inputs take the generic
-    expressions.  Both give the same floats bit for bit.
+    expressions.  Both give the same floats bit for bit.  An exact value, or
+    an exact value mixed with a float, that ``float()`` cannot hold is
+    refused with a ``ValueError`` naming the audit.
     """
     block = inputs.two_species
-    pair = bounds(block, inputs.c31, inputs.c32)
-    q_lo, q_hi = pair.q_lower, pair.q_upper
-    eq = block.kernel.coexistence
-    values = (inputs.c31, inputs.c32, inputs.sigma3, inputs.c33, inputs.d3, inputs.theta,
-              inputs.K_sub, inputs.K_super, eq.u, eq.v, q_lo, q_hi)
-    if all_exact(*values):
-        m_h1, m_h2, m_h3, m_h4, h4_ok = _integer_margins(*values)
-    else:
-        m_h1 = float(
-            min(inputs.c31 - inputs.sigma3, inputs.c31 * eq.u + inputs.c32 * eq.v - inputs.sigma3)
-        )
-        m_h2 = float(inputs.c33 * inputs.K_super + q_lo - inputs.sigma3)
-        a_coef = inputs.c33 * inputs.K_sub + 6 * inputs.d3
-        c_coef = inputs.sigma3 - inputs.c33 * inputs.K_sub - 2 * inputs.d3 - q_hi
-        m_h3 = float(4 * a_coef * c_coef - 4 * inputs.theta * inputs.theta)
-        m_h4 = float(min(inputs.K_super - inputs.K_sub, inputs.K_sub))
-        # the amplitude ordering is non-strict; only K_sub > 0 is strict
-        h4_ok = inputs.K_super >= inputs.K_sub and inputs.K_sub > 0
+    # exact values, and exact values mixed with floats, overflow in float()
+    # rather than to inf, in the block's kernel and bounds as in the margins
+    try:
+        pair = bounds(block, inputs.c31, inputs.c32)
+        q_lo, q_hi = pair.q_lower, pair.q_upper
+        eq = block.kernel.coexistence
+        values = (inputs.c31, inputs.c32, inputs.sigma3, inputs.c33, inputs.d3, inputs.theta,
+                  inputs.K_sub, inputs.K_super, eq.u, eq.v, q_lo, q_hi)
+        if all_exact(*values):
+            m_h1, m_h2, m_h3, m_h4, h4_ok = _integer_margins(*values)
+        else:
+            m_h1 = float(min(inputs.c31 - inputs.sigma3,
+                             inputs.c31 * eq.u + inputs.c32 * eq.v - inputs.sigma3))
+            m_h2 = float(inputs.c33 * inputs.K_super + q_lo - inputs.sigma3)
+            a_coef = inputs.c33 * inputs.K_sub + 6 * inputs.d3
+            c_coef = inputs.sigma3 - inputs.c33 * inputs.K_sub - 2 * inputs.d3 - q_hi
+            m_h3 = float(4 * a_coef * c_coef - 4 * inputs.theta * inputs.theta)
+            m_h4 = float(min(inputs.K_super - inputs.K_sub, inputs.K_sub))
+            # the amplitude ordering is non-strict; only K_sub > 0 is strict
+            h4_ok = inputs.K_super >= inputs.K_sub and inputs.K_sub > 0
+        f_lo, f_hi = pair.float_bounds
+    except OverflowError:
+        raise _above_the_float_range("existence") from None
 
     h1_ok, h2_ok, h3_ok = m_h1 > 0, m_h2 >= 0, m_h3 >= 0
-    f_lo, f_hi = pair.float_bounds
     items = (
         CheckItem("H1", h1_ok, m_h1, {"q_lower": f_lo, "q_upper": f_hi}),
         CheckItem("H2", h2_ok, m_h2, {}),
@@ -148,6 +154,12 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
         + ", ".join([it.name for it in items if not it.passed])
     )
     return CheckReport(title="existence-audit", passed=passed, items=items, verdict=verdict)
+
+
+def _above_the_float_range(audit: str) -> ValueError:
+    """The refusal of an audit whose exact value (or an exact value mixed with
+    a float) is too large for ``float()``."""
+    return ValueError(f"the {audit} audit has a value above the float range")
 
 
 def _integer_margins(*values: int | Fraction):
@@ -183,33 +195,41 @@ def nonexistence_report(p: ThreeSpeciesParams) -> CheckReport:
     """Audit A1-A3 (both A3 variants) with signed margins.
 
     The overall verdict predicts nonexistence when A1, A2, and at least one
-    A3 variant hold, and it names the variant(s) that passed.
+    A3 variant hold, and it names the variant(s) that passed.  A value that
+    ``float()`` cannot hold is refused as in :func:`existence_report`.
     """
     if p.c12 == 0 or p.c21 == 0 or p.c31 == 0 or p.c32 == 0:
         raise ValueError("nonexistence audit needs positive c12, c21, c31, c32")
-    s = sigma_pair(p)
-    m_a1 = float(min(s.Sigma1, s.Sigma2))
+    try:
+        s = sigma_pair(p)
+        sigmas = float(s.Sigma1), float(s.Sigma2)
+        m_a1 = float(min(s.Sigma1, s.Sigma2))
 
-    strong_branch = min(p.c21 * s.Sigma1 - p.c11 * s.Sigma2, p.c12 * s.Sigma2 - p.c22 * s.Sigma1)
-    weak_branch = min(p.c11 * s.Sigma2 - p.c21 * s.Sigma1, p.c22 * s.Sigma1 - p.c12 * s.Sigma2)
-    m_a2 = float(max(strong_branch, weak_branch))
+        strong_branch = min(p.c21 * s.Sigma1 - p.c11 * s.Sigma2,
+                            p.c12 * s.Sigma2 - p.c22 * s.Sigma1)
+        weak_branch = min(p.c11 * s.Sigma2 - p.c21 * s.Sigma1,
+                          p.c22 * s.Sigma1 - p.c12 * s.Sigma2)
+        branches = float(strong_branch), float(weak_branch)
+        m_a2 = float(max(strong_branch, weak_branch))
 
-    a3_rhs = p.sigma3 * p.c33
-    u_side, v_side, d_side = _ratios(p, s.Sigma1, s.Sigma2)
-    shifted = (min(u_side), min(v_side), min(d_side))
-    m_a3_lit = float(_lower_bound_at(p.c31 * p.d1, p.c32 * p.d2, *shifted) - a3_rhs)
-    m_a3_var = float(_lower_bound_at(p.c31, p.c32, *shifted) - a3_rhs)
+        a3_rhs = p.sigma3 * p.c33
+        u_side, v_side, d_side = _ratios(p, s.Sigma1, s.Sigma2)
+        shifted = (min(u_side), min(v_side), min(d_side))
+        m_a3_lit = float(_lower_bound_at(p.c31 * p.d1, p.c32 * p.d2, *shifted) - a3_rhs)
+        m_a3_var = float(_lower_bound_at(p.c31, p.c32, *shifted) - a3_rhs)
+    except OverflowError:
+        raise _above_the_float_range("nonexistence") from None
     a1_ok, a2_ok = m_a1 > 0, m_a2 > 0
     lit_ok, var_ok = m_a3_lit >= 0, m_a3_var >= 0
 
     items = (
-        CheckItem("A1", a1_ok, m_a1, {"Sigma1": float(s.Sigma1), "Sigma2": float(s.Sigma2)}),
+        CheckItem("A1", a1_ok, m_a1, {"Sigma1": sigmas[0], "Sigma2": sigmas[1]}),
         CheckItem(
             "A2", a2_ok, m_a2,
             {
                 "branch": "strong" if strong_branch >= weak_branch else "weak",
-                "strong_margin": float(strong_branch),
-                "weak_margin": float(weak_branch),
+                "strong_margin": branches[0],
+                "weak_margin": branches[1],
             },
         ),
         CheckItem("A3_literal", lit_ok, m_a3_lit, {"d_factors": True}),

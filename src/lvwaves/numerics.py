@@ -17,9 +17,11 @@ discrete diffusion at second or fourth order to R, a Gershgorin bound on the
 reaction Jacobian over the initial state's range.  dt="auto" takes 80
 percent of that bound; an explicit dt above it is refused before the first
 step, naming the term that binds.  A snapshot count above the run's
-n_steps + 1 time levels is refused before the first step.  Each simulation
-run is sequential and deterministic; independent runs may execute in
-parallel.
+n_steps + 1 time levels is refused before the first step, as are a start
+above BLOWUP_LIMIT and a t_end / dt that no array of time levels holds (a dt
+of 0 included): one rule each, shared with ``integrate_ode`` and
+``Candidate``.  Each simulation run is sequential and deterministic;
+independent runs may execute in parallel.
 
 Each step runs in buffers and slice views built once per run, with the
 interior stencil on the flat (species * n) state buffer.  The diffusion and
@@ -106,6 +108,23 @@ class Scheme(Enum):
 #: eigenvalue -lambda when dt * lambda <= C (classical RK4: Hairer and
 #: Wanner, Solving ODEs II, section IV.2).
 STABILITY_INTERVAL = {Scheme.EXPLICIT_EULER: 2.0, Scheme.RK4MOL: 2.785}
+
+
+def _step_ratio(t_end: float, dt: float) -> float:
+    """``t_end / dt``, each integrator's step count before its own rounding;
+    refused unless ``dt > 0`` and the ratio is below ``np.iinfo(np.intp).max``,
+    the most steps an array of time levels can hold."""
+    if not (dt > 0 and t_end / dt < np.iinfo(np.intp).max):
+        raise ValueError(f"t_end={t_end} and dt={dt} give too many steps to count")
+    return t_end / dt
+
+
+def _require_below_blowup(what: str, peak: float) -> None:
+    """Refuse a start or candidate whose ``peak`` is above ``BLOWUP_LIMIT``."""
+    if peak > BLOWUP_LIMIT:
+        raise ValueError(
+            f"{what} = {peak} is above the admissible limit BLOWUP_LIMIT = {BLOWUP_LIMIT:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -218,8 +237,7 @@ def integrate_ode(
         raise TypeError(f"integrate_ode takes TwoSpeciesParams, got {type(p).__name__}")
     _require_nonnegative(u0=u0, v0=v0)
     _require_positive(t_end=t_end, dt=dt)
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"t_end={t_end} and dt={dt} give too many steps to count")
+    n_steps = max(1, round(_step_ratio(t_end, dt)))
     _, sigma, comp = _kinetics(p)
     s1, s2 = sigma.tolist()
     (a11, a12), (a21, a22) = comp.tolist()
@@ -227,11 +245,6 @@ def integrate_ode(
     def f(u, v):
         return u * (s1 - a11 * u - a12 * v), v * (s2 - a21 * u - a22 * v)
 
-    n_steps = max(1, round(t_end / dt))
-    if n_steps >= np.iinfo(np.intp).max:
-        raise ValueError(
-            f"t_end={t_end} and dt={dt} give {n_steps} steps, more than an array can hold"
-        )
     step = t_end / n_steps
     box = np.array([[0, max(u0, s1 / a11)], [0, max(v0, s2 / a22)]], dtype=float)
     reaction = reaction_bound(sigma, comp, box)
@@ -355,18 +368,10 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
     state = np.stack([getattr(init, name) for name in init.components])
     # a start above the limit would overflow the reaction bound into numpy
     # warnings and a step near zero before the loop's range check saw it
-    peak = float(state.max())
-    if peak > BLOWUP_LIMIT:
-        raise ValueError(
-            f"initial state reaches {peak}, above the admissible limit "
-            f"BLOWUP_LIMIT = {BLOWUP_LIMIT:g}"
-        )
+    _require_below_blowup("max initial state", float(state.max()))
 
-    h = cfg.grid.h
     dt = cfg.resolve_dt(float(np.max(diff)), reaction_bound(sigma, comp, state))
-    if not math.isfinite(cfg.t_end / dt):
-        raise ValueError(f"t_end={cfg.t_end} and dt={dt} give too many steps to count")
-    n_steps = max(1, int(np.ceil(cfg.t_end / dt - 1e-12)))
+    n_steps = max(1, int(np.ceil(_step_ratio(cfg.t_end, dt) - 1e-12)))
     dt = cfg.t_end / n_steps
     if cfg.n_snapshots > n_steps + 1:
         raise ValueError(
@@ -375,7 +380,7 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
         )
 
     dirichlet = cfg.grid.boundary is BoundaryKind.DIRICHLET_FROM_PROFILE
-    inv_h2 = 1.0 / (h * h)
+    inv_h2 = 1.0 / (cfg.grid.h * cfg.grid.h)
     n = x.size
     # full-shape coefficients: the same products as a (species, 1) column,
     # without the broadcast that makes each pass about twice as slow
@@ -453,12 +458,8 @@ def simulate_pde(p, init: WaveProfile, cfg: SimConfig) -> Snapshots:
         if dirichlet:
             out_ends.fill(0.0)
 
-    if cfg.n_snapshots > 1:
-        snap_steps = {
-            round(j * n_steps / (cfg.n_snapshots - 1)) for j in range(cfg.n_snapshots)
-        }
-    else:
-        snap_steps = {n_steps}
+    last = cfg.n_snapshots - 1
+    snap_steps = {round(j * n_steps / last) for j in range(cfg.n_snapshots)} if last else {n_steps}
     times: list[float] = []
     profiles: list[WaveProfile] = []
 
@@ -603,8 +604,8 @@ class FisherContext:
     def __post_init__(self):
         _require_positive(c33=self.c33, d3=self.d3)
         _require_finite(theta=self.theta, sigma3=self.sigma3, c31=self.c31, c32=self.c32)
-        if self.background.x.size < 3:
-            raise ValueError("background grid needs at least three nodes")
+        x = self.background.x  # GridSpec's rule: three nodes or more, a finite 1/h**2
+        GridSpec(x_min=float(x[0]), x_max=float(x[-1]), n=x.size)
 
     def linear_coefficient(self) -> np.ndarray:
         """sigma3 - c31 u - c32 v on the background grid."""
@@ -641,10 +642,7 @@ class Candidate:
                 raise ValueError("sampled candidate values must be finite")
             name, peak = "max |values|", float(np.max(np.abs(values), initial=0.0))
         # beyond it the audit's w (g - c33 w) overflows
-        if peak > BLOWUP_LIMIT:
-            raise ValueError(
-                f"{name} = {peak} is above the admissible limit BLOWUP_LIMIT = {BLOWUP_LIMIT:g}"
-            )
+        _require_below_blowup(name, peak)
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "sampled":
@@ -696,19 +694,21 @@ def check_sub_super(ctx: FisherContext, candidate: Candidate, side: Side) -> Che
     margin is min(R) for the sub side and -max(R) for the super side.
     """
     x = ctx.background.x
-    d3, th, g, c33 = float(ctx.d3), float(ctx.theta), ctx.linear_coefficient(), float(ctx.c33)
-    if candidate.kind == "sampled":
-        h = float(x[1] - x[0])
-        residual, x_used = _invader_residual(candidate.sample(x), g, c33, d3, th, h), x[1:-1]
-    else:
-        w, dw, d2w = candidate.fields(x)
-        residual, x_used = d3 * d2w + th * dw + w * (g - c33 * w), x
-    if side is Side.SUB:
-        idx = int(np.argmin(residual))
-        margin = float(residual[idx])
-    else:
-        idx = int(np.argmax(residual))
-        margin = float(-residual[idx])
+    d3, th, c33 = float(ctx.d3), float(ctx.theta), float(ctx.c33)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = ctx.linear_coefficient()
+        if candidate.kind == "sampled":
+            h = float(x[1] - x[0])
+            residual, x_used = _invader_residual(candidate.sample(x), g, c33, d3, th, h), x[1:-1]
+        else:
+            w, dw, d2w = candidate.fields(x)
+            residual, x_used = d3 * d2w + th * dw + w * (g - c33 * w), x
+    if not np.isfinite(residual).all():
+        raise ValueError(f"{side.value.lower()}solution residual of the {candidate.kind} "
+                         "candidate is not finite: the audit overflows on these coefficients")
+    sub = side is Side.SUB
+    idx = int(np.argmin(residual) if sub else np.argmax(residual))
+    margin = float(residual[idx] if sub else -residual[idx])
     passed = margin >= -CANDIDATE_TOL
     item = CheckItem(
         name=side.value.lower(),
@@ -807,8 +807,7 @@ def solve_fisher_bvp(
     x = ctx.background.x
     n = x.size
     h = float(x[1] - x[0])
-    d3 = float(ctx.d3)
-    th = float(ctx.theta)
+    d3, th = float(ctx.d3), float(ctx.theta)
     # central differences for theta w' give a negative off-diagonal, and the
     # iterates lose their ordering, once the cell Peclet number exceeds 1
     peclet = abs(th) * h / (2.0 * d3)
@@ -818,8 +817,9 @@ def solve_fisher_bvp(
             f"d3={d3}, theta={th}: the monotone iteration needs h <= 2 d3 / |theta| "
             f"= {2.0 * d3 / abs(th)}"
         )
-    ws = w_sub.sample(x)
-    wS = w_super.sample(x)
+    if not d3 / (h * h) < math.inf:
+        raise DomainError(f"d3 / h**2 overflows for h={h}, d3={d3}: the iteration needs it finite")
+    ws, wS = w_sub.sample(x), w_super.sample(x)
     if np.any(ws > wS):
         raise NotOrderedError("w_sub exceeds w_super somewhere on the grid")
     for cand, side in ((w_sub, Side.SUB), (w_super, Side.SUPER)):
@@ -830,12 +830,9 @@ def solve_fisher_bvp(
                 f"(worst residual {rep.items[0].details['worst_residual']})"
             )
 
-    g = ctx.linear_coefficient()
-    c33 = float(ctx.c33)
+    g, c33 = ctx.linear_coefficient(), float(ctx.c33)
     # monotonicity needs M >= |d reaction / d w| everywhere on the bracket
-    slope_bound = float(
-        np.max(np.maximum(g - 2.0 * c33 * ws, 2.0 * c33 * wS - g))
-    )
+    slope_bound = float(np.max(np.maximum(g - 2.0 * c33 * ws, 2.0 * c33 * wS - g)))
     relax = slope_bound if relaxation is None else float(relaxation)
     if relax < slope_bound:
         raise ValueError(f"relaxation {relax} is below the reaction slope bound {slope_bound}")

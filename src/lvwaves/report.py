@@ -128,7 +128,10 @@ def render_json(value: Any, indent: int = 0) -> str:
 
 
 def write_json(path, value: Any) -> None:
+    """Render ``value``, then create the parent directory and write the file:
+    a value that does not render (a non-finite float) leaves nothing behind."""
     text = render_json(value) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

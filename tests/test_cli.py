@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lvwaves as lv
 from lvwaves import cli
@@ -409,7 +414,7 @@ class TestProfileCommands:
                 "--t-end", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "usage error: initial state reaches 1e+200, above the admissible limit "
+            "usage error: max initial state = 1e+200 is above the admissible limit "
             "BLOWUP_LIMIT = 1e+12\n"
         )
         assert not (tmp_path / "o").exists()
@@ -1229,3 +1234,193 @@ class TestSharedParser:
         assert cli.build_parser() is not cli.build_parser()
         assert cli._parser() is cli._parser()
         assert cli._parser() is not cli.build_parser()
+
+
+FISHER = {"d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+          "K_sub": 1, "K_super": 12}
+EXISTENCE = {**STRONG, "d3": 1, "sigma3": 1, "c31": 1, "c32": 1, "c33": 1,
+             "theta": 1, "K_sub": 1, "K_super": 2}
+
+
+def _tiny_grid_csv(path: Path, h: float) -> str:
+    """Four nodes ``h`` apart, both densities 0.5."""
+    half = np.full(4, 0.5)
+    WaveProfile(h * np.arange(4.0), half, half).to_csv(path)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNumericsLimits:
+    """Inputs that overflow a numerics limit end in a refusal that names the
+    cause: no traceback, no numpy warning and no --out."""
+
+    def refused(self, tmp_path, capsys, argv) -> tuple[int, str]:
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["grid-step-1e-154", "d1-1e308"])
+    def test_a_time_step_of_zero_is_refused(self, tmp_path, capsys, case):
+        # 16/3 d / h**2 overflows, so the auto step is 0.0
+        if case == "grid-step-1e-154":
+            init, data = _tiny_grid_csv(tmp_path / "init.csv", 1e-154), STRONG
+        else:
+            x = np.linspace(-20.0, 20.0, 401)
+            WaveProfile(x, (1 - np.tanh(x)) / 2, (1 + np.tanh(x)) / 2).to_csv(tmp_path / "i.csv")
+            init, data = str(tmp_path / "i.csv"), {**STRONG, "d1": "1e308"}
+        params = write_json(tmp_path / "p.json", data)
+        argv = ["simulate", "--params", params, "--init", init, "--t-end", "0.01"]
+        assert self.refused(tmp_path, capsys, argv) == (
+            2, "usage error: t_end=0.01 and dt=0.0 give too many steps to count\n"
+        )
+
+    @pytest.mark.parametrize("key", ["d1", "sigma3"])
+    def test_a_step_near_1e_300_is_refused_before_stepping(
+        self, tmp_path, capsys, paper_spec, key
+    ):
+        # d1 = 1e300 ran for longer than 10 s; sigma3 = 1e300 overflowed in
+        # the RK4 passes and stopped at t = 2e-299
+        data = {k: str(v) for k, v in paper_spec.params.to_dict().items()}
+        params = write_json(tmp_path / "p.json", {**data, key: "1e300"})
+        lv.wave_profile(paper_spec, np.linspace(-20, 20, 401)).to_csv(tmp_path / "wave.csv")
+        argv = ["simulate", "--params", params, "--init", str(tmp_path / "wave.csv"),
+                "--t-end", "0.01", "--boundary", "dirichlet"]
+        code, err = self.refused(tmp_path, capsys, argv)
+        found = re.fullmatch(
+            r"usage error: t_end=0\.01 and dt=(\S+) give too many steps to count\n", err
+        )
+        assert code == 2 and found, err
+        assert 0 < float(found[1]) < 1e-290
+
+    def test_a_background_step_without_a_finite_inverse_square_is_refused(
+        self, tmp_path, capsys
+    ):
+        background = _tiny_grid_csv(tmp_path / "bg.csv", 1e-300)
+        params = write_json(tmp_path / "p.json", {**FISHER, "theta": 0})
+        argv = ["fisher", "--params", params, "--background", background]
+        assert self.refused(tmp_path, capsys, argv) == (
+            2, "usage error: grid step h=1e-300 has no finite 1/h**2 (h**2 = 0.0)\n"
+        )
+
+    def test_an_overflowing_diffusion_term_is_a_domain_error(self, tmp_path, capsys):
+        # d3 / h**2 = inf ended in "iterate fell below w_sub at sweep 1"
+        background = _tiny_grid_csv(tmp_path / "bg.csv", 1e-154)
+        params = write_json(tmp_path / "p.json", {**FISHER, "theta": 0})
+        argv = ["fisher", "--params", params, "--background", background]
+        assert self.refused(tmp_path, capsys, argv) == (
+            1, "error: d3 / h**2 overflows for h=1e-154, d3=2.0: the iteration needs it "
+               "finite\n"
+        )
+
+    def test_an_overflowing_candidate_residual_is_refused(
+        self, tmp_path, capsys, demo_two_wave
+    ):
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+        params = write_json(tmp_path / "p.json", {**FISHER, "sigma3": "1e308"})
+        argv = ["fisher", "--params", params, "--background", str(tmp_path / "bg.csv")]
+        assert self.refused(tmp_path, capsys, argv) == (
+            2, "usage error: supersolution residual of the constant candidate is not finite: "
+               "the audit overflows on these coefficients\n"
+        )
+
+    def test_a_report_that_does_not_render_creates_no_out(
+        self, tmp_path, capsys, demo_two_wave
+    ):
+        block = {k: str(v) for k, v in demo_two_wave.params.to_dict().items()}
+        data = {**block, "d3": 1, "sigma3": 1, "c31": 1, "c32": "1/10",
+                "theta": str(demo_two_wave.theta), "c33": "1e200", "K_sub": "1e200",
+                "K_super": "1e200"}
+        params = write_json(tmp_path / "p.json", data)
+        assert self.refused(tmp_path, capsys, ["check-existence", "--params", params]) == (
+            2, "usage error: non-finite value in report: inf\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, data, audit",
+        [
+            ("check-existence", {**EXISTENCE, "c33": 10**200, "K_sub": 10**200,
+                                 "K_super": 10**200}, "existence"),
+            ("check-nonexistence", {**NONEXIST, "sigma3": "1/10", "sigma1": 10**300,
+                                    "c13": 10**300, "c33": 10**300}, "nonexistence"),
+        ],
+        ids=["existence", "nonexistence"],
+    )
+    def test_an_exact_audit_above_the_float_range_is_refused(
+        self, tmp_path, capsys, command, data, audit
+    ):
+        params = write_json(tmp_path / "p.json", data)
+        assert self.refused(tmp_path, capsys, [command, "--params", params]) == (
+            2, f"usage error: the {audit} audit has a value above the float range "
+               f"in the parameter file {params}\n"
+        )
+
+
+#: the README's three_species.json: the worked example's induced coefficients
+README_THREE_SPECIES = {
+    k: str(v) for k, v in lv.induce_coefficients(lv.FreeParams(
+        *map(Fraction, (1, 1, 1, 1, 1, 3, 41, 41, 41)))).params.to_dict().items()
+}
+
+#: what a parameter file can hold: small rationals, JSON integers up to 10**300,
+#: decimal strings up to 1e+-300, zero, and negatives of each
+_FILE_VALUES = st.one_of(
+    st.fractions(-10, 10, max_denominator=10).map(str),
+    st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from((1, -1)),
+              st.integers(0, 300)),
+    st.builds("{}e{}".format, st.sampled_from(("1", "-1", "2.5", "-7")),
+              st.integers(-300, 300)),
+    st.just(0),
+)
+
+
+@st.composite
+def _audited_runs(draw, background: str) -> list[str]:
+    """The command, the JSON text of its README parameter file with one to four
+    values redrawn, and its other flags: ``check-existence``,
+    ``check-nonexistence`` or ``fisher``."""
+    command, base, extra = draw(st.sampled_from([
+        ("check-existence", EXISTENCE, []),
+        ("check-nonexistence", README_THREE_SPECIES, []),
+        ("fisher", FISHER, ["--background", background]),
+    ]))
+    changes = draw(st.dictionaries(st.sampled_from(sorted(base)), _FILE_VALUES,
+                                   min_size=1, max_size=4))
+    return [command, json.dumps({**base, **changes}), *extra]
+
+
+@pytest.fixture(scope="module")
+def readme_background(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("contract") / "background.csv"
+    demo = lv.two_species_wave_family(Fraction(2), Fraction(1), Fraction(20), Fraction(1))
+    lv.wave_profile(demo, np.linspace(-40, 40, 801)).to_csv(path)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_audited_commands_end_in_a_result_a_failed_check_or_a_named_refusal(
+    readme_background,
+):
+    """Every run exits 0; or 1 with ``error: ...`` and no report, or with a
+    failed check and its report; or 2 with ``usage error: ...`` and no --out.
+    An uncaught exception or a numpy warning fails the test."""
+
+    @settings(derandomize=True, max_examples=200, database=None)
+    @given(_audited_runs(readme_background))
+    def run(argv):
+        command, data, *extra = argv
+        with tempfile.TemporaryDirectory() as folder:
+            params, out = Path(folder) / "p.json", Path(folder) / "out"
+            params.write_text(data)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--params", str(params), *extra, "--out", str(out)])
+            err, written = stderr.getvalue(), (out / "report.json").exists()
+            if code == 2:
+                assert err.startswith("usage error: ") and not out.exists(), err
+            elif err:
+                assert code == 1 and err.startswith("error: ") and not written, err
+            else:
+                assert code in (0, 1) and written
+
+    run()

@@ -155,7 +155,7 @@ class TestIntegrateOde:
 
     @pytest.mark.parametrize("t_end", [1e20, 1e9])
     def test_step_count_beyond_an_array_rejected(self, strong_params, t_end):
-        message = f"t_end={t_end} and dt=1e-10 give {round(t_end / 1e-10)} steps"
+        message = f"t_end={t_end} and dt=1e-10 give too many steps to count"
         with pytest.raises(ValueError, match=re.escape(message)):
             lv.integrate_ode(strong_params, 0.5, 0.5, t_end=t_end, dt=1e-10)
 

@@ -279,6 +279,38 @@ def test_number_refusals_go_through_the_rules_in_rational():
     assert users == []
 
 
+def _where_written(text: str) -> set[str]:
+    """``module.function`` for each line of ``src/`` that holds ``text``, after
+    ``ast.unparse`` has joined adjacent string pieces; ``function`` is the
+    innermost function around the line, ``<module>`` outside any."""
+    places = set()
+    for path in sorted((ROOT / "src" / "lvwaves").rglob("*.py")):
+        source = ast.unparse(ast.parse(path.read_text()))
+        owner = {}
+        # ast.walk reaches a function before the functions nested in it
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+        places |= {
+            f"{path.stem}.{owner.get(number, '<module>')}"
+            for number, line in enumerate(source.splitlines(), start=1) if text in line
+        }
+    return places
+
+
+@pytest.mark.parametrize(
+    "text, home",
+    [
+        ("is above the admissible limit", "numerics._require_below_blowup"),
+        ("np.iinfo(np.intp)", "numerics._step_ratio"),
+    ],
+    ids=["blowup-limit", "step-count"],
+)
+def test_each_numerics_limit_is_written_in_one_function(text, home):
+    # a second copy of a limit's refusal drifts from the first in wording or test
+    assert _where_written(text) == {home}
+
+
 def _example(cls) -> object:
     """An exact instance of a parameter record a parameter file is read into."""
     free = lvwaves.FreeParams(*map(Fraction, (1, 1, 1, 1, 1, 3, 41, 41, 41)))
