@@ -256,6 +256,7 @@ def _cmd_fisher(args: argparse.Namespace, params: tuple) -> tuple[dict, bool]:
         {
             "solved": True,
             "iterations": solution.iterations,
+            "newton_steps": solution.newton_steps,
             "residual": solution.residual,
             "w_left": float(solution.profile.w[0]),
             "w_right": float(solution.profile.w[-1]),

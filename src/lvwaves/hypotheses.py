@@ -117,8 +117,9 @@ def existence_report(inputs: ExistenceInputs) -> CheckReport:
     refused with a ``ValueError`` naming the audit.
     """
     block = inputs.two_species
-    # exact values, and exact values mixed with floats, overflow in float()
-    # rather than to inf, in the block's kernel and bounds as in the margins
+    # exact values overflow in float() rather than to inf, in the bounds'
+    # floats as in the margins, and exact values mixed with floats also in
+    # the block's kernel
     try:
         pair = bounds(block, inputs.c31, inputs.c32)
         q_lo, q_hi = pair.q_lower, pair.q_upper

@@ -36,11 +36,16 @@ bit-identical to the straightforward allocating form of the same arithmetic.
 The monotone solver refuses a grid whose cell Peclet number
 |theta| h / (2 d3) exceeds 1, where its central-difference matrix stops
 being monotone.  A sampled candidate is audited with the same differences,
-every candidate at one slack, ``CANDIDATE_TOL``.  On every grid the solver
-accepts, its tridiagonal matrix is diagonally dominant, so each sweep solves
-it by elimination without row swaps: plain floats in LAPACK ``dgtsv``'s
+every candidate at one slack, ``CANDIDATE_TOL``, and the solver admits only
+a bracket whose samples pass that discrete audit.  On every grid the solver
+accepts, its sweep matrix is diagonally dominant, so each sweep solves it
+by elimination without row swaps: plain floats in LAPACK ``dgtsv``'s
 operation order, with the pivots and multipliers computed once per solve.
-The package needs no scipy.
+The sweeps converge linearly; Newton steps on the discrete residual finish
+the solve, with the Jacobian eliminated in the same order, factored anew
+at each step.  Without row swaps that elimination is guaranteed stable only
+for the sweep matrix, so a Newton step is kept only if it lowers the
+residual inside the bracket.  The package needs no scipy.
 """
 
 from __future__ import annotations
@@ -726,18 +731,22 @@ def check_sub_super(ctx: FisherContext, candidate: Candidate, side: Side) -> Che
 
 
 def _tridiagonal_factors(
-    lower: float, diag: float, upper: float, m: int
-) -> tuple[list[float], list[float]]:
-    """Pivots and multipliers of the m x m tridiagonal matrix with constant
-    ``lower``, ``diag`` and ``upper`` diagonals, eliminated without row swaps
-    as LAPACK ``dgtsv`` eliminates it: each multiplier is a division,
-    ``lower / pivot``, not a product with a reciprocal."""
-    pivots, facts = [diag], []
-    for _ in range(m - 1):
-        fact = lower / pivots[-1]
+    lower: float, diag: list[float], upper: float
+) -> tuple[list[float], list[float]] | None:
+    """Pivots and multipliers of the tridiagonal matrix with constant
+    ``lower`` and ``upper`` diagonals and the main diagonal ``diag``, one
+    entry per row, eliminated without row swaps as LAPACK ``dgtsv``
+    eliminates it: each multiplier is a division, ``lower / pivot``, not a
+    product with a reciprocal.  None where a pivot is zero."""
+    pivots, facts = [diag[0]], []
+    for entry in diag[1:]:
+        pivot = pivots[-1]
+        if not pivot:
+            return None
+        fact = lower / pivot
         facts.append(fact)
-        pivots.append(diag - fact * upper)
-    return pivots, facts
+        pivots.append(entry - fact * upper)
+    return (pivots, facts) if pivots[-1] else None
 
 
 def _tridiagonal_solve(
@@ -767,10 +776,31 @@ def _tridiagonal_solve(
 @dataclass(frozen=True)
 class FisherSolution:
     profile: ScalarProfile
-    iterations: int
+    iterations: int  # linear solves: monotone sweeps and Newton steps
+    newton_steps: int  # how many of ``iterations`` were Newton steps
     residual: float
     relaxation: float  # the constant M used in the linearized solves
-    residual_history: tuple[float, ...]  # the residual after each sweep, the last is ``residual``
+    # one per solve, of the iterate the solve left; the last is ``residual``
+    residual_history: tuple[float, ...]
+
+
+def _newton_step(
+    w: np.ndarray, r: np.ndarray, g: np.ndarray, c33: float, lower: float, centre: float,
+    upper: float,
+) -> np.ndarray | None:
+    """w + delta for J delta = -r, where r is the discrete residual of w and
+    J = d3 D2 + theta D1 + diag(g - 2 c33 w) its Jacobian on the interior
+    nodes (``centre`` is -2 d3 / h**2), eliminated without row swaps.  None
+    where a pivot is zero or not finite, or delta is not finite."""
+    factors = _tridiagonal_factors(lower, (centre + (g - 2.0 * c33 * w)[1:-1]).tolist(), upper)
+    if factors is None or not np.isfinite(factors[0]).all():
+        return None
+    delta = np.array(_tridiagonal_solve(*factors, upper, (-r).tolist()))
+    if not np.isfinite(delta).all():
+        return None
+    step = w.copy()
+    step[1:-1] += delta
+    return step
 
 
 def solve_fisher_bvp(
@@ -781,9 +811,10 @@ def solve_fisher_bvp(
     max_iter: int = 200,
     relaxation: float | None = None,
 ) -> FisherSolution:
-    """Monotone iteration between an ordered sub/supersolution pair.
+    """Monotone iteration between an ordered sub/supersolution pair, finished
+    by Newton's method on the discrete residual.
 
-    Starting from the supersolution, repeatedly solves
+    Starting from the supersolution, each sweep solves
 
         (d3 Dxx + theta Dx - M) w_next = -M w - w (sigma3 - c31 u - c32 v - c33 w)
 
@@ -793,11 +824,24 @@ def solve_fisher_bvp(
     ``relaxation`` >= that sup keeps the scheme monotone; values closer to
     it converge in fewer sweeps.  The matrix is monotone only
     while the cell Peclet number |theta| h / (2 d3) is at most 1; a coarser
-    grid is refused with :class:`DomainError` before the first sweep.  The
+    grid is refused with :class:`DomainError` before the first sweep, as is
+    a candidate that is not a sub- or supersolution of the discrete operator
+    the sweeps iterate (its sample audited by :func:`check_sub_super`).  The
     truncated domain carries homogeneous Dirichlet ends (tails are assumed to
-    have decayed at the grid boundary).  Returns once the discrete residual
-    drops below ``tol``, with the residual of every sweep in
-    ``residual_history``; raises :class:`MaxIterExceededError` otherwise.
+    have decayed at the grid boundary).
+
+    The sweeps converge linearly and are the globalisation: from a sweep
+    iterate, Newton steps J delta = -R(w) on the discrete residual R follow,
+    each with the Jacobian factored anew.  A Newton iterate is kept only if
+    its pivots and values are finite, it lies between the subsolution and
+    the last sweep iterate (each with ``ORDERING_SLACK`` times the bracket's
+    scale), and its residual is below that of the iterate it started from.
+    Otherwise it is discarded and the sweeps resume from the last sweep
+    iterate; the next attempt waits until the sweep residual has halved.
+    ``max_iter`` bounds the linear solves, sweeps and Newton steps together.
+    Returns once the residual of the current iterate drops below ``tol``,
+    with one ``residual_history`` entry per solve; raises
+    :class:`MaxIterExceededError` otherwise.
     """
     _require_positive(tol=tol)
     if max_iter < 1:
@@ -822,12 +866,15 @@ def solve_fisher_bvp(
     ws, wS = w_sub.sample(x), w_super.sample(x)
     if np.any(ws > wS):
         raise NotOrderedError("w_sub exceeds w_super somewhere on the grid")
-    for cand, side in ((w_sub, Side.SUB), (w_super, Side.SUPER)):
-        rep = check_sub_super(ctx, cand, side)
-        if not rep.passed:
+    # the ordering argument needs a bracket of the discrete operator the
+    # sweeps iterate, not only of the continuous one
+    for values, cand, side in ((ws, w_sub, Side.SUB), (wS, w_super, Side.SUPER)):
+        item = check_sub_super(ctx, sampled_candidate(values), side).items[0]
+        if not item.passed:
             raise DomainError(
-                f"{side.value.lower()}solution check failed "
-                f"(worst residual {rep.items[0].details['worst_residual']})"
+                f"the {cand.kind} {side.value.lower()}solution is not a discrete "
+                f"{side.value.lower()}solution: margin {item.margin} at x = "
+                f"{item.details['worst_x']}, below -CANDIDATE_TOL = -{CANDIDATE_TOL:g}"
             )
 
     g, c33 = ctx.linear_coefficient(), float(ctx.c33)
@@ -838,33 +885,61 @@ def solve_fisher_bvp(
         raise ValueError(f"relaxation {relax} is below the reaction slope bound {slope_bound}")
 
     lower = d3 / (h * h) - th / (2.0 * h)
-    diag = -2.0 * d3 / (h * h) - relax
+    centre = -2.0 * d3 / (h * h)
     upper = d3 / (h * h) + th / (2.0 * h)
-    pivots, facts = _tridiagonal_factors(lower, diag, upper, n - 2)
+    pivots, facts = _tridiagonal_factors(lower, [centre - relax] * (n - 2), upper)
+
+    def solution(w: np.ndarray, res: float) -> FisherSolution:
+        return FisherSolution(
+            profile=ScalarProfile(x=x, w=w), iterations=iteration, newton_steps=newton_steps,
+            residual=res, relaxation=relax, residual_history=tuple(history),
+        )
 
     w = wS.copy()
     scale = max(1.0, float(np.max(np.abs(wS))))
     floor = ws - ORDERING_SLACK * scale
     history = []
-    for iteration in range(1, max_iter + 1):
+    iteration = newton_steps = 0
+    attempt_below = math.inf  # a sweep residual below this starts a Newton attempt
+    while iteration < max_iter:
+        iteration += 1
+        sweep = iteration - newton_steps
         rhs = -(relax * w + w * (g - c33 * w))[1:-1]
         w_next = np.zeros(n)
         w_next[1:-1] = _tridiagonal_solve(pivots, facts, upper, rhs.tolist())
         if np.any(w_next > w + ORDERING_SLACK * scale):
-            raise NotOrderedError(f"iterate increased at sweep {iteration}")
+            raise NotOrderedError(f"iterate increased at sweep {sweep}")
         if np.any(w_next < floor):
-            raise NotOrderedError(f"iterate fell below w_sub at sweep {iteration}")
+            raise NotOrderedError(f"iterate fell below w_sub at sweep {sweep}")
         w = w_next
-        res = float(np.max(np.abs(_invader_residual(w, g, c33, d3, th, h))))
+        r = _invader_residual(w, g, c33, d3, th, h)
+        res = float(np.max(np.abs(r)))
         history.append(res)
         if res < tol:
-            return FisherSolution(
-                profile=ScalarProfile(x=x, w=w),
-                iterations=iteration,
-                residual=res,
-                relaxation=relax,
-                residual_history=tuple(history),
-            )
+            return solution(w, res)
+        if res >= attempt_below:
+            continue
+        # Newton steps from the sweep iterate, kept while each lowers the
+        # residual and stays between the subsolution and that iterate
+        ceiling = w + ORDERING_SLACK * scale
+        v, v_r, v_res = w, r, res
+        while iteration < max_iter:
+            iteration += 1
+            newton_steps += 1
+            step = _newton_step(v, v_r, g, c33, lower, centre, upper)
+            if step is not None and not (np.any(step < floor) or np.any(step > ceiling)):
+                step_r = _invader_residual(step, g, c33, d3, th, h)
+                step_res = float(np.max(np.abs(step_r)))
+                if step_res < v_res:
+                    v, v_r, v_res = step, step_r, step_res
+                    history.append(v_res)
+                    if v_res < tol:
+                        return solution(v, v_res)
+                    continue
+            # discarded: the sweeps resume from w, and try again once they halve res
+            history.append(res)
+            attempt_below = 0.5 * res
+            break
     raise MaxIterExceededError(
-        f"no convergence to tol={tol} within {max_iter} sweeps (residual {res})"
+        f"no convergence to tol={tol} within {max_iter} linear solves (residual {history[-1]})"
     )

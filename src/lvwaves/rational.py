@@ -151,9 +151,17 @@ def _to_dict(self) -> dict:
 
 def _compare(lhs: Number, rhs: Number, tol: float) -> int:
     """Sign of lhs - rhs with a relative tie band of width tol: 0 is a tie.
-    Exact inputs compare exactly at tol = 0."""
+    Exact inputs compare exactly, the band included: ``tol`` is read as
+    the exact ratio of its float, so a scale above the float range does
+    not overflow."""
     diff = lhs - rhs
     scale = max(abs(lhs), abs(rhs))
-    if abs(diff) <= tol * scale:
+    if isinstance(diff, float):
+        tie = abs(diff) <= tol * scale
+    else:
+        # |a / b| <= (n / d) (c / e), on integers with b, d, e > 0
+        (a, b), (c, e), (n, d) = (v.as_integer_ratio() for v in (diff, scale, tol))
+        tie = abs(a) * d * e <= n * c * b
+    if tie:
         return 0
     return 1 if diff > 0 else -1

@@ -203,6 +203,28 @@ class TestClosedFormCommands:
         assert main(["classify", "--params", params, "--out", str(out)]) == 0
         assert report(out)["regime"] == "Strong"
 
+    @pytest.mark.parametrize(
+        "scaled, regime",
+        [(("sigma2", "c11"), "ExclusionVWins"), (tuple(STRONG)[2:], "Strong")],
+        ids=["sigma2-c11", "every-rate"],
+    )
+    def test_cross_products_above_the_float_range_classify(
+        self, tmp_path, capsys, scaled, regime
+    ):
+        # sigma2 c11 = 10**312 made the tie band tol * scale overflow:
+        # "OverflowError: integer division result too large for a float"
+        block = {**STRONG, **{key: STRONG[key] * 10**156 for key in scaled}}
+        params = write_json(tmp_path / "p.json", block)
+        assert main(["classify", "--params", params, "--out", str(tmp_path / "c")]) == 0
+        assert report(tmp_path / "c")["regime"] == regime
+        code = main(["bounds", "--params", params, "--out", str(tmp_path / "b")])
+        if regime == "Strong":
+            assert code == 0 and report(tmp_path / "b")["q_lower_exact"] == "1/3"
+        else:
+            assert (code, capsys.readouterr().err) == (1, (
+                "error: bounds require strong or weak competition, classification "
+                "is ExclusionVWins\n"))
+
     def test_dotted_matrix_override(self, tmp_path):
         params = write_json(tmp_path / "p.json", STRONG)
         out = tmp_path / "out"
@@ -515,6 +537,21 @@ class TestSimulationCommands:
         assert data["iterations"] <= 200
         assert abs(data["w_left"]) < 1e-6 and abs(data["w_right"]) < 1e-6
         assert (out / "w.csv").exists()
+
+    def test_fisher_report_records_its_newton_steps(self, tmp_path, demo_two_wave):
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")
+        params = write_json(tmp_path / "p.json", {
+            "d3": 2, "theta": 6, "sigma3": 10, "c31": 0.5, "c32": 0.01, "c33": 1,
+            "K_sub": 1, "K_super": 12,
+        })
+        out = tmp_path / "out"
+        argv = ["fisher", "--params", params, "--background", str(tmp_path / "bg.csv"),
+                "--relaxation", "16", "--out", str(out)]
+        assert main(argv) == 0
+        data = report(out)
+        # one monotone sweep, then the Newton finish
+        assert (data["iterations"], data["newton_steps"]) == (8, 7)
+        assert data["residual"] < 1e-12
 
     def test_fisher_zero_max_iter_is_usage_error(self, tmp_path, demo_two_wave, capsys):
         lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(tmp_path / "bg.csv")

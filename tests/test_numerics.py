@@ -127,6 +127,33 @@ def fisher_ctx(demo_two_wave):
     )
 
 
+def _manufactured_context(spec, n: int) -> FisherContext:
+    """The invader equation on the tanh wave's own (u, v), with the wave's
+    d3, theta, sigma3, c31, c32 and c33, on n nodes over [-20, 20]: the
+    wave's w = k2 sech^2 x solves it exactly."""
+    p = spec.params
+    return FisherContext(
+        d3=p.d3, theta=spec.theta, sigma3=p.sigma3, c31=p.c31, c32=p.c32, c33=p.c33,
+        background=lv.wave_profile(spec, np.linspace(-20.0, 20.0, n)),
+    )
+
+
+@pytest.fixture(scope="module")
+def manufactured_ladder(paper_spec):
+    """Solves of the manufactured problem at h = 0.1, 0.05 and 0.025 from
+    the zero subsolution and the constant supersolution 5.55, each with its
+    sup error against the exact w."""
+    ladder = []
+    for n in (401, 801, 1601):
+        ctx = _manufactured_context(paper_spec, n)
+        sol = lv.solve_fisher_bvp(
+            ctx, lv.constant_candidate(0.0), lv.constant_candidate(5.55),
+            tol=1e-10, max_iter=4000,
+        )
+        ladder.append((sol, float(np.max(np.abs(sol.profile.w - ctx.background.w)))))
+    return ladder
+
+
 class TestIntegrateOde:
     def test_three_species_block_refused(self, paper_spec):
         with pytest.raises(
@@ -939,6 +966,49 @@ assert not loaded, f"lvwaves loaded {loaded}"
                 mismatched.append((sigma3, k_sub, max_iter, worst, sol.residual))
         assert not mismatched, f"{len(mismatched)} of 36 solves audit off their residual"
 
+    def test_manufactured_solution_converges_at_second_order(self, manufactured_ladder):
+        errors = [error for _, error in manufactured_ladder]
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        print(f"sup errors {errors}, observed orders {orders}")
+        assert all(sol.residual < 1e-10 for sol, _ in manufactured_ladder)
+        assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
+
+    def test_rejected_newton_attempts_resume_the_sweeps(self, manufactured_ladder):
+        # the first attempt follows the first sweep; more sweeps than one
+        # mean an attempt was discarded and the sweeps went on
+        sol, _ = manufactured_ladder[0]
+        sweeps = sol.iterations - sol.newton_steps
+        print(f"{sweeps} sweeps and {sol.newton_steps} Newton steps")
+        assert sol.newton_steps > 0 and sweeps > 1
+        assert len(sol.residual_history) == sol.iterations
+        slack = lv.numerics.ORDERING_SLACK * 5.55
+        assert np.all(sol.profile.w >= -slack) and np.all(sol.profile.w <= 5.55 + slack)
+
+    def test_demo_instance_takes_one_sweep_and_a_newton_finish(self, fisher_ctx):
+        sol = lv.solve_fisher_bvp(
+            fisher_ctx, lv.tanh_pulse_candidate(1.0), lv.constant_candidate(12.0),
+            relaxation=16.0,
+        )
+        assert (sol.iterations, sol.newton_steps) == (8, 7)
+        assert sol.residual < 1e-12
+        # each kept Newton step lowers the residual
+        assert all(b < a for a, b in zip(sol.residual_history, sol.residual_history[1:]))
+
+    def test_bracket_the_discrete_operator_does_not_order_is_refused(self, paper_spec):
+        # both analytic audits pass at h = 0.2, but the sampled pulse is not
+        # a subsolution of the central differences the sweeps iterate; it
+        # ended in "iterate fell below w_sub at sweep 1770"
+        ctx = _manufactured_context(paper_spec, 201)
+        sub, sup = lv.tanh_pulse_candidate(0.9), lv.constant_candidate(5.55)
+        assert lv.check_sub_super(ctx, sub, Side.SUB).passed
+        assert lv.check_sub_super(ctx, sup, Side.SUPER).passed
+        match = (
+            r"^the tanh_pulse subsolution is not a discrete subsolution: margin "
+            r"-0\.02500\d* at x = -0\.79999\d*, below -CANDIDATE_TOL = -1e-12$"
+        )
+        with pytest.raises(DomainError, match=match):
+            lv.solve_fisher_bvp(ctx, sub, sup, tol=1e-10, max_iter=4000)
+
     def test_iterates_decrease_monotonically(self, fisher_ctx):
         # the one-sweep result dominates the converged solution pointwise
         w_sub = lv.tanh_pulse_candidate(1.0)
@@ -979,6 +1049,36 @@ def _tridiagonal_systems():
             yield lower, diag, upper, rhs
 
 
+def _newton_systems():
+    """Seeded systems shaped as a Newton step's Jacobian: the sweep matrix's
+    constant off-diagonals and a diagonal -2 d3 / h**2 + g - 2 c33 w that
+    varies per row (g - 2 c33 w drawn from [-40, 40], as on the solver's
+    demo brackets), kept where dgtsv swaps no rows: each pivot is at least
+    |lower| in magnitude.  Twenty of each size; right-hand sides carry +0.0
+    and -0.0 entries."""
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 3, 800):
+        kept = 0
+        while kept < 20:
+            d3, h = rng.uniform(0.1, 4.0), rng.uniform(0.01, 0.5)
+            theta = rng.uniform(-1.0, 1.0) * 2.0 * d3 / h
+            lower = d3 / (h * h) - theta / (2.0 * h)
+            upper = d3 / (h * h) + theta / (2.0 * h)
+            diag = -2.0 * d3 / (h * h) + rng.uniform(-40.0, 40.0, size=m)
+            pivot, swaps = diag[0], False
+            for entry in diag[1:]:
+                swaps |= not abs(pivot) >= abs(lower)
+                pivot = entry - lower / pivot * upper
+            if swaps or pivot == 0.0:
+                continue
+            rhs = rng.normal(size=m) * 10.0 ** rng.integers(-300, 100)
+            draw = rng.random(m)
+            rhs[draw < 0.2] = 0.0
+            rhs[draw < 0.1] = -0.0
+            kept += 1
+            yield lower, diag, upper, rhs
+
+
 class TestTridiagonalSolve:
     def test_matches_lapack_gtsv_bit_for_bit(self):
         # the oracle only: the package itself never imports scipy
@@ -990,10 +1090,36 @@ class TestTridiagonalSolve:
             band = np.zeros((3, m))
             band[0, 1:], band[1], band[2, :-1] = upper, diag, lower
             expected = solve_banded((1, 1), band, rhs)
-            pivots, facts = _tridiagonal_factors(lower, diag, upper, m)
+            pivots, facts = _tridiagonal_factors(lower, [diag] * m, upper)
             got = np.array(_tridiagonal_solve(pivots, facts, upper, rhs.tolist()))
             count += 1
             if not np.array_equal(got.view(np.int64), expected.view(np.int64)):
                 mismatched.append((m, lower, diag, upper))
         assert count == 96
         assert not mismatched, f"{len(mismatched)} of {count} solves differ from dgtsv"
+
+    def test_newton_jacobians_match_lapack_gtsv_bit_for_bit(self):
+        # a per-row diagonal, as a Newton step's Jacobian has, on systems
+        # where dgtsv's partial pivoting swaps no rows; scipy is the oracle only
+        from scipy.linalg import solve_banded
+
+        mismatched, count, dominated = [], 0, 0
+        for lower, diag, upper, rhs in _newton_systems():
+            band = np.zeros((3, rhs.size))
+            band[0, 1:], band[1], band[2, :-1] = upper, diag, lower
+            expected = solve_banded((1, 1), band, rhs)
+            pivots, facts = _tridiagonal_factors(lower, diag.tolist(), upper)
+            got = np.array(_tridiagonal_solve(pivots, facts, upper, rhs.tolist()))
+            count += 1
+            dominated += bool(np.all(np.abs(diag) >= abs(lower) + abs(upper)))
+            if not np.array_equal(got.view(np.int64), expected.view(np.int64)):
+                mismatched.append((rhs.size, lower, upper))
+        # unlike a sweep's matrix, most of these systems are not diagonally dominant
+        assert count == 80 and dominated < count // 2, (count, dominated)
+        assert not mismatched, f"{len(mismatched)} of {count} solves differ from dgtsv"
+
+    def test_a_zero_pivot_ends_the_elimination(self):
+        assert _tridiagonal_factors(1.0, [1.0, 1.0, 5.0], 1.0) is None
+        assert _tridiagonal_factors(1.0, [2.0, 0.5], 1.0) is None
+        assert _tridiagonal_factors(1.0, [-0.0], 1.0) is None
+        assert _tridiagonal_factors(1.0, [2.0, 3.0], 1.0) == ([2.0, 2.5], [0.5])
