@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import os
 import sys
 from dataclasses import replace
@@ -50,20 +51,30 @@ from .rational import Number, _in_float_range, all_exact, parse_fields, parse_nu
 from .report import CheckReport, read_json, write_json
 
 
-def _exact(**values: Number) -> dict:
-    """Each value as a float under its name, plus ``<name>_exact`` when it is
-    exact; an exact value above the float range is refused by name (in-range
+def _shaped(value, number):
+    """``number`` of each number in ``value`` (a number, list or dict), in its shape."""
+    if isinstance(value, dict):
+        return {key: _shaped(item, number) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_shaped(item, number) for item in value]
+    return number(value)
+
+
+def _exact(**values) -> dict:
+    """Each value as floats under its name, in its shape (a number, a list of
+    lists or a dict), plus ``<name>_exact`` in text when every number in it is
+    exact; an exact number above the float range is refused by name (in-range
     inputs can give one: sigma1/c11 with c11 = 1/10**400)."""
     out = {}
     for name, value in values.items():
-        if all_exact(value):
-            try:
-                out[name] = float(_in_float_range(value))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-            out[name + "_exact"] = str(value)
-        else:
-            out[name] = float(value)
+        numbers = []
+        _shaped(value, numbers.append)
+        try:
+            out[name] = _shaped(value, lambda v: float(_in_float_range(v) if all_exact(v) else v))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if all_exact(*numbers):
+            out[name + "_exact"] = _shaped(value, str)
     return out
 
 
@@ -146,32 +157,20 @@ def _cmd_conic(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, boo
 
 def _cmd_exact_wave(args: argparse.Namespace, free: exactwaves.FreeParams) -> tuple[dict, bool]:
     spec = exactwaves.induce_coefficients(free)
-    matrix = spec.params.competition_matrix()
-    payload = {
-        "c": [[float(v) for v in row] for row in matrix],
-        **_exact(u_star=spec.u_star, v_star=spec.v_star),
-        **_write_wave(args, spec),
-    }
-    if all_exact(*vars(free).values()):
-        payload["c_exact"] = [[str(v) for v in row] for row in matrix]
-    return payload, True
+    c = spec.params.competition_matrix()
+    return {**_exact(c=c, u_star=spec.u_star, v_star=spec.v_star), **_write_wave(args, spec)}, True
 
 
-def _two_wave(data: dict) -> tuple[dict, exactwaves.ExactWaveSpec]:
-    free = parse_fields(data, ("d1", "d2", "theta", "sigma1", "sigma2", "k1"))
-    return free, exactwaves.two_species_exact_wave(**free)
+def _two_wave(data: dict) -> exactwaves.ExactWaveSpec:
+    """The wave of a file whose keys are :func:`exactwaves.two_species_exact_wave`'s arguments."""
+    names = tuple(inspect.signature(exactwaves.two_species_exact_wave).parameters)
+    return exactwaves.two_species_exact_wave(**parse_fields(data, names))
 
 
-def _cmd_two_wave(args: argparse.Namespace, params: tuple) -> tuple[dict, bool]:
-    free, wave = params
-    payload = {
-        "params": {k: float(v) for k, v in wave.params.to_dict().items()},
-        **_exact(theta=wave.theta, u_star=wave.u_star, v_star=wave.v_star),
-        **_write_wave(args, wave),
-    }
-    if all_exact(*free.values()):
-        payload["params_exact"] = {k: str(v) for k, v in wave.params.to_dict().items()}
-    return payload, True
+def _cmd_two_wave(args: argparse.Namespace, wave: exactwaves.ExactWaveSpec) -> tuple[dict, bool]:
+    exact = _exact(params=wave.params.to_dict(), theta=wave.theta, u_star=wave.u_star,
+                   v_star=wave.v_star)
+    return {**exact, **_write_wave(args, wave)}, True
 
 
 def _simulate_params(data: dict) -> TwoSpeciesParams | ThreeSpeciesParams:
@@ -274,9 +273,9 @@ def _cmd_audit(args: argparse.Namespace, report: CheckReport) -> tuple[dict, boo
 def _cmd_verify_profile(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
     profile = WaveProfile.from_csv(args.profile)
     pair = bounds(p, *_weights(args))
+    exact = _exact(q_lower=pair.q_lower, q_upper=pair.q_upper)
     report = verify_bounds_on_profile(profile, pair)
-    payload = {**report.to_json_dict(), **_exact(q_lower=pair.q_lower, q_upper=pair.q_upper)}
-    return payload, report.passed
+    return {**report.to_json_dict(), **exact}, report.passed
 
 
 def _cmd_evenness(args: argparse.Namespace, _: None) -> tuple[dict, bool]:

@@ -257,14 +257,11 @@ def two_species_exact_wave(
     message.
     """
     wave = two_species_wave_family(d1, d2, sigma1, k1)
-    exact = all_exact(d1, d2, theta, sigma1, sigma2, k1)
-    tol = 0.0 if exact else MATCH_TOL
-    if _compare(theta, wave.theta, tol) != 0:
-        raise InfeasibleError(
-            f"requested theta={theta} but the ansatz forces theta={wave.theta}"
-        )
-    if _compare(sigma2, wave.params.sigma2, tol) != 0:
-        raise InfeasibleError(
-            f"requested sigma2={sigma2} but the ansatz forces sigma2={wave.params.sigma2}"
-        )
+    tol = 0.0 if all_exact(d1, d2, theta, sigma1, sigma2, k1) else MATCH_TOL
+    for name, requested, forced in (("theta", theta, wave.theta),
+                                    ("sigma2", sigma2, wave.params.sigma2)):
+        if _compare(requested, forced, tol) != 0:
+            raise InfeasibleError(
+                f"requested {name}={requested} but the ansatz forces {name}={forced}"
+            )
     return wave

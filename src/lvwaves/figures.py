@@ -47,12 +47,7 @@ _FIG2_CASES = {
     "c": (Fraction(17), Fraction(18), Fraction(2, 3)),
     "d": (Fraction(17), Fraction(18), Fraction(1, 2)),
 }
-_FIG3_CASES = {
-    "a": (Fraction(17), Fraction(18), Fraction(2)),
-    "b": (Fraction(17), Fraction(5), Fraction(2)),
-    "c": (Fraction(17), Fraction(33), Fraction(2, 3)),
-    "d": (Fraction(17), Fraction(18), Fraction(1, 2)),
-}
+_FIG3_CASES = {**_FIG2_CASES, "c": (Fraction(17), Fraction(33), Fraction(2, 3))}
 
 
 def _format_number(value: Number) -> str:
@@ -117,8 +112,6 @@ def implicit_curve_points(
 
 def emit_figure_data(which: str, case: str, out_dir) -> dict:
     """Write the CSV point sets for one bundled illustration case; returns the manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if which == "fig1":
         if case not in _FIG1_CASES:
             raise ValueError(f"fig1 case must be one of {sorted(_FIG1_CASES)}")
@@ -136,6 +129,8 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
         barrier = construct_barrier(p, alpha, beta, side)
     else:
         raise ValueError("which must be fig1, fig2, or fig3")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     uv = ["u", "v"]
     _write_csv(out / "line1.csv", uv, _line_points(p.c11, p.c12, p.sigma1, float(window)))

@@ -234,36 +234,17 @@ def verify_bounds_on_profile(profile: WaveProfile, bound_pair: BoundPair) -> Che
     alpha, beta = bound_pair.alpha, bound_pair.beta
     _require_positive(alpha=alpha, beta=beta)
     combo = float(alpha) * profile.u + float(beta) * profile.v
-    i_min = int(np.argmin(combo))
-    i_max = int(np.argmax(combo))
-    lo = float(combo[i_min])
-    hi = float(combo[i_max])
+    i_min, i_max = int(np.argmin(combo)), int(np.argmax(combo))
+    lo, hi = float(combo[i_min]), float(combo[i_max])
     q_lo, q_hi = bound_pair.float_bounds
-    lower_margin = lo - q_lo
-    upper_margin = q_hi - hi
-    items = (
-        CheckItem(
-            name="lower",
-            passed=lower_margin >= 0,
-            margin=lower_margin,
-            details={
-                "side": "lower",
-                "extremum": lo,
-                "argmin_x": float(profile.x[i_min]),
-                "bound": q_lo,
-            },
-        ),
-        CheckItem(
-            name="upper",
-            passed=upper_margin >= 0,
-            margin=upper_margin,
-            details={
-                "side": "upper",
-                "extremum": hi,
-                "argmax_x": float(profile.x[i_max]),
-                "bound": q_hi,
-            },
-        ),
+    items = tuple(
+        CheckItem(name=side, passed=margin >= 0, margin=margin, details={
+            "side": side, "extremum": extremum, at: float(profile.x[i]), "bound": bound,
+        })
+        for side, extremum, at, i, bound, margin in (
+            ("lower", lo, "argmin_x", i_min, q_lo, lo - q_lo),
+            ("upper", hi, "argmax_x", i_max, q_hi, q_hi - hi),
+        )
     )
     passed = all(it.passed for it in items)
     verdict = "bounds hold on the sampled profile" if passed else "bound violated"

@@ -331,6 +331,8 @@ class Snapshots:
         array, times = entries.get("array"), entries.get("times")
         if not (isinstance(array, str) and isinstance(times, list)):
             raise ValueError(f"{manifest_path} needs an 'array' file name and a 'times' list")
+        if array != "snapshots.npy":
+            raise ValueError(f"{manifest_path} names the array {array!r}, not 'snapshots.npy'")
         if any(isinstance(t, bool) for t in times):
             raise ValueError(f"snapshot times must be numbers, got {times} in {manifest_path}")
         path = out / array

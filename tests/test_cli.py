@@ -732,6 +732,31 @@ class TestSimulationCommands:
             "and a 'times' list\n"
         )
 
+    @pytest.mark.parametrize("where", ["absolute", "relative"])
+    def test_speed_reads_only_the_array_of_its_own_run(
+        self, tmp_path, demo_two_wave, capsys, where
+    ):
+        # runB's manifest naming runA's array loaded runA's three snapshots
+        x = np.linspace(-40, 40, 81)
+        profiles = tuple(
+            lv.WaveProfile(x, *lv.evaluate_wave(demo_two_wave, x - t)) for t in range(3)
+        )
+        lv.Snapshots(times=np.arange(3.0), profiles=profiles).to_dir(tmp_path / "runA")
+        lv.Snapshots(times=np.arange(2.0), profiles=profiles[:2]).to_dir(tmp_path / "runB")
+        array = tmp_path / "runA" / "snapshots.npy"
+        name = str(array) if where == "absolute" else "../runA/snapshots.npy"
+        manifest = tmp_path / "runB" / "manifest.json"
+        entries = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**entries, "array": name, "times": [0, 1, 2]}))
+        with pytest.raises(ValueError) as info:
+            lv.Snapshots.from_dir(tmp_path / "runB")
+        assert str(info.value) == f"{manifest} names the array {name!r}, not 'snapshots.npy'"
+        out = tmp_path / "out"
+        assert main(["speed", "--snapshots", str(tmp_path / "runB"), "--level", "0.4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: {info.value}\n"
+        assert not out.exists()
+
     def test_speed_refuses_a_manifest_that_is_not_json(self, tmp_path, demo_two_wave, capsys):
         snapshots = tmp_path / "snapshots"
         profile = lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 81))
@@ -955,6 +980,13 @@ class TestFigureData:
         assert main(
             ["figure-data", "--which", "fig1", "--case", "z", "--out", str(tmp_path / "o")]
         ) == 2
+
+    @pytest.mark.parametrize("which, case", [("fig1", "z"), ("fig2", "e"), ("fig3", "f")])
+    def test_a_refused_case_leaves_no_out(self, tmp_path, capsys, which, case):
+        out = tmp_path / "o"
+        assert main(["figure-data", "--which", which, "--case", case, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {which} case must be one of")
+        assert not out.exists()
 
     @pytest.mark.parametrize("which", ["fig2", "fig3"])
     def test_bad_barrier_case_is_usage_error(self, tmp_path, capsys, which):
@@ -1393,65 +1425,152 @@ class TestNumericsLimits:
         )
 
 
+#: 1/10**308 and 1/10**300 as exact parameter-file strings
+TINY_308, TINY_300 = "1/1" + "0" * 308, "1/1" + "0" * 300
+#: the two-species family member d1 = 2, d2 = 1, sigma1 = 20, k1 = 1, with the
+#: theta and sigma2 it forces
+TWO_WAVE = {"d1": 2, "d2": 1, "theta": 6, "sigma1": 20, "sigma2": 40, "k1": 1}
+
+
+class TestExactEntries:
+    """Every exact number a report carries goes through ``cli._exact``."""
+
+    def test_a_list_or_dict_keeps_its_shape(self):
+        assert cli._exact(c=[[F(1, 2), 3]], p={"a": F(1), "b": 0.25}, q=F(-3, 4)) == {
+            "c": [[0.5, 3.0]], "c_exact": [["1/2", "3"]],
+            "p": {"a": 1.0, "b": 0.25},
+            "q": -0.75, "q_exact": "-3/4",
+        }
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("exact-wave", {**PAPER_FREE, "k1": TINY_308}, "c: number of magnitude 1e308"),
+            ("exact-wave", {**PAPER_FREE, "k2": TINY_308}, "c: number of magnitude 1e308"),
+            ("two-wave", {**TWO_WAVE, "k1": TINY_308}, "params: number of magnitude 1e308"),
+            ("verify-profile", {"d1": 1, "d2": 1, "sigma1": 10**9, "sigma2": 1, "c11": TINY_300,
+                                "c12": 10**12, "c21": 1, "c22": "1/100"},
+             "q_upper: number of magnitude 1e309"),
+        ],
+        ids=["exact-wave-k1", "exact-wave-k2", "two-wave-k1", "verify-profile"],
+    )
+    def test_an_entry_above_the_float_range_is_refused_by_name(
+        self, tmp_path, capsys, demo_two_wave, command, data, message
+    ):
+        # each ended in an OverflowError traceback
+        profile = tmp_path / "w.csv"
+        lv.wave_profile(demo_two_wave, np.linspace(-40, 40, 801)).to_csv(profile)
+        flags = ["--profile", str(profile)] if command == "verify-profile" else []
+        params, out = write_json(tmp_path / "p.json", data), tmp_path / "out"
+        assert main([command, "--params", params, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: {message} is above the float range\n"
+        assert not out.exists()
+
+    def test_two_wave_params_exact_reads_the_params_alone(self, tmp_path):
+        # the induced block is exact whatever theta's type: theta is checked, not used
+        data = {**TWO_WAVE, "theta": 6.0}
+        out = tmp_path / "out"
+        assert main(["two-wave", "--params", write_json(tmp_path / "p.json", data),
+                     "--out", str(out)]) == 0
+        entries = report(out)
+        assert entries["params_exact"] == {
+            "d1": "2", "d2": "1", "sigma1": "20", "sigma2": "40",
+            "c11": "20", "c12": "4", "c21": "80", "c22": "6",
+        }
+        assert entries["theta_exact"] == "6"
+
+
 #: the README's three_species.json: the worked example's induced coefficients
 README_THREE_SPECIES = {
     k: str(v) for k, v in lv.induce_coefficients(lv.FreeParams(
         *map(Fraction, (1, 1, 1, 1, 1, 3, 41, 41, 41)))).params.to_dict().items()
 }
 
-#: what a parameter file can hold: small rationals, JSON integers up to 10**300,
-#: decimal strings up to 1e+-300, zero, and negatives of each
+#: what a parameter file can hold: small rationals, exact reciprocals of powers
+#: of ten down to 1/10**320, JSON integers up to 10**300, decimal strings up to
+#: 1e+-300, zero, and negatives of each
 _FILE_VALUES = st.one_of(
     st.fractions(-10, 10, max_denominator=10).map(str),
+    st.builds(lambda sign, digits: f"{sign}1/{10**digits}", st.sampled_from(("", "-")),
+              st.integers(1, 320)),
     st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from((1, -1)),
               st.integers(0, 300)),
     st.builds("{}e{}".format, st.sampled_from(("1", "-1", "2.5", "-7")),
               st.integers(-300, 300)),
     st.just(0),
 )
+#: the same values as command-line text
+_FLAG_VALUES = _FILE_VALUES.map(str)
+#: weights as flags, in the --flag=value form, which takes a value that starts with "-"
+_WEIGHTS = st.builds(lambda a, b: [f"--alpha={a}", f"--beta={b}"], _FLAG_VALUES, _FLAG_VALUES)
 
 
 @st.composite
-def _audited_runs(draw, background: str) -> list[str]:
-    """The command, the JSON text of its README parameter file with one to four
-    values redrawn, and its other flags: ``check-existence``,
-    ``check-nonexistence`` or ``fisher``."""
-    command, base, extra = draw(st.sampled_from([
-        ("check-existence", EXISTENCE, []),
-        ("check-nonexistence", README_THREE_SPECIES, []),
-        ("fisher", FISHER, ["--background", background]),
+def _contract_runs(draw, files: dict) -> tuple[str, str | None, list[str]]:
+    """A command, the JSON text of its README parameter file with one to four
+    values redrawn (None for a command without one), and its other flags,
+    drawn for the commands without a parameter file: every subcommand but
+    ``simulate``."""
+    command, base, flags = draw(st.sampled_from([
+        ("classify", STRONG, st.just([])),
+        ("bounds", STRONG, _WEIGHTS),
+        ("barrier", STRONG, st.builds(lambda w, side: [*w, "--side", side], _WEIGHTS,
+                                      st.sampled_from(("lower", "upper")))),
+        ("conic", STRONG, _WEIGHTS),
+        ("exact-wave", PAPER_FREE, st.just([])),
+        ("two-wave", TWO_WAVE, st.just([])),
+        ("verify-profile", STRONG, _WEIGHTS.map(lambda w: [*w, "--profile", files["profile"]])),
+        ("check-existence", EXISTENCE, st.just([])),
+        ("check-nonexistence", README_THREE_SPECIES, st.just([])),
+        ("fisher", FISHER, st.just(["--background", files["profile"]])),
+        ("evenness", None, st.builds(lambda u, v: [f"--u={u}", f"--v={v}"], _FLAG_VALUES,
+                                     _FLAG_VALUES)),
+        ("figure-data", None, st.builds(lambda which, case: ["--which", which, "--case", case],
+                                        st.sampled_from(("fig1", "fig2", "fig3")),
+                                        st.sampled_from("abcdefz"))),
+        ("speed", None, st.builds(
+            lambda component, level: ["--snapshots", files["snapshots"],
+                                      "--component", component, f"--level={level}"],
+            st.sampled_from("uvw"), st.floats().map(repr))),
     ]))
+    if base is None:
+        return command, None, draw(flags)
     changes = draw(st.dictionaries(st.sampled_from(sorted(base)), _FILE_VALUES,
                                    min_size=1, max_size=4))
-    return [command, json.dumps({**base, **changes}), *extra]
+    return command, json.dumps({**base, **changes}), draw(flags)
 
 
 @pytest.fixture(scope="module")
-def readme_background(tmp_path_factory) -> str:
-    path = tmp_path_factory.mktemp("contract") / "background.csv"
+def contract_files(tmp_path_factory) -> dict:
+    """The README background profile, and a run of the wave moving at speed 3."""
+    folder = tmp_path_factory.mktemp("contract")
     demo = lv.two_species_wave_family(Fraction(2), Fraction(1), Fraction(20), Fraction(1))
-    lv.wave_profile(demo, np.linspace(-40, 40, 801)).to_csv(path)
-    return str(path)
+    x = np.linspace(-40, 40, 801)
+    lv.wave_profile(demo, x).to_csv(folder / "background.csv")
+    profiles = tuple(lv.WaveProfile(x, *lv.evaluate_wave(demo, x - 3.0 * t)) for t in range(3))
+    lv.Snapshots(times=np.arange(3.0), profiles=profiles).to_dir(folder / "snapshots")
+    return {"profile": str(folder / "background.csv"), "snapshots": str(folder / "snapshots")}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_audited_commands_end_in_a_result_a_failed_check_or_a_named_refusal(
-    readme_background,
-):
+def test_audited_commands_end_in_a_result_a_failed_check_or_a_named_refusal(contract_files):
     """Every run exits 0; or 1 with ``error: ...`` and no report, or with a
     failed check and its report; or 2 with ``usage error: ...`` and no --out.
     An uncaught exception or a numpy warning fails the test."""
 
     @settings(derandomize=True, max_examples=200, database=None)
-    @given(_audited_runs(readme_background))
-    def run(argv):
-        command, data, *extra = argv
+    @given(_contract_runs(contract_files))
+    def run(drawn):
+        command, data, flags = drawn
         with tempfile.TemporaryDirectory() as folder:
             params, out = Path(folder) / "p.json", Path(folder) / "out"
-            params.write_text(data)
+            argv = [command, *flags, "--out", str(out)]
+            if data is not None:
+                params.write_text(data)
+                argv += ["--params", str(params)]
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
-                code = main([command, "--params", str(params), *extra, "--out", str(out)])
+                code = main(argv)
             err, written = stderr.getvalue(), (out / "report.json").exists()
             if code == 2:
                 assert err.startswith("usage error: ") and not out.exists(), err
