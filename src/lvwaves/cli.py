@@ -32,6 +32,7 @@ import inspect
 import os
 import sys
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -47,24 +48,29 @@ from .model import (
 )
 from .nbarrier import BoundSide, bounds, conic_classify, construct_barrier, verify_bounds_on_profile
 from .profiles import WaveProfile, uniform_grid
-from .rational import Number, _in_float_range, all_exact, parse_fields, parse_number
+from .rational import Number, _in_float_range, _to_dict, all_exact, parse_fields, parse_number
 from .report import CheckReport, read_json, write_json
 
 
 def _shaped(value, number):
-    """``number`` of each number in ``value`` (a number, list or dict), in its shape."""
+    """``number`` of each number in ``value``, in its shape: a dict or a list
+    (a numpy array is read as one) keeps it, an enum is its value and text
+    stays as it is."""
     if isinstance(value, dict):
         return {key: _shaped(item, number) for key, item in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, np.ndarray)):
         return [_shaped(item, number) for item in value]
-    return number(value)
+    if isinstance(value, Enum):
+        return value.value
+    return value if isinstance(value, str) else number(value)
 
 
 def _exact(**values) -> dict:
-    """Each value as floats under its name, in its shape (a number, a list of
-    lists or a dict), plus ``<name>_exact`` in text when every number in it is
-    exact; an exact number above the float range is refused by name (in-range
-    inputs can give one: sigma1/c11 with c11 = 1/10**400)."""
+    """Each value under its name, in its shape (a number, a list of lists, a
+    dict, or a result record's enum or text), its numbers as floats, plus
+    ``<name>_exact`` in text when it holds numbers and every one is exact; an
+    exact number above the float range is refused by name (in-range inputs
+    can give one: sigma1/c11 with c11 = 1/10**400)."""
     out = {}
     for name, value in values.items():
         numbers = []
@@ -73,7 +79,7 @@ def _exact(**values) -> dict:
             out[name] = _shaped(value, lambda v: float(_in_float_range(v) if all_exact(v) else v))
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
-        if all_exact(*numbers):
+        if numbers and all_exact(*numbers):
             out[name + "_exact"] = _shaped(value, str)
     return out
 
@@ -134,25 +140,16 @@ def _cmd_classify(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, 
 
 
 def _cmd_bounds(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
-    alpha, beta = _weights(args)
-    pair = bounds(p, alpha, beta)
-    return _exact(q_lower=pair.q_lower, q_upper=pair.q_upper, alpha=alpha, beta=beta), True
+    return _exact(**_to_dict(bounds(p, *_weights(args)))), True
 
 
 def _cmd_barrier(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
-    alpha, beta = _weights(args)
     side = BoundSide.LOWER if args.side == "lower" else BoundSide.UPPER
-    lines = construct_barrier(p, alpha, beta, side)
-    return {
-        "side": lines.side.value,
-        "case_id": lines.case_id,
-        **_exact(lambda1=lines.lambda1, lambda2=lines.lambda2, eta=lines.eta),
-    }, True
+    return _exact(**_to_dict(construct_barrier(p, *_weights(args), side))), True
 
 
 def _cmd_conic(args: argparse.Namespace, p: TwoSpeciesParams) -> tuple[dict, bool]:
-    conic = conic_classify(p, *_weights(args))
-    return {"kind": conic.kind.value, **_exact(discriminant=conic.discriminant)}, True
+    return _exact(**_to_dict(conic_classify(p, *_weights(args)))), True
 
 
 def _cmd_exact_wave(args: argparse.Namespace, free: exactwaves.FreeParams) -> tuple[dict, bool]:
@@ -215,13 +212,7 @@ def _cmd_simulate(
 def _cmd_speed(args: argparse.Namespace, _: None) -> tuple[dict, bool]:
     snaps = numerics.Snapshots.from_dir(args.snapshots)
     est = numerics.estimate_front_speed(snaps, args.component, args.level)
-    return {
-        "speed": est.speed,
-        "intercept": est.intercept,
-        "fit_residual": est.fit_residual,
-        "positions": [float(v) for v in est.positions],
-        "times": [float(t) for t in est.times],
-    }, True
+    return _exact(**_to_dict(est)), True
 
 
 def _invader(data: dict) -> tuple[numerics.FisherContext, float, float]:
@@ -389,6 +380,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # an exact value above the float range met a float inside a closed form
+        print(f"usage error: a number is above the float range ({exc})", file=sys.stderr)
         return 2
     return 0 if passed else 1
 

@@ -9,6 +9,7 @@ external tooling.
 from __future__ import annotations
 
 import math
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from .model import TwoSpeciesParams
 from .nbarrier import BoundSide, conic_classify, construct_barrier
 from .profiles import _write_csv
-from .rational import Number, all_exact
+from .rational import Number, _to_dict, all_exact
 from .report import format_float, write_json
 
 #: Lines per axis of the grid whose lines are intersected with F(u, v) = 0.
@@ -53,6 +54,16 @@ _FIG3_CASES = {**_FIG2_CASES, "c": (Fraction(17), Fraction(33), Fraction(2, 3))}
 def _format_number(value: Number) -> str:
     """Exact values verbatim, floats as :func:`lvwaves.report.format_float` writes them."""
     return str(value) if all_exact(value) else format_float(value)
+
+
+def _fields(record, number=_format_number) -> dict:
+    """A record's fields by name: each number through ``number``, an enum as
+    its value, text as it is."""
+    return {
+        name: value.value if isinstance(value, Enum)
+        else value if isinstance(value, str) else number(value)
+        for name, value in _to_dict(record).items()
+    }
 
 
 def _line_points(a, b, c, u_max: float, n: int = 201) -> list[tuple[float, float]]:
@@ -143,11 +154,8 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
         "case": case,
         "alpha": _format_number(alpha),
         "beta": _format_number(beta),
-        "params": {k: _format_number(v) for k, v in p.to_dict().items()},
-        "conic": {
-            "kind": conic.kind.value,
-            "discriminant": float(conic.discriminant),
-        },
+        "params": _fields(p),
+        "conic": _fields(conic, float),
         "files": ["line1.csv", "line2.csv", "conic.csv"],
     }
     if barrier is not None:
@@ -161,12 +169,6 @@ def emit_figure_data(which: str, case: str, out_dir) -> dict:
                 out / name, uv, _line_points(weight[0], weight[1], level, min(u_reach, 5.0))
             )
             manifest["files"].append(name)
-        manifest["barrier"] = {
-            "side": barrier.side.value,
-            "case_id": barrier.case_id,
-            "lambda1": _format_number(barrier.lambda1),
-            "lambda2": _format_number(barrier.lambda2),
-            "eta": _format_number(barrier.eta),
-        }
+        manifest["barrier"] = _fields(barrier)
     write_json(out / "manifest.json", manifest)
     return manifest

@@ -123,11 +123,8 @@ class ThreeSpeciesParams:
     from_dict = classmethod(_from_dict)
     to_dict = _to_dict
 
-    def c(self, i: int, j: int) -> Number:
-        return getattr(self, f"c{i}{j}")
-
     def competition_matrix(self) -> list[list[Number]]:
-        return [[self.c(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
+        return [[getattr(self, f"c{i}{j}") for j in (1, 2, 3)] for i in (1, 2, 3)]
 
     def two_species_block(self) -> TwoSpeciesParams:
         """The (u, v) subsystem obtained by deleting the third row and column."""

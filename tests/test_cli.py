@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import lvwaves as lv
 from lvwaves import cli
 from lvwaves.cli import main
+from lvwaves.numerics import FrontSpeedEstimate
 from lvwaves.profiles import WaveProfile
 from lvwaves.rational import parse_number
 
@@ -1441,6 +1443,18 @@ class TestExactEntries:
             "p": {"a": 1.0, "b": 0.25},
             "q": -0.75, "q_exact": "-3/4",
         }
+        # a result record's leaves: an enum as its value, text as it is, an
+        # array as a list; a value that holds no number has no exact twin
+        lines = lv.BarrierLines(F(1), F(2), F(3, 2), lv.BoundSide.LOWER, "case 1")
+        assert cli._exact(lines=cli._to_dict(lines), t=np.array([0.0, 0.5]),
+                          side=lv.BoundSide.UPPER) == {
+            "lines": {"lambda1": 1.0, "lambda2": 2.0, "eta": 1.5, "side": "LowerBound",
+                      "case_id": "case 1"},
+            "lines_exact": {"lambda1": "1", "lambda2": "2", "eta": "3/2",
+                            "side": "LowerBound", "case_id": "case 1"},
+            "t": [0.0, 0.5],
+            "side": "UpperBound",
+        }
 
     @pytest.mark.parametrize(
         "command, data, message",
@@ -1466,6 +1480,24 @@ class TestExactEntries:
         assert capsys.readouterr().err == f"usage error: {message} is above the float range\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, data, weights",
+        [
+            ("conic", {**STRONG, "c12": 10**300}, ["--alpha", "10000000000", "--beta", "1.0"]),
+            ("exact-wave", {**PAPER_FREE, "k2": "1e0", "d1": 10**157}, []),
+        ],
+        ids=["conic", "exact-wave"],
+    )
+    def test_an_exact_value_above_the_float_range_meeting_a_float_is_refused(
+        self, tmp_path, capsys, command, data, weights
+    ):
+        # each ended in an OverflowError traceback from inside a closed form
+        params, out = write_json(tmp_path / "p.json", data), tmp_path / "out"
+        assert main([command, "--params", params, *weights, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: a number is above the float range ("), err
+        assert not out.exists()
+
     def test_two_wave_params_exact_reads_the_params_alone(self, tmp_path):
         # the induced block is exact whatever theta's type: theta is checked, not used
         data = {**TWO_WAVE, "theta": 6.0}
@@ -1478,6 +1510,36 @@ class TestExactEntries:
             "c11": "20", "c12": "4", "c21": "80", "c22": "6",
         }
         assert entries["theta_exact"] == "6"
+
+
+@pytest.mark.parametrize(
+    "command, flags, record",
+    [
+        ("bounds", ["--alpha", "17", "--beta", "1.5"], lv.BoundPair),
+        ("barrier", ["--alpha", "17", "--beta", "18", "--side", "lower"], lv.BarrierLines),
+        ("barrier", ["--alpha", "1/2", "--beta", "4", "--side", "upper"], lv.BarrierLines),
+        ("conic", ["--alpha", "2", "--beta", "3"], lv.ConicClass),
+        ("speed", ["--component", "u", "--level", "0.4"], FrontSpeedEstimate),
+    ],
+    ids=["bounds", "barrier-lower", "barrier-upper", "conic", "speed"],
+)
+def test_each_report_carries_its_result_record_s_fields(
+    tmp_path, contract_files, command, flags, record
+):
+    """A report's keys, less ``command`` and the ``_exact`` twins, are its
+    result record's field names, so a field added to the record reaches it."""
+    if command == "speed":
+        (tmp_path / "run").mkdir()
+        np.save(tmp_path / "run" / "snapshots.npy", contract_files["array"])
+        write_json(tmp_path / "run" / "manifest.json", contract_files["manifest"])
+        flags = [*flags, "--snapshots", str(tmp_path / "run")]
+    else:
+        flags = [*flags, "--params", write_json(tmp_path / "p.json", STRONG)]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    keys = set(report(out)) - {"command"}
+    twins = {key for key in keys if key.endswith("_exact") and key[: -len("_exact")] in keys}
+    assert keys - twins == {f.name for f in dataclasses.fields(record)}
 
 
 #: the README's three_species.json: the worked example's induced coefficients
@@ -1505,51 +1567,120 @@ _FLAG_VALUES = _FILE_VALUES.map(str)
 _WEIGHTS = st.builds(lambda a, b: [f"--alpha={a}", f"--beta={b}"], _FLAG_VALUES, _FLAG_VALUES)
 
 
+#: a profile cell as CSV text: a number in any spelling, or not a number
+_CELLS = st.one_of(_FLAG_VALUES, st.floats().map(repr), st.text(max_size=6))
+#: a profile CSV header
+_HEADERS = st.one_of(
+    st.sampled_from(("x,u", "x,v,u", "x,u,v,w", "x,w", "u,v,x", "x,u,u", "x,u,v,", "")),
+    st.text(max_size=8),
+)
+#: a snapshot time as the manifest holds it
+_TIMES = st.one_of(st.floats(), st.integers(-10, 10), st.floats().map(repr), st.booleans(),
+                   st.none(), st.text(max_size=4))
+
+
 @st.composite
-def _contract_runs(draw, files: dict) -> tuple[str, str | None, list[str]]:
+def _drawn_csv(draw, text: str) -> bytes:
+    """The profile CSV ``text`` as it is, or with a redrawn cell, a dropped or
+    duplicated row, or a changed header."""
+    header, *rows = text.splitlines()
+    kind = draw(st.sampled_from(("as is", "cell", "drop", "duplicate", "header")))
+    row = draw(st.integers(0, len(rows) - 1))
+    if kind == "cell":
+        cells = rows[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_CELLS)
+        rows[row] = ",".join(cells)
+    elif kind == "drop":
+        del rows[row]
+    elif kind == "duplicate":
+        rows.insert(row, rows[row])
+    elif kind == "header":
+        header = draw(_HEADERS)
+    return "\n".join([header, *rows, ""]).encode()
+
+
+def _shapes(size: int, dims: int) -> list[tuple[int, ...]]:
+    """Every shape of ``dims`` axes that holds ``size`` entries."""
+    if dims == 1:
+        return [(size,)]
+    return [(d, *rest) for d in range(1, size + 1) if size % d == 0
+            for rest in _shapes(size // d, dims - 1)]
+
+
+@st.composite
+def _drawn_run(draw, manifest: dict, array: np.ndarray) -> dict[str, bytes]:
+    """A snapshot run's two files: as written, or with redrawn ``times``, or
+    with ``snapshots.npy`` truncated or holding the array in another shape."""
+    kind = draw(st.sampled_from(("as is", "times", "truncated", "reshaped")))
+    if kind == "times":
+        manifest = {**manifest, "times": draw(st.lists(_TIMES, max_size=5))}
+    if kind == "reshaped":
+        shapes = [s for dims in (1, 2, 3, 4) for s in _shapes(array.size, dims)]
+        array = array.reshape(draw(st.sampled_from([s for s in shapes if s != array.shape])))
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    data = buffer.getvalue()
+    if kind == "truncated":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return {"snapshots/manifest.json": json.dumps(manifest).encode(),
+            "snapshots/snapshots.npy": data}
+
+
+@st.composite
+def _contract_runs(draw, files: dict) -> tuple[str, str | None, list[str], dict[str, bytes]]:
     """A command, the JSON text of its README parameter file with one to four
-    values redrawn (None for a command without one), and its other flags,
-    drawn for the commands without a parameter file: every subcommand but
-    ``simulate``."""
-    command, base, flags = draw(st.sampled_from([
-        ("classify", STRONG, st.just([])),
-        ("bounds", STRONG, _WEIGHTS),
+    values redrawn (None for a command without one), its other flags, drawn
+    for the commands without a parameter file, and the profile CSV or
+    snapshot run it reads, drawn from the fixture's (by path relative to the
+    folder it runs in): every subcommand but ``simulate``."""
+    profile = _drawn_csv(files["background"]).map(lambda csv: {"background.csv": csv})
+    command, base, flags, inputs = draw(st.sampled_from([
+        ("classify", STRONG, st.just([]), st.just({})),
+        ("bounds", STRONG, _WEIGHTS, st.just({})),
         ("barrier", STRONG, st.builds(lambda w, side: [*w, "--side", side], _WEIGHTS,
-                                      st.sampled_from(("lower", "upper")))),
-        ("conic", STRONG, _WEIGHTS),
-        ("exact-wave", PAPER_FREE, st.just([])),
-        ("two-wave", TWO_WAVE, st.just([])),
-        ("verify-profile", STRONG, _WEIGHTS.map(lambda w: [*w, "--profile", files["profile"]])),
-        ("check-existence", EXISTENCE, st.just([])),
-        ("check-nonexistence", README_THREE_SPECIES, st.just([])),
-        ("fisher", FISHER, st.just(["--background", files["profile"]])),
+                                      st.sampled_from(("lower", "upper"))), st.just({})),
+        ("conic", STRONG, _WEIGHTS, st.just({})),
+        ("exact-wave", PAPER_FREE, st.just([]), st.just({})),
+        ("two-wave", TWO_WAVE, st.just([]), st.just({})),
+        ("verify-profile", STRONG, _WEIGHTS.map(lambda w: [*w, "--profile", "background.csv"]),
+         profile),
+        ("check-existence", EXISTENCE, st.just([]), st.just({})),
+        ("check-nonexistence", README_THREE_SPECIES, st.just([]), st.just({})),
+        ("fisher", FISHER, st.just(["--background", "background.csv"]), profile),
         ("evenness", None, st.builds(lambda u, v: [f"--u={u}", f"--v={v}"], _FLAG_VALUES,
-                                     _FLAG_VALUES)),
+                                     _FLAG_VALUES), st.just({})),
         ("figure-data", None, st.builds(lambda which, case: ["--which", which, "--case", case],
                                         st.sampled_from(("fig1", "fig2", "fig3")),
-                                        st.sampled_from("abcdefz"))),
+                                        st.sampled_from("abcdefz")), st.just({})),
         ("speed", None, st.builds(
-            lambda component, level: ["--snapshots", files["snapshots"],
-                                      "--component", component, f"--level={level}"],
-            st.sampled_from("uvw"), st.floats().map(repr))),
+            lambda component, level: ["--snapshots", "snapshots", "--component", component,
+                                      f"--level={level}"],
+            st.sampled_from("uvw"), st.floats().map(repr)),
+         _drawn_run(files["manifest"], files["array"])),
     ]))
+    inputs = draw(inputs)
     if base is None:
-        return command, None, draw(flags)
+        return command, None, draw(flags), inputs
     changes = draw(st.dictionaries(st.sampled_from(sorted(base)), _FILE_VALUES,
                                    min_size=1, max_size=4))
-    return command, json.dumps({**base, **changes}), draw(flags)
+    return command, json.dumps({**base, **changes}), draw(flags), inputs
 
 
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory) -> dict:
-    """The README background profile, and a run of the wave moving at speed 3."""
+    """The README background profile's CSV text, and the manifest and array
+    of a run of the wave moving at speed 3."""
     folder = tmp_path_factory.mktemp("contract")
     demo = lv.two_species_wave_family(Fraction(2), Fraction(1), Fraction(20), Fraction(1))
     x = np.linspace(-40, 40, 801)
     lv.wave_profile(demo, x).to_csv(folder / "background.csv")
     profiles = tuple(lv.WaveProfile(x, *lv.evaluate_wave(demo, x - 3.0 * t)) for t in range(3))
     lv.Snapshots(times=np.arange(3.0), profiles=profiles).to_dir(folder / "snapshots")
-    return {"profile": str(folder / "background.csv"), "snapshots": str(folder / "snapshots")}
+    return {
+        "background": (folder / "background.csv").read_text(),
+        "manifest": json.loads((folder / "snapshots" / "manifest.json").read_text()),
+        "array": np.load(folder / "snapshots" / "snapshots.npy"),
+    }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1561,19 +1692,21 @@ def test_audited_commands_end_in_a_result_a_failed_check_or_a_named_refusal(cont
     @settings(derandomize=True, max_examples=200, database=None)
     @given(_contract_runs(contract_files))
     def run(drawn):
-        command, data, flags = drawn
-        with tempfile.TemporaryDirectory() as folder:
-            params, out = Path(folder) / "p.json", Path(folder) / "out"
-            argv = [command, *flags, "--out", str(out)]
+        command, data, flags, inputs = drawn
+        with tempfile.TemporaryDirectory() as folder, contextlib.chdir(folder):
+            for name, content in inputs.items():
+                Path(name).parent.mkdir(exist_ok=True)
+                Path(name).write_bytes(content)
+            argv = [command, *flags, "--out", "out"]
             if data is not None:
-                params.write_text(data)
-                argv += ["--params", str(params)]
+                Path("p.json").write_text(data)
+                argv += ["--params", "p.json"]
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
                 code = main(argv)
-            err, written = stderr.getvalue(), (out / "report.json").exists()
+            err, written = stderr.getvalue(), Path("out", "report.json").exists()
             if code == 2:
-                assert err.startswith("usage error: ") and not out.exists(), err
+                assert err.startswith("usage error: ") and not Path("out").exists(), err
             elif err:
                 assert code == 1 and err.startswith("error: ") and not written, err
             else:
